@@ -9,6 +9,7 @@ from .numtheory import (
     ArithFn,
     BudgetExceededError,
     DIVISOR_COUNT,
+    ExactLog,
     Factorization,
     LIOUVILLE,
     MANGOLDT,
@@ -32,11 +33,8 @@ from .numtheory import (
 from .fib import (
     CONSTANTS,
     Constants,
-    ExactLog,
-    FibValue,
     RankCache,
     entry_exponent,
-    fib,
     fib_mod,
     lcm_fib,
     log_of_big,

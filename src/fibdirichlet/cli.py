@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import cache as cache_io
@@ -44,6 +44,7 @@ EXIT_BUDGET = 3
 
 CONTRACTIBLE = ("mu", "lambda", "phi", "one", "divisor_count")
 DEFAULT_ASYMPTOTIC_XS = (5, 12, 30, 60, 200)
+DEFAULT_CONTRACT_N_MAX = 24
 
 
 @dataclass
@@ -55,11 +56,6 @@ class Config:
     output_format: str = "csv"
     precision: int = 12
     out_path: Optional[str] = None
-    x_max_defaults: dict = field(default_factory=lambda: {
-        "contract": 24,
-        "verify": 25,
-        "report-asymptotics": DEFAULT_ASYMPTOTIC_XS,
-    })
 
 
 def _fmt_real(value: float, precision: int) -> str:
@@ -141,7 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n_max_pos", type=int, nargs="?", metavar="n_max")
     p.add_argument("--depth", type=int, help="contraction depth (default 1)")
     p.add_argument("--n-max", type=int, dest="n_max",
-                   help="largest index to tabulate (default 24)")
+                   help=f"largest index to tabulate "
+                        f"(default {DEFAULT_CONTRACT_N_MAX})")
     _add_common(p)
 
     p = sub.add_parser("verify", help="run identity checks")
@@ -197,7 +194,7 @@ def cmd_contract(args: argparse.Namespace, config: Config) -> int:
     if depth is None:
         depth = 1
     if n_max is None:
-        n_max = config.x_max_defaults["contract"]
+        n_max = DEFAULT_CONTRACT_N_MAX
     if depth < 1:
         raise ValueError("depth must be >= 1")
     f = NAMED_FUNCTIONS[args.fn]
@@ -219,6 +216,11 @@ def cmd_contract(args: argparse.Namespace, config: Config) -> int:
             row["match"] = ""
         rows.append(row)
     emit_rows(rows, f"contract-{args.fn}-depth{depth}", config)
+    mismatches = [row["n"] for row in rows if row["match"] == "no"]
+    if mismatches:
+        print(f"FAILED: contract {args.fn} depth {depth} differs from its "
+              f"closed form at n={mismatches[0]}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     return EXIT_OK
 
 
@@ -267,7 +269,7 @@ def cmd_report_asymptotics(args: argparse.Namespace, config: Config) -> int:
     if args.x:
         xs = [int(part) for part in args.x.split(",") if part.strip()]
     else:
-        xs = list(config.x_max_defaults["report-asymptotics"])
+        xs = list(DEFAULT_ASYMPTOTIC_XS)
     rows = []
     for sample in asymptotic_mangoldt_report(xs):
         rows.append({"kind": "log_lcm", "x": sample.x,

@@ -14,20 +14,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Any, Optional
 
 from .fib import (
-    ExactLog,
     divisor_has_rank,
     fib,
     fib_factorization,
-    lcm_fib,
-    log_of_big,
 )
 from .numtheory import (
     ArithFn,
+    MU,
     divisors,
-    mangoldt_base,
     mobius,
 )
 
@@ -51,25 +48,15 @@ def contributors(n: int, budget: Optional[int] = None) -> list[int]:
     return [d for d in divisors(fac) if divisor_has_rank(d, n)]
 
 
-def alpha_contract(f: ArithFn, n: int,
-                   budget: Optional[int] = None) -> Union[int, ExactLog]:
+def alpha_contract(f: ArithFn, n: int, budget: Optional[int] = None) -> Any:
     """Contraction of f at n: Σ f(m) over m with rank(m) = n.
 
-    Empty sums are 0 — in particular at n = 2, where F(2) = 1 has no divisor
-    of rank 2.  For the von Mangoldt marker the sum is carried exactly as the
-    product of base primes over prime-power contributors and returned as an
-    ExactLog.
+    Empty sums are f.zero — in particular at n = 2, where F(2) = 1 has no
+    divisor of rank 2.
     """
     if n < 1:
         raise ValueError("alpha_contract expects n >= 1")
-    if f.name == "mangoldt":
-        prod = 1
-        for m in contributors(n, budget):
-            base = mangoldt_base(m)
-            if base is not None:
-                prod *= base
-        return log_of_big(prod)
-    return sum(f(m) for m in contributors(n, budget))
+    return sum((f(m) for m in contributors(n, budget)), f.zero)
 
 
 # --- iterated contractions of mu ---
@@ -113,7 +100,7 @@ def _mu_iterate_fn(depth: int) -> ArithFn:
 
 
 def alpha_contract_iter(f: ArithFn, depth: int, n: int,
-                        budget: Optional[int] = None) -> int:
+                        budget: Optional[int] = None) -> Any:
     """depth-fold contraction of f at n.
 
     For μ the inner iterate is evaluated through its exact dilation form, so
@@ -124,15 +111,16 @@ def alpha_contract_iter(f: ArithFn, depth: int, n: int,
     if depth < 1:
         raise ValueError("alpha_contract_iter expects depth >= 1")
     if depth == 1:
-        return alpha_contract(f, n, budget)  # type: ignore[return-value]
-    if f.name == "mu":
+        return alpha_contract(f, n, budget)
+    if f is MU:
         inner = _mu_iterate_fn(depth - 1)
     else:
         inner = ArithFn(
             f"{f.name}_iter{depth - 1}",
             lambda m: alpha_contract_iter(f, depth - 1, m, budget),
+            f.zero,
         )
-    return alpha_contract(inner, n, budget)  # type: ignore[return-value]
+    return alpha_contract(inner, n, budget)
 
 
 # --- closed forms ---
@@ -226,43 +214,25 @@ def build_contraction_table(f: ArithFn, depth: int, horizon: int,
 # --- summatory functions and Moebius inversion between them ---
 
 
-def summatory_T(f: ArithFn, x: float,
-                budget: Optional[int] = None) -> Union[int, ExactLog]:
+def summatory_T(f: ArithFn, x: float, budget: Optional[int] = None) -> Any:
     """Floor-weighted summatory function Σ_{rank(n)≤x} f(n)·⌊x/rank(n)⌋.
 
     Evaluated through the double-counting identity as Σ_{n≤x} (1*f)(F(n)),
     i.e. divisor sums over Fibonacci numbers, which avoids enumerating the
-    full rank-bounded set.  The von Mangoldt case telescopes to the exact
-    product of F(1)..F(⌊x⌋).
+    full rank-bounded set.  For Λ it is the log of F(1)·…·F(⌊x⌋).
     """
-    n_max = math.floor(x)
-    if f.name == "mangoldt":
-        prod = 1
-        a, b = 1, 1
-        for _ in range(max(n_max, 0)):
-            prod *= a
-            a, b = b, a + b
-        return log_of_big(prod)
-    total = 0
-    for n in range(1, n_max + 1):
-        fac = fib_factorization(n, budget)
-        total += sum(f(d) for d in divisors(fac))
-    return total
+    return sum((f(d) for n in range(1, math.floor(x) + 1)
+                for d in divisors(fib_factorization(n, budget))), f.zero)
 
 
-def summatory_S(f: ArithFn, x: float,
-                budget: Optional[int] = None) -> Union[int, ExactLog]:
+def summatory_S(f: ArithFn, x: float, budget: Optional[int] = None) -> Any:
     """Plain summatory function Σ_{rank(n)≤x} f(n).
 
-    Computed as the sum of contractions up to ⌊x⌋; the von Mangoldt case is
-    exactly the log of lcm(F(1)..F(⌊x⌋)).
+    Computed as the sum of contractions up to ⌊x⌋; for Λ it is the log of
+    lcm(F(1)..F(⌊x⌋)).
     """
-    n_max = math.floor(x)
-    if f.name == "mangoldt":
-        return log_of_big(lcm_fib(x)) if n_max >= 1 else log_of_big(1)
-    return sum(
-        alpha_contract(f, n, budget) for n in range(1, n_max + 1)  # type: ignore[misc]
-    )
+    return sum((alpha_contract(f, n, budget)
+                for n in range(1, math.floor(x) + 1)), f.zero)
 
 
 class MissingTableEntryError(KeyError):
@@ -282,9 +252,9 @@ def build_summatory_table(kind: str, f: ArithFn, x_max: int,
                           budget: Optional[int] = None) -> SummatoryTable:
     if kind not in ("S", "T"):
         raise ValueError("table kind must be 'S' or 'T'")
-    if f.name == "mangoldt":
-        raise ValueError("summatory tables hold integers; the von Mangoldt "
-                         "sums live in ExactLog form")
+    if f.zero != 0:
+        raise ValueError(f"summatory tables hold integers; {f.name} has "
+                         f"values of another type")
     compute = summatory_S if kind == "S" else summatory_T
     return SummatoryTable(
         kind, f.name, {n: compute(f, n, budget) for n in range(1, x_max + 1)}

@@ -2,8 +2,8 @@
 
 Fast-doubling Fibonacci values, modular Fibonacci, the rank of apparition
 (least index m with n | F(m)) with its prime-power shortcut, entry exponents,
-primitive prime extraction, exact Fibonacci lcms, and exact logarithms of big
-integers.
+primitive prime extraction, exact Fibonacci lcms, and the golden-ratio
+constants.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from typing import Optional
 from .numtheory import (
     BudgetExceededError,
     DEFAULT_FACTOR_BUDGET,
+    ExactLog,
     Factorization,
     factorize,
     is_prime,
@@ -37,26 +38,6 @@ def fib(n: int) -> int:
         else:
             a, b = c, d
     return a
-
-
-@dataclass(frozen=True)
-class FibValue:
-    """An index-value pair of the Fibonacci sequence, validated on creation.
-
-    Pairs satisfy strong divisibility: gcd of any two held values is the
-    value at the gcd of their indexes.
-    """
-
-    index: int
-    value: int
-
-    def __post_init__(self) -> None:
-        if self.value != fib(self.index):
-            raise ValueError(f"{self.value} is not F({self.index})")
-
-    @classmethod
-    def at(cls, n: int) -> "FibValue":
-        return cls(n, fib(n))
 
 
 def fib_mod(n: int, m: int) -> int:
@@ -125,10 +106,6 @@ class RankCache:
             self._ranks[n] = rank
             self._entries[n] = entry_exponent
 
-    def known(self) -> dict[int, tuple[int, Optional[int]]]:
-        with self._lock:
-            return {n: (r, self._entries.get(n)) for n, r in self._ranks.items()}
-
 
 DEFAULT_RANK_CACHE = RankCache()
 
@@ -187,17 +164,23 @@ def max_factorable_index(budget: int) -> int:
     return int(4 * math.log2(budget + 2) / _LOG2_GOLDEN)
 
 
-def fib_factorization(n: int, budget: Optional[int] = None) -> Factorization:
-    """Factorization of F(n), memoized; fails fast when F(n) is beyond scale."""
-    cached = _FIB_FACTORS.get(n)
-    if cached is not None:
-        return cached
+def require_factorable(n: int, budget: Optional[int] = None) -> int:
+    """The work units of budget; raises at once if F(n) is beyond their scale."""
     units = DEFAULT_FACTOR_BUDGET if budget is None else budget
     if n > max_factorable_index(units):
         raise BudgetExceededError(
             f"F({n}) is beyond the factable scale for a budget of {units} "
             f"work units (index cap {max_factorable_index(units)})"
         )
+    return units
+
+
+def fib_factorization(n: int, budget: Optional[int] = None) -> Factorization:
+    """Factorization of F(n), memoized; fails fast when F(n) is beyond scale."""
+    cached = _FIB_FACTORS.get(n)
+    if cached is not None:
+        return cached
+    units = require_factorable(n, budget)
     f = factorize(fib(n), budget=units)
     _FIB_FACTORS[n] = f
     return f
@@ -252,29 +235,9 @@ def lcm_fib(x: float) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class ExactLog:
-    """log of an explicitly held positive integer, with stated relative precision."""
-
-    integer_value: int
-    log_value: float
-    rel_precision: float = 1e-13
-
-    def __post_init__(self) -> None:
-        if self.integer_value < 1:
-            raise ValueError("ExactLog holds logs of positive integers")
-
-
 def log_of_big(v: int) -> ExactLog:
-    """Exact-integer-backed logarithm.
-
-    math.log on a Python int is evaluated from the bit length plus the
-    high-order mantissa, so the result is correct to a few ulps regardless
-    of magnitude — well inside the 1e−12 relative-precision contract.
-    """
-    if v < 1:
-        raise ValueError("log_of_big expects v >= 1")
-    return ExactLog(v, math.log(v))
+    """Exact-integer-backed logarithm of v ≥ 1."""
+    return ExactLog(v)
 
 
 @dataclass(frozen=True)
@@ -283,14 +246,7 @@ class Constants:
 
     golden_ratio: float          # (1+√5)/2
     golden_conjugate: float      # (1−√5)/2
-    product_tail_constant: float  # limit of Σ log(1 − (−1)^n·φ^(−2n))
     lcm_growth_constant: float   # 3·log(golden_ratio)/π²
-
-
-def _product_tail_constant(golden: float, n_terms: int = 80) -> float:
-    return math.fsum(
-        math.log1p(-((-1) ** n) * golden ** (-2 * n)) for n in range(1, n_terms + 1)
-    )
 
 
 def _build_constants() -> Constants:
@@ -298,7 +254,6 @@ def _build_constants() -> Constants:
     return Constants(
         golden_ratio=golden,
         golden_conjugate=(1 - math.sqrt(5.0)) / 2,
-        product_tail_constant=_product_tail_constant(golden),
         lcm_growth_constant=3 * math.log(golden) / math.pi**2,
     )
 

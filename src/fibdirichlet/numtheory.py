@@ -1,7 +1,7 @@
 """Exact elementary number theory.
 
 Primality, factorization, divisor enumeration and the classical arithmetic
-functions (μ, λ, φ, d, the von Mangoldt base) over arbitrary-precision
+functions (μ, λ, φ, d, the von Mangoldt function Λ) over arbitrary-precision
 integers.  Everything here is exact except zeta_partial, which returns an
 explicit tail bound with its floating value.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Any, Callable, Optional, Union
 
 
 class BudgetExceededError(Exception):
@@ -258,8 +258,8 @@ def divisor_count(n: int) -> int:
 def mangoldt_base(n: int) -> Optional[int]:
     """The prime p when n = p^k (k ≥ 1), else None.
 
-    Λ(n) is then log p.  Sums of Λ are carried as products of these bases and
-    only converted to a float log at the boundary, never accumulated as floats.
+    Λ(n) is then log p; MANGOLDT holds it as ExactLog(p), and ExactLog(1)
+    where Λ(n) = 0.
     """
     fac = factorize(n).factors
     if len(fac) == 1:
@@ -312,14 +312,65 @@ def mertens(x: float) -> int:
     return _mertens_prefix[n]
 
 
+class ExactLog:
+    """log of an explicitly held positive integer, read as a float on demand.
+
+    Sums of logs are carried exactly as products: a + b multiplies the held
+    integers and k·a raises them to the power k ≥ 0.
+    """
+
+    __slots__ = ("integer_value",)
+
+    def __init__(self, integer_value: int) -> None:
+        if integer_value < 1:
+            raise ValueError("ExactLog holds logs of positive integers")
+        self.integer_value = integer_value
+
+    @property
+    def log_value(self) -> float:
+        # math.log on an int reads the bit length and the leading bits, so it
+        # is correct to a few ulps at any magnitude.
+        return math.log(self.integer_value)
+
+    def __add__(self, other: "ExactLog") -> "ExactLog":
+        if not isinstance(other, ExactLog):
+            return NotImplemented
+        return ExactLog(self.integer_value * other.integer_value)
+
+    def __mul__(self, k: int) -> "ExactLog":
+        if not isinstance(k, int):
+            return NotImplemented
+        if k < 0:
+            raise ValueError("an ExactLog scales only by integers k >= 0")
+        return ExactLog(self.integer_value ** k)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ExactLog):
+            return NotImplemented
+        return self.integer_value == other.integer_value
+
+    def __hash__(self) -> int:
+        return hash(self.integer_value)
+
+    def __repr__(self) -> str:
+        return f"ExactLog({self.integer_value})"
+
+
 @dataclass(frozen=True)
 class ArithFn:
-    """A named, deterministic, exact integer-valued arithmetic function."""
+    """A named, deterministic, exact arithmetic function.
+
+    ``zero`` is the additive zero of its values, where every sum of them
+    starts: 0 for the integer-valued functions, ExactLog(1) for Λ.
+    """
 
     name: str
-    fn: Callable[[int], int]
+    fn: Callable[[int], Any]
+    zero: Union[int, ExactLog] = 0
 
-    def __call__(self, n: int) -> int:
+    def __call__(self, n: int) -> Any:
         return self.fn(n)
 
 
@@ -329,20 +380,18 @@ PHI = ArithFn("phi", euler_phi)
 ONE = ArithFn("one", lambda n: 1)
 DIVISOR_COUNT = ArithFn("divisor_count", divisor_count)
 IDENTITY = ArithFn("id", lambda n: n)
-
-# Λ is not integer-valued; this member is a marker whose callable yields the
-# exact base prime (or None).  Operations that support it branch on the name
-# and carry the sum as a big-integer product.
-MANGOLDT = ArithFn("mangoldt", mangoldt_base)  # type: ignore[arg-type]
+MANGOLDT = ArithFn("mangoldt", lambda n: ExactLog(mangoldt_base(n) or 1),
+                   zero=ExactLog(1))
 
 NAMED_FUNCTIONS: dict[str, ArithFn] = {
     f.name: f for f in (MU, LIOUVILLE, PHI, ONE, DIVISOR_COUNT, IDENTITY, MANGOLDT)
 }
 
 
-def dirichlet_convolve(f: ArithFn, g: ArithFn, n: int) -> int:
+def dirichlet_convolve(f: ArithFn, g: ArithFn, n: int) -> Any:
     """(f*g)(n) = Σ_{d|n} f(d)·g(n/d), exactly."""
-    return sum(f(d) * g(n // d) for d in divisors(factorize(n)))
+    return sum((f(d) * g(n // d) for d in divisors(factorize(n))),
+               f.zero * g.zero)
 
 
 def zeta_partial(s: float, n_terms: int) -> tuple[float, float]:

@@ -12,13 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Optional, Sequence, Union
 
 from .contraction import (
-    closed_lambda_alpha,
-    closed_mu_alpha,
-    closed_mu_alpha2,
-    closed_mu_alpha3,
+    CLOSED_FORMS,
     contributors,
     divisor_union_ranks,
     summatory_T,
@@ -31,6 +29,7 @@ from .fib import (
     lcm_fib,
     log_of_big,
     primitive_primes,
+    require_factorable,
 )
 from .numtheory import (
     ArithFn,
@@ -43,7 +42,6 @@ from .numtheory import (
     divisors,
     euler_phi,
     factorize,
-    mangoldt_base,
     zeta_partial,
 )
 
@@ -86,37 +84,6 @@ def small_integer_fn(seed: int, name: Optional[str] = None) -> ArithFn:
 # --- the double-counting identity ---
 
 
-def _theorem1_exact_mangoldt(x: float, budget: Optional[int]) -> tuple[int, int, int]:
-    """The three sides of the identity for f = Λ, g = 1, as exact integers.
-
-    Sums of Λ are products of base primes; equality of the sides is equality
-    of three big integers (all equal to the product of F(1)..F(⌊x⌋)).
-    """
-    n_max = math.floor(x)
-    direct = 1
-    for n in range(1, n_max + 1):
-        for d in divisors(fib_factorization(n, budget)):
-            base = mangoldt_base(d) if d > 1 else None
-            if base is not None:
-                direct *= base
-    ranks = divisor_union_ranks(x, budget)
-    weighted = 1
-    for n, m in ranks.items():
-        if n > 1:
-            base = mangoldt_base(n)
-            if base is not None:
-                weighted *= base ** (n_max // m)
-    swapped = 1
-    for n, m in ranks.items():
-        for d in range(1, n_max // m + 1):
-            v = fib(d * m) // n
-            if v > 1:
-                base = mangoldt_base(v)
-                if base is not None:
-                    swapped *= base
-    return direct, weighted, swapped
-
-
 def check_theorem1(f: ArithFn, g: ArithFn, x: float,
                    budget: Optional[int] = None) -> VerificationReport:
     """Verify the three-way double-counting identity at real x ≥ 1.
@@ -124,45 +91,30 @@ def check_theorem1(f: ArithFn, g: ArithFn, x: float,
     Direct side: Σ_{n≤x} (f*g)(F(n)) by literal divisor sums.  The other two
     sides enumerate all n with rank(n) ≤ x (the divisor union of the first
     ⌊x⌋ Fibonacci numbers) and weight by the inner g- and f-sums.  Exact
-    equality is required; residual is an exact integer difference.
+    equality is required; residual is an exact integer difference, taken on
+    the held integers when the values are ExactLogs.  Fails at once when
+    F(⌊x⌋) is beyond the budget's scale.
     """
     params = f"f={f.name}, g={g.name}, x={x}"
-    if "mangoldt" in (f.name, g.name):
-        if f.name == "mangoldt" and g.name == "one":
-            direct, weighted, swapped = _theorem1_exact_mangoldt(x, budget)
-        elif g.name == "mangoldt" and f.name == "one":
-            direct, swapped, weighted = _theorem1_exact_mangoldt(x, budget)
-        else:
-            raise ValueError("the exact von Mangoldt route requires the "
-                             "other factor to be the constant one")
-        log = log_of_big(direct).log_value
-        details = [{"side": "direct", "log_value": log},
-                   {"side": "rank-weighted", "equal": weighted == direct},
-                   {"side": "swapped", "equal": swapped == direct}]
-        residual = max(abs(direct - weighted), abs(direct - swapped))
-        return VerificationReport("theorem1", params,
-                                  residual == 0, residual, details)
-
     n_max = math.floor(x)
-    direct = 0
+    require_factorable(n_max, budget)
+    direct = weighted = swapped = f.zero * g.zero
     for n in range(1, n_max + 1):
         an = fib(n)
-        direct += sum(
-            f(d) * g(an // d) for d in divisors(fib_factorization(n, budget))
-        )
-    ranks = divisor_union_ranks(x, budget)
-    weighted = 0
-    swapped = 0
-    for n, m in ranks.items():
-        inner_g = 0
-        inner_f = 0
+        for d in divisors(fib_factorization(n, budget)):
+            direct += f(d) * g(an // d)
+    for n, m in divisor_union_ranks(x, budget).items():
+        inner_g = g.zero
+        inner_f = f.zero
         for d in range(1, n_max // m + 1):
             v = fib(d * m) // n
             inner_g += g(v)
             inner_f += f(v)
         weighted += f(n) * inner_g
         swapped += g(n) * inner_f
-    residual = max(abs(direct - weighted), abs(direct - swapped))
+    sides = [v.integer_value if isinstance(v, ExactLog) else v
+             for v in (direct, weighted, swapped)]
+    residual = max(abs(sides[0] - sides[1]), abs(sides[0] - sides[2]))
     details = [{"side": "direct", "value": direct},
                {"side": "rank-weighted", "value": weighted},
                {"side": "swapped", "value": swapped}]
@@ -231,13 +183,8 @@ def logprod_closed_form(x: float) -> tuple[ExactLog, float, float]:
         a, b = b, a + b
     lhs = log_of_big(prod)
     r = CONSTANTS.golden_ratio
-    rhs = (
-        math.log(r) / 2 * n_max * n_max
-        + math.log(r / 5) / 2 * n_max
-        + math.fsum(
-            math.log1p(-((-1) ** n) * r ** (-2 * n)) for n in range(1, n_max + 1)
-        )
-    )
+    rhs = (math.log(r) / 2 * n_max * n_max + math.log(r / 5) / 2 * n_max
+           + constant_c(n_max))
     return lhs, rhs, abs(lhs.log_value - rhs)
 
 
@@ -284,9 +231,15 @@ def ep_weighted_sum(x: int, budget: Optional[int] = None
 
 def pi_alpha(x: int, budget: Optional[int] = None) -> int:
     """Number of distinct primes whose rank of apparition is ≤ x."""
+    return _pi_alpha_counts(x, budget)[-1]
+
+
+def _pi_alpha_counts(x: int, budget: Optional[int] = None) -> list[int]:
+    """[π_α(1), …, π_α(x)]: each prime is counted once, at its rank."""
     if x < 1:
         raise ValueError("pi_alpha expects x >= 1")
-    return sum(len(primitive_primes(n, budget)) for n in range(3, x + 1))
+    return list(accumulate(len(primitive_primes(n, budget))
+                           for n in range(1, x + 1)))
 
 
 PRIMITIVE_COUNT_BOUND = CONSTANTS.lcm_growth_constant / 2  # 3·log r / (2π²)
@@ -353,11 +306,11 @@ def phi_recursive_fib(x_max: int, budget: Optional[int] = None) -> list[int]:
 # (1−2^−s)(1+2^−s) / ((1−2^−s)·ζ(s)) = (1+2^−s)/ζ(s), so ζ(s)·D(s) for the
 # once-contracted μ must approach 1 + 2^−s.
 
-EULER_SERIES: dict[str, tuple[Callable[[int], int], tuple[int, ...]]] = {
-    "lambda": (closed_lambda_alpha, (1, 2, 12)),
-    "mu": (closed_mu_alpha, (1, 2)),
-    "mu2": (closed_mu_alpha2, (1, 2, 3)),
-    "mu3": (closed_mu_alpha3, (1, 2, 3, 4)),
+EULER_SERIES: dict[str, tuple[ArithFn, tuple[int, ...]]] = {
+    "lambda": (CLOSED_FORMS[("lambda", 1)], (1, 2, 12)),
+    "mu": (CLOSED_FORMS[("mu", 1)], (1, 2)),
+    "mu2": (CLOSED_FORMS[("mu", 2)], (1, 2, 3)),
+    "mu3": (CLOSED_FORMS[("mu", 3)], (1, 2, 3, 4)),
 }
 
 
@@ -374,7 +327,8 @@ def euler_product_check(which: str, s: float, n_terms: int) -> VerificationRepor
         raise ValueError("need N >= 12 to see all polynomial terms")
     closed, bases = EULER_SERIES[which]
     zeta_n, tail = zeta_partial(s, n_terms)
-    series = math.fsum(closed(n) / n**s for n in range(1, n_terms + 1))
+    evaluate = closed.fn  # skips ArithFn.__call__ in this N-term loop
+    series = math.fsum(evaluate(n) / n**s for n in range(1, n_terms + 1))
     poly = math.fsum(b ** -s for b in bases)
     tolerance = max(abs(poly) * tail + (zeta_n + tail) * 3 * tail, 1e-6)
     residual = abs(zeta_n * series - poly)
@@ -388,8 +342,7 @@ def euler_product_check(which: str, s: float, n_terms: int) -> VerificationRepor
 
 # --- step tables of the floor-weighted summatory function ---
 
-_T_TABLE_SOURCES = {1: MU, 2: ArithFn("mu_alpha", closed_mu_alpha),
-                    3: ArithFn("mu_alpha2", closed_mu_alpha2)}
+_T_TABLE_SOURCES = {1: MU, 2: CLOSED_FORMS[("mu", 1)], 3: CLOSED_FORMS[("mu", 2)]}
 
 
 def check_T_tables(depth: int, x: float,
@@ -494,11 +447,7 @@ def _suite_ep_sum(x: int = 60, budget: Optional[int] = None
 
 def _suite_pi_alpha(x: int = 60, budget: Optional[int] = None
                     ) -> list[VerificationReport]:
-    counts = []
-    total = 0
-    for n in range(1, x + 1):
-        total += len(primitive_primes(n, budget)) if n >= 3 else 0
-        counts.append(total)
+    counts = _pi_alpha_counts(x, budget)
     monotone = all(a <= b for a, b in zip(counts, counts[1:]))
     anchors = counts[4] == 3 and counts[11] == 8 if x >= 12 else True
     details = [{"pi_alpha_5": counts[4] if x >= 5 else None,

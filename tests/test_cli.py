@@ -13,6 +13,7 @@ from fibdirichlet.cache import (
     parse_record,
     save_cache_file,
 )
+from fibdirichlet.numtheory import ArithFn, BudgetExceededError
 from fibdirichlet.verify import VerificationReport
 
 
@@ -92,6 +93,31 @@ def test_contract_marks_budget_rows(tmp_path):
     rows = list(csv.DictReader(out.open()))
     assert any(r["direct"] == "budget-exceeded" for r in rows)
     assert all(r["match"] == "" for r in rows)  # no closed form at this depth
+
+
+def test_contract_mismatch_exits_1(monkeypatch, tmp_path, capsys):
+    monkeypatch.setitem(cli.CLOSED_FORMS, ("mu", 1),
+                        ArithFn("mu_alpha_wrong", lambda n: 7))
+    out = tmp_path / "bad.csv"
+    assert run_cli(["contract", "mu", "1", "6", "--out", str(out)]) == 1
+    rows = list(csv.DictReader(out.open()))
+    assert [r["match"] for r in rows] == ["no"] * 6
+    assert "FAILED" in capsys.readouterr().err
+
+
+def test_contract_budget_rows_exit_0(monkeypatch, tmp_path):
+    contract = cli.alpha_contract_iter
+
+    def capped(f, depth, n, budget=None):
+        if n > 3:
+            raise BudgetExceededError("capped for the test")
+        return contract(f, depth, n, budget)
+
+    monkeypatch.setattr(cli, "alpha_contract_iter", capped)
+    out = tmp_path / "capped.csv"
+    assert run_cli(["contract", "mu", "1", "6", "--out", str(out)]) == 0
+    matches = [r["match"] for r in csv.DictReader(out.open())]
+    assert matches == ["yes"] * 3 + [""] * 3
 
 
 def test_verify_all_passes(capsys):

@@ -27,9 +27,11 @@ from fibdirichlet.numtheory import (
     LIOUVILLE,
     MANGOLDT,
     MU,
+    ONE,
     PHI,
     mertens,
 )
+from fibdirichlet.fib import fib, lcm_fib
 
 
 def test_alpha_contract_examples():
@@ -58,6 +60,12 @@ def test_alpha_contract_iter_examples():
     assert alpha_contract_iter(MU, 2, 6) == -1
     assert alpha_contract_iter(MU, 3, 6) == -1
     assert alpha_contract_iter(MU, 1, 1) == 1
+
+
+def test_mu_fast_path_is_chosen_by_identity():
+    impostor = ArithFn("mu", lambda n: 1)
+    assert alpha_contract_iter(impostor, 2, 6) == alpha_contract_iter(ONE, 2, 6)
+    assert alpha_contract_iter(impostor, 2, 6) != alpha_contract_iter(MU, 2, 6)
 
 
 def test_closed_mu_alpha_agrees_with_divisor_sum():
@@ -125,8 +133,19 @@ def test_summatory_T_examples():
     assert abs(log.log_value - math.log(240)) < 1e-12
 
 
+def test_mangoldt_summatory_T_is_the_fibonacci_product():
+    prod = 1
+    for x in range(1, 61):
+        prod *= fib(x)
+        assert summatory_T(MANGOLDT, x).integer_value == prod, x
+
+
+def test_mangoldt_summatory_S_is_the_fibonacci_lcm():
+    for x in range(1, 61):
+        assert summatory_S(MANGOLDT, x).integer_value == lcm_fib(x), x
+
+
 def test_mangoldt_contraction_products_multiply_to_lcm():
-    from fibdirichlet.fib import lcm_fib
     prod = 1
     for n in range(1, 31):
         prod *= alpha_contract(MANGOLDT, n).integer_value

@@ -1,0 +1,48 @@
+"""Byte-identical CLI output for a fixed golden set of commands.
+
+The digests were taken from the command-line program before the von Mangoldt
+function became an ordinary ArithFn; refactors must keep every one of them.
+Each command runs in-process through ``cli.main``.
+"""
+
+import hashlib
+
+import pytest
+
+from fibdirichlet import cli
+
+STDOUT_DIGESTS = {
+    ("verify", "all"):
+        "145bc48730b4f17a10302f45d6d88d01966d0d02bf3cbf7b489e27e274af5aba",
+    ("report-asymptotics", "--x", "5,12,30", "--format", "json"):
+        "6ed0df7997ea2278cb3630c020a9a1490e50ca5ec0ec36a324b5d585d74f307e",
+    ("contract", "mu", "3", "40"):
+        "2cafe63fc056008c98c739af0c8b205de10447f05ba0ddd4ba151f3688c632f8",
+    ("series", "--n", "2000"):
+        "8c3438973e5230e8e0fbcee963bf2c584912d4275039caa6aa9fadc587c69e1d",
+}
+
+# The report file of the theorem1 suite, whose rows include the Λ residual.
+THEOREM1_REPORT_DIGEST = (
+    "25b2b609f235472796cce8671237b6164afae354ea1afa5acfff9240e4a01bde")
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(autouse=True)
+def _no_cache_from_environment(monkeypatch):
+    monkeypatch.delenv(cli.ENV_CACHE, raising=False)
+
+
+@pytest.mark.parametrize("argv", sorted(STDOUT_DIGESTS), ids=" ".join)
+def test_stdout_is_golden(argv, capsys):
+    assert cli.main(list(argv)) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == STDOUT_DIGESTS[argv]
+
+
+def test_theorem1_report_file_is_golden(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert cli.main(["verify", "theorem1", "--x", "40", "--out", str(out)]) == 0
+    assert _sha256(out.read_bytes()) == THEOREM1_REPORT_DIGEST

@@ -6,6 +6,8 @@ import pytest
 from fibdirichlet.numtheory import (
     ArithFn,
     BudgetExceededError,
+    ExactLog,
+    MANGOLDT,
     MR_DETERMINISTIC_BOUND,
     dirichlet_convolve,
     divisor_count,
@@ -110,6 +112,24 @@ def test_mangoldt_base():
     assert mangoldt_base(1) is None
 
 
+def test_exact_log_arithmetic():
+    a, b = ExactLog(6), ExactLog(10)
+    assert a + b == ExactLog(60)
+    assert 3 * a == a * 3 == ExactLog(216)
+    assert 0 * a == ExactLog(1)
+    assert abs((a + b).log_value - math.log(60)) < 1e-15
+    with pytest.raises(ValueError):
+        a * -1
+    with pytest.raises(ValueError):
+        ExactLog(0)
+
+
+def test_mangoldt_values():
+    assert MANGOLDT(8) == ExactLog(2)
+    assert MANGOLDT(12) == MANGOLDT(1) == MANGOLDT.zero == ExactLog(1)
+    assert MU.zero == 0
+
+
 def test_mertens_examples():
     assert mertens(1) == 1
     assert mertens(4) == -1
@@ -130,6 +150,12 @@ def test_dirichlet_convolve_examples():
     assert dirichlet_convolve(MU, ONE, 6) == 0
     assert dirichlet_convolve(PHI, ONE, 12) == 12
     assert dirichlet_convolve(LIOUVILLE, ONE, 9) == 1
+
+
+def test_mangoldt_convolved_with_one_is_log():
+    for n in range(1, 201):
+        assert dirichlet_convolve(MANGOLDT, ONE, n).integer_value == n
+        assert dirichlet_convolve(ONE, MANGOLDT, n).integer_value == n
 
 
 def test_dirichlet_convolve_commutative():

@@ -2,8 +2,12 @@ import math
 
 import pytest
 
+from fibdirichlet import fib as fib_module
+from fibdirichlet import numtheory
+from fibdirichlet import verify
 from fibdirichlet.fib import CONSTANTS, fib, lcm_fib
 from fibdirichlet.numtheory import (
+    BudgetExceededError,
     IDENTITY,
     LIOUVILLE,
     MANGOLDT,
@@ -55,9 +59,23 @@ def test_theorem1_exact_mangoldt():
     prod = 1
     for n in range(1, 11):
         prod *= fib(n)
-    assert abs(report.details[0]["log_value"] - math.log(prod)) < 1e-12
+    assert abs(report.details[0]["value"].log_value - math.log(prod)) < 1e-12
     with pytest.raises(ValueError):
         check_theorem1(MANGOLDT, MU, 5)
+
+
+def test_theorem1_fails_fast_beyond_index_cap(monkeypatch):
+    calls = []
+    for module in (numtheory, fib_module, verify):
+        original = module.factorize
+        monkeypatch.setattr(
+            module, "factorize",
+            lambda *a, _original=original, **k: calls.append(a) or _original(*a, **k))
+    with pytest.raises(BudgetExceededError):
+        check_theorem1(MU, ONE, 130)
+    with pytest.raises(BudgetExceededError):
+        check_theorem1(MU, ONE, 30, budget=10)
+    assert calls == []
 
 
 def test_corollary_with_unit_function():
