@@ -17,10 +17,13 @@ from typing import Iterable, Union
 
 from .fib import (
     DEFAULT_RANK_CACHE,
+    divisor_has_rank,
     fib,
+    fib_mod,
     known_fib_factorizations,
     preload_fib_factorization,
 )
+from .numtheory import is_prime, valuation
 
 
 @dataclass(frozen=True)
@@ -70,11 +73,30 @@ def parse_record(line: str) -> CacheRecord:
         rank=int(fields["alpha"]),
         entry_exponent=int(fields["e"]),
     )
+    n, alpha = record.n, record.rank
+    if n < 2:
+        raise ValueError(f"records start at n=2, got n={n}")
+    primes = [p for p, _ in record.fib_factorization]
+    if (primes != sorted(set(primes))
+            or any(e < 1 for _, e in record.fib_factorization)):
+        raise ValueError("factors must be distinct ascending primes with "
+                         "exponents >= 1")
+    for p in primes:
+        if not is_prime(p):
+            raise ValueError(f"factor {p} of F({n}) is not prime")
     product = 1
     for p, e in record.fib_factorization:
         product *= p**e
-    if product != fib(record.n):
-        raise ValueError(f"factorization does not reconstruct F({record.n})")
+    if product != fib(n):
+        raise ValueError(f"factorization does not reconstruct F({n})")
+    # every rank is at most 6n (the Pisano-period bound); checking that first
+    # keeps factoring alpha and computing F(alpha) at the scale of F(n) above
+    if not (1 <= alpha <= 6 * n and fib_mod(alpha, n) == 0
+            and divisor_has_rank(n, alpha)):
+        raise ValueError(f"alpha={alpha} is not the rank of apparition of {n}")
+    if record.entry_exponent != valuation(fib(alpha), n):
+        raise ValueError(f"e={record.entry_exponent} is not the exponent of "
+                         f"{n} in F({alpha})")
     return record
 
 

@@ -24,7 +24,9 @@ from .fib import (
 from .numtheory import (
     ArithFn,
     MU,
+    cofactor,
     divisors,
+    factorize,
     mobius,
 )
 
@@ -91,10 +93,11 @@ def _mu_iterate_weights(depth: int) -> tuple[tuple[int, int], ...]:
 
 
 def _mu_iterate_fn(depth: int) -> ArithFn:
-    weights = _mu_iterate_weights(depth)
+    # the dilates are factored once, so each cofactor n/m reads their factors
+    weights = [(factorize(m), c) for m, c in _mu_iterate_weights(depth)]
 
     def evaluate(n: int) -> int:
-        return sum(c * mobius(n // m) for m, c in weights if n % m == 0)
+        return sum(c * mobius(cofactor(n, m)) for m, c in weights if n % m == 0)
 
     return ArithFn(f"mu_iter{depth}", evaluate)
 

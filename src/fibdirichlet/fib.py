@@ -20,6 +20,7 @@ from .numtheory import (
     Factorization,
     factorize,
     is_prime,
+    valuation,
 )
 
 _LOG2_GOLDEN = math.log2((1 + math.sqrt(5.0)) / 2)
@@ -69,8 +70,10 @@ def _rank_scan(n: int) -> int:
 class RankCache:
     """Memoized n → rank of apparition and n → entry exponent.
 
-    Behaves as one logical map under concurrent use: get-or-compute runs
-    under a single lock, so results never depend on interleaving.
+    Behaves as one logical map under concurrent use: a rank is computed under
+    the lock, and a computed entry exponent is stored with setdefault under
+    it, so the first value stored is the one every caller gets and results
+    never depend on interleaving.
     """
 
     def __init__(self) -> None:
@@ -89,16 +92,10 @@ class RankCache:
     def entry_exponent(self, n: int) -> int:
         with self._lock:
             e = self._entries.get(n)
-            if e is not None:
-                return e
-        r = self.rank(n)
-        v = fib(r)
-        e = 0
-        while v % n == 0:
-            v //= n
-            e += 1
-        with self._lock:
-            self._entries[n] = e
+        if e is None:
+            e = valuation(fib(self.rank(n)), n)
+            with self._lock:
+                e = self._entries.setdefault(n, e)
         return e
 
     def preload(self, n: int, rank: int, entry_exponent: int) -> None:

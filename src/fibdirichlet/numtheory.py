@@ -9,6 +9,7 @@ explicit tail bound with its floating value.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Optional, Union
@@ -87,12 +88,23 @@ def is_prime(n: int, policy: PrimalityPolicy = DEFAULT_POLICY) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Exact prime factorization: value == ∏ prime**exponent, primes ascending."""
+class Factorization(int):
+    """An integer n ≥ 1 that carries its exact prime factorization.
 
-    value: int
-    factors: tuple[tuple[int, int], ...]
+    ``factors`` holds (prime, exponent) pairs, primes ascending, whose product
+    ∏ prime**exponent is n.  It is an int in every other respect, so it goes
+    wherever an int goes, and μ, λ, φ, d and Λ read its factors instead of
+    factoring it again.  Arithmetic on it gives plain ints.
+    """
+
+    def __new__(cls, value: int,
+                factors: tuple[tuple[int, int], ...]) -> "Factorization":
+        self = super().__new__(cls, value)
+        self.factors = factors
+        return self
+
+    def __getnewargs__(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        return int(self), self.factors   # for copy and pickle
 
     def exponent_of(self, p: int) -> int:
         for q, e in self.factors:
@@ -216,19 +228,60 @@ def factorize(n: int, budget: Optional[int] = None,
     return Factorization(n, factors)
 
 
-def divisors(f: Factorization) -> list[int]:
-    """All divisors of f.value in increasing order; ∏(eᵢ+1) of them."""
-    out = [1]
+def valuation(v: int, n: int) -> int:
+    """The largest e with n^e | v, for n ≥ 2 and v ≥ 1."""
+    if n < 2 or v < 1:
+        raise ValueError(f"valuation expects n >= 2 and v >= 1, got {n}, {v}")
+    e = 0
+    while v % n == 0:
+        v //= n
+        e += 1
+    return e
+
+
+def divisors(f: Factorization) -> list[Factorization]:
+    """All divisors of f in increasing order, ∏(eᵢ+1) of them, each carrying
+    its factors.  Listed this way, the i-th from the end is f over the i-th."""
+    pairs: list[tuple[int, tuple[tuple[int, int], ...]]] = [(1, ())]
     for p, e in f.factors:
-        powers = [p**k for k in range(1, e + 1)]
-        out += [d * q for d in out for q in powers]
-    return sorted(out)
+        pairs += [(d * p**k, factors + ((p, k),))
+                  for d, factors in pairs for k in range(1, e + 1)]
+    pairs.sort()
+    return [Factorization(d, factors) for d, factors in pairs]
 
 
-@lru_cache(maxsize=None)
+def cofactor(n: int, d: int) -> Factorization:
+    """n // d for a divisor d of n, carrying its factors.
+
+    The exponents of d are taken from those of n, so nothing is factored
+    when both carry their factors.
+    """
+    factors = list(_prime_factors(n))
+    for q, k in _prime_factors(d):
+        i = bisect_left(factors, (q,))
+        if i == len(factors) or factors[i][0] != q or factors[i][1] < k:
+            raise ValueError(f"{d} does not divide {n}")
+        if factors[i][1] == k:
+            del factors[i]
+        else:
+            factors[i] = (q, factors[i][1] - k)
+    return Factorization(n // d, tuple(factors))
+
+
+def _prime_factors(n: int) -> tuple[tuple[int, int], ...]:
+    """The factors n carries, else those factorize finds."""
+    return n.factors if isinstance(n, Factorization) else factorize(n).factors
+
+
 def mobius(n: int) -> int:
-    """μ(n): 0 unless n is squarefree, else (−1)^(number of prime factors)."""
-    fac = factorize(n).factors
+    """μ(n): 0 unless n is squarefree, else (−1)^(number of prime factors).
+
+    Read from the sieve where it reaches n (see grow_mu_sieve), else from
+    the factors n carries, else from factorize(n).
+    """
+    if 0 < n < len(_mu_values):
+        return _mu_values[n]
+    fac = _prime_factors(n)
     if any(e > 1 for _, e in fac):
         return 0
     return -1 if len(fac) % 2 else 1
@@ -236,13 +289,13 @@ def mobius(n: int) -> int:
 
 def liouville(n: int) -> int:
     """λ(n) = (−1)^Ω(n) with Ω counting prime factors with multiplicity."""
-    return -1 if sum(e for _, e in factorize(n).factors) % 2 else 1
+    return -1 if sum(e for _, e in _prime_factors(n)) % 2 else 1
 
 
 def euler_phi(n: int) -> int:
     """φ(n), the count of 1 ≤ k ≤ n coprime to n."""
     v = n
-    for p, _ in factorize(n).factors:
+    for p, _ in _prime_factors(n):
         v = v // p * (p - 1)
     return v
 
@@ -250,7 +303,7 @@ def euler_phi(n: int) -> int:
 def divisor_count(n: int) -> int:
     """d(n) = ∏(eᵢ+1) over the prime factorization."""
     out = 1
-    for _, e in factorize(n).factors:
+    for _, e in _prime_factors(n):
         out *= e + 1
     return out
 
@@ -261,19 +314,24 @@ def mangoldt_base(n: int) -> Optional[int]:
     Λ(n) is then log p; MANGOLDT holds it as ExactLog(p), and ExactLog(1)
     where Λ(n) = 0.
     """
-    fac = factorize(n).factors
+    fac = _prime_factors(n)
     if len(fac) == 1:
         return fac[0][0]
     return None
 
 
-# --- Mertens function, sieve-backed and grown on demand ---
+# --- the μ sieve behind mobius and mertens, grown on demand ---
 
 _mu_values: list[int] = [0, 1]   # μ(0) unused, μ(1)=1
 _mertens_prefix: list[int] = [0, 1]
 
 
-def _grow_mu_sieve(limit: int) -> None:
+def grow_mu_sieve(limit: int) -> None:
+    """Sieve μ up to at least limit; mobius then reads μ(n ≤ limit) from it.
+
+    A growth at least doubles the sieve.  Callers that will ask for μ on all
+    of 1..N grow it to N first.
+    """
     n = len(_mu_values) - 1
     if limit <= n:
         return
@@ -308,7 +366,7 @@ def mertens(x: float) -> int:
     n = math.floor(x)
     if n < 1:
         return 0
-    _grow_mu_sieve(n)
+    grow_mu_sieve(n)
     return _mertens_prefix[n]
 
 
@@ -390,7 +448,8 @@ NAMED_FUNCTIONS: dict[str, ArithFn] = {
 
 def dirichlet_convolve(f: ArithFn, g: ArithFn, n: int) -> Any:
     """(f*g)(n) = Σ_{d|n} f(d)·g(n/d), exactly."""
-    return sum((f(d) * g(n // d) for d in divisors(factorize(n))),
+    divs = divisors(factorize(n))
+    return sum((f(d) * g(c) for d, c in zip(divs, reversed(divs))),
                f.zero * g.zero)
 
 

@@ -10,6 +10,7 @@ as limits.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -42,6 +43,7 @@ from .numtheory import (
     divisors,
     euler_phi,
     factorize,
+    grow_mu_sieve,
     zeta_partial,
 )
 
@@ -90,7 +92,9 @@ def check_theorem1(f: ArithFn, g: ArithFn, x: float,
 
     Direct side: Σ_{n≤x} (f*g)(F(n)) by literal divisor sums.  The other two
     sides enumerate all n with rank(n) ≤ x (the divisor union of the first
-    ⌊x⌋ Fibonacci numbers) and weight by the inner g- and f-sums.  Exact
+    ⌊x⌋ Fibonacci numbers) and weight by the inner g- and f-sums over
+    F(d·rank(n))/n.  The divisors of F(1..⌊x⌋) are listed once, carrying
+    their factors, and every quotient is read off those lists.  Exact
     equality is required; residual is an exact integer difference, taken on
     the held integers when the values are ExactLogs.  Fails at once when
     F(⌊x⌋) is beyond the budget's scale.
@@ -98,16 +102,26 @@ def check_theorem1(f: ArithFn, g: ArithFn, x: float,
     params = f"f={f.name}, g={g.name}, x={x}"
     n_max = math.floor(x)
     require_factorable(n_max, budget)
+    # fib_divisors[k] ascends, so the entry as far from its end as d is from
+    # its start is F(k)/d
+    fib_divisors = {k: divisors(fib_factorization(k, budget))
+                    for k in range(1, n_max + 1)}
     direct = weighted = swapped = f.zero * g.zero
-    for n in range(1, n_max + 1):
-        an = fib(n)
-        for d in divisors(fib_factorization(n, budget)):
-            direct += f(d) * g(an // d)
-    for n, m in divisor_union_ranks(x, budget).items():
+    ranks: dict[int, int] = {}
+    for k, divs in fib_divisors.items():
+        for d, quotient in zip(divs, reversed(divs)):
+            direct += f(d) * g(quotient)
+            ranks.setdefault(d, k)
+    for n, m in ranks.items():
         inner_g = g.zero
         inner_f = f.zero
-        for d in range(1, n_max // m + 1):
-            v = fib(d * m) // n
+        for k in range(m, n_max + 1, m):
+            divs = fib_divisors[k]
+            i = bisect_left(divs, n)
+            if divs[i] != n:
+                raise RuntimeError(f"{n} has rank {m} but does not divide "
+                                   f"F({k})")
+            v = divs[-1 - i]
             inner_g += g(v)
             inner_f += f(v)
         weighted += f(n) * inner_g
@@ -149,10 +163,11 @@ def check_corollary_completely_mult(f: ArithFn, g: ArithFn, n_max: int,
         return quotient_cache[k]
 
     for n in range(1, n_max + 1):
-        an = fib(n)
+        an = fib_factorization(n, budget)
+        divs = divisors(an)
         lhs = Fraction(0)
-        for d in divisors(fib_factorization(n, budget)):
-            lhs += Fraction(f(d)) * g(an // d)
+        for d, quotient in zip(divs, reversed(divs)):
+            lhs += Fraction(f(d)) * g(quotient)
         rhs = Fraction(g(an)) * sum(
             (quotient_contraction(k) for k in range(1, n + 1) if n % k == 0),
             Fraction(0),
@@ -326,6 +341,7 @@ def euler_product_check(which: str, s: float, n_terms: int) -> VerificationRepor
     if n_terms < 12:
         raise ValueError("need N >= 12 to see all polynomial terms")
     closed, bases = EULER_SERIES[which]
+    grow_mu_sieve(n_terms)  # each closed form reads μ at n, n/2, n/3, ... ≤ N
     zeta_n, tail = zeta_partial(s, n_terms)
     evaluate = closed.fn  # skips ArithFn.__call__ in this N-term loop
     series = math.fsum(evaluate(n) / n**s for n in range(1, n_terms + 1))

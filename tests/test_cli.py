@@ -213,6 +213,21 @@ def test_cache_rejects_corruption(tmp_path):
         load_cache_file(path)
 
 
+@pytest.mark.parametrize("record, complaint", [
+    ("n=12 fib=2^4*3^2 alpha=6 e=5", "alpha=6 is not the rank"),
+    ("n=12 fib=2^4*3^2 alpha=24 e=2", "alpha=24 is not the rank"),
+    ("n=12 fib=4^2*9 alpha=12 e=2", "factor 4 of F(12) is not prime"),
+    ("n=12 fib=2^4*3^2 alpha=12 e=3", "e=3 is not the exponent"),
+    ("n=12 fib=3^2*2^4 alpha=12 e=2", "distinct ascending primes"),
+])
+def test_cache_rejects_untrusted_records(tmp_path, capsys, record, complaint):
+    path = tmp_path / "cache.txt"
+    path.write_text(record + "\n")
+    assert run_cli(["alpha", "12", "--cache", str(path)]) == 2
+    assert complaint in capsys.readouterr().err
+    assert path.read_text() == record + "\n"  # never saved back
+
+
 def _run_script(args, env_extra=None):
     import os
     env = dict(os.environ)

@@ -1,0 +1,66 @@
+"""The factored fast paths against independent slow oracles.
+
+Divisors of F(n) carry their factors, cofactors take theirs from those of
+F(n) and the divisor, and μ on 1..N comes from a sieve.  Each is checked
+against a fresh factorization of the plain integer, and against sympy where
+it is installed.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fibdirichlet.fib import fib_factorization
+from fibdirichlet.numtheory import (
+    MANGOLDT,
+    cofactor,
+    divisor_count,
+    divisors,
+    euler_phi,
+    factorize,
+    grow_mu_sieve,
+    liouville,
+    mobius,
+)
+
+FUNCTIONS = (mobius, liouville, euler_phi, divisor_count, MANGOLDT)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 100), st.data())
+def test_carried_factors_match_a_fresh_factorization(n, data):
+    fib_n = fib_factorization(n)
+    divs = divisors(fib_n)
+    i = data.draw(st.integers(0, len(divs) - 1), label="divisor index")
+    d = divs[i]
+    quotient = cofactor(fib_n, d)
+    assert quotient == divs[-1 - i] == int(fib_n) // int(d)
+    for carried in (d, divs[-1 - i], quotient):
+        fresh = factorize(int(carried))
+        assert carried.factors == fresh.factors
+        for fn in FUNCTIONS:
+            assert fn(carried) == fn(fresh) == fn(int(carried))
+
+
+def test_cofactor_rejects_a_non_divisor():
+    fib_60 = fib_factorization(60)
+    with pytest.raises(ValueError):
+        cofactor(fib_60, 7)          # 7 does not divide F(60)
+    with pytest.raises(ValueError):
+        cofactor(fib_60, 2**5)       # F(60) holds 2 only to the 4th power
+
+
+def test_sieve_mobius_matches_factorized_mobius():
+    grow_mu_sieve(20_000)
+    for n in range(1, 20_001):
+        exponents = [e for _, e in factorize(n).factors]
+        expected = 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
+        assert mobius(n) == expected, n
+
+
+def test_carried_factors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in range(1, 81):
+        fib_n = fib_factorization(n)
+        assert dict(fib_n.factors) == sympy.factorint(int(fib_n))
+        for d in divisors(fib_n):
+            assert dict(d.factors) == sympy.factorint(int(d)), (n, d)

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -80,6 +81,8 @@ def test_entry_exponent():
     assert entry_exponent(12) == 2  # F(12) = 144 = 12^2
     with pytest.raises(ValueError):
         entry_exponent(1)
+    with pytest.raises(ValueError):
+        RankCache().entry_exponent(1)   # unbounded: 1 divides everything
 
 
 def test_primitive_primes():
@@ -157,10 +160,36 @@ def test_rank_cache_concurrent_get_or_compute():
     cache = RankCache()
     ns = list(range(1, 400))
     random.Random(7).shuffle(ns)
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = dict(zip(ns, pool.map(cache.rank, ns)))
+    above_1 = [n for n in ns if n > 1]   # no entry exponent at 1
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = dict(zip(ns, pool.map(cache.rank, ns, timeout=60)))
+            entries = dict(zip(above_1, pool.map(cache.entry_exponent,
+                                                 above_1, timeout=60)))
+    finally:
+        sys.setswitchinterval(interval)
     for n, r in results.items():
         assert r == rank(n)
+    for n, e in entries.items():
+        assert e == entry_exponent(n)
+
+
+def test_entry_exponent_keeps_the_value_stored_first():
+    # A store that lands while the exponent is being computed (here a preload
+    # made during the rank lookup) is what every caller sees afterwards.
+    cache = RankCache()
+    compute_rank = cache.rank
+
+    def rank_then_preload(n):
+        r = compute_rank(n)
+        cache.preload(n, r, 7)
+        return r
+
+    cache.rank = rank_then_preload
+    assert cache.entry_exponent(12) == 7
+    assert cache.entry_exponent(12) == 7
 
 
 def test_fib_submodule_is_not_shadowed():

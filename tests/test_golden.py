@@ -1,7 +1,8 @@
 """Byte-identical CLI output for a fixed golden set of commands.
 
-The digests were taken from the command-line program before the von Mangoldt
-function became an ordinary ArithFn; refactors must keep every one of them.
+The first five digests were taken from the command-line program before the
+von Mangoldt function became an ordinary ArithFn, the other four before
+divisors carried their prime factors; refactors must keep every one of them.
 Each command runs in-process through ``cli.main``.
 """
 
@@ -20,6 +21,16 @@ STDOUT_DIGESTS = {
         "2cafe63fc056008c98c739af0c8b205de10447f05ba0ddd4ba151f3688c632f8",
     ("series", "--n", "2000"):
         "8c3438973e5230e8e0fbcee963bf2c584912d4275039caa6aa9fadc587c69e1d",
+    # taken before divisors carried their factors; they guard λ, φ, d and
+    # the sieve-backed μ of the closed forms
+    ("contract", "lambda", "1", "80"):
+        "0e3754d22d8d0acff5f10d4b8b60673ff99fd9286dae0053eee33f76da052fda",
+    ("contract", "phi", "1", "60"):
+        "b1295ccad77d3adb1d92422ec1d9fd92279bbff6fb0834ac41736f4bee83bd72",
+    ("contract", "divisor_count", "1", "60"):
+        "1009cebfd284a1eef47ab411733a81821f1938abc7698a78c1d351ebb11866f7",
+    ("series", "--s", "3", "--n", "50000"):
+        "cd7165e55e003d92b3ca85b596799983d2ba14cd45d4b61323baab2ceb7cac42",
 }
 
 # The report file of the theorem1 suite, whose rows include the Λ residual.

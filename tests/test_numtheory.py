@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 
@@ -62,6 +63,7 @@ def test_factorize_examples():
     for p, e in f60.factors:
         prod *= p**e
     assert prod == 1548008755920
+    assert copy.deepcopy(f60).factors == f60.factors
 
 
 def test_divisors_examples():
