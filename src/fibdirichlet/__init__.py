@@ -17,7 +17,6 @@ from .numtheory import (
     NAMED_FUNCTIONS,
     ONE,
     PHI,
-    PrimalityPolicy,
     dirichlet_convolve,
     divisor_count,
     divisors,
@@ -33,11 +32,9 @@ from .numtheory import (
 from .fib import (
     CONSTANTS,
     Constants,
-    RankCache,
     entry_exponent,
     fib_mod,
     lcm_fib,
-    log_of_big,
     primitive_primes,
     rank,
     rank_prime_power,

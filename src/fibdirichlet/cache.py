@@ -6,7 +6,8 @@ One record per line, self-describing and diff-friendly:
 
 ``fib`` is the factorization of F(n) (``1`` for the empty product), ``alpha``
 the rank of apparition of n and ``e`` its entry exponent.  Records exist for
-n ≥ 2 only; the entry exponent of 1 is unbounded.
+n ≥ 2 only; the entry exponent of 1 is unbounded.  Loading validates all
+three fields but keeps only ``fib``; saving computes ``alpha`` and ``e``.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ from pathlib import Path
 from typing import Iterable, Union
 
 from .fib import (
-    DEFAULT_RANK_CACHE,
     divisor_has_rank,
     fib,
     fib_mod,
     known_fib_factorizations,
     preload_fib_factorization,
+    rank,
 )
 from .numtheory import is_prime, valuation
 
@@ -121,22 +122,24 @@ def save_cache_file(path: Union[str, Path], records: Iterable[CacheRecord]) -> N
 
 
 def apply_records(records: Iterable[CacheRecord]) -> None:
-    """Prime the in-process factorization and rank caches from records."""
+    """Preload the memo of F(n) factorizations from records.
+
+    Only the factorizations are kept: rank and entry exponent are computed
+    wherever they are needed, and parse_record has already checked them.
+    """
     for r in records:
         preload_fib_factorization(r.n, r.fib_factorization)
-        DEFAULT_RANK_CACHE.preload(r.n, r.rank, r.entry_exponent)
 
 
 def collect_records() -> list[CacheRecord]:
-    """Snapshot every Fibonacci index factored so far as cache records."""
+    """Every Fibonacci index factored so far as a cache record.
+
+    alpha and e are computed here: one rank scan of at most 6n steps per n.
+    """
     out = []
     for n, fac in sorted(known_fib_factorizations().items()):
-        if n < 2:
-            continue
-        out.append(CacheRecord(
-            n=n,
-            fib_factorization=fac.factors,
-            rank=DEFAULT_RANK_CACHE.rank(n),
-            entry_exponent=DEFAULT_RANK_CACHE.entry_exponent(n),
-        ))
+        if n >= 2:
+            alpha = rank(n)
+            out.append(CacheRecord(n, fac.factors, alpha,
+                                   valuation(fib(alpha), n)))
     return out

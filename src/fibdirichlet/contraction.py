@@ -47,7 +47,8 @@ def divisor_union_ranks(x: float, budget: Optional[int] = None) -> dict[int, int
 def contributors(n: int, budget: Optional[int] = None) -> list[int]:
     """Divisors of F(n) whose rank of apparition is exactly n, ascending."""
     fac = fib_factorization(n, budget)
-    return [d for d in divisors(fac) if divisor_has_rank(d, n)]
+    index = factorize(n)
+    return [d for d in divisors(fac) if divisor_has_rank(d, index)]
 
 
 def alpha_contract(f: ArithFn, n: int, budget: Optional[int] = None) -> Any:

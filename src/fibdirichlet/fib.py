@@ -9,14 +9,12 @@ constants.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
 from .numtheory import (
     BudgetExceededError,
     DEFAULT_FACTOR_BUDGET,
-    ExactLog,
     Factorization,
     factorize,
     is_prime,
@@ -56,7 +54,14 @@ def fib_mod(n: int, m: int) -> int:
     return a
 
 
-def _rank_scan(n: int) -> int:
+def rank(n: int) -> int:
+    """Rank of apparition: least m ≥ 1 with n | F(m).
+
+    Computed by scanning consecutive Fibonacci residues mod n up to 6n.
+    Duality: n | F(m) if and only if rank(n) | m.
+    """
+    if n < 1:
+        raise ValueError("rank expects n >= 1")
     # The scan is bounded by 6n, a classical Pisano-period bound the source
     # material leaves implicit; exceeding it means a bug, not a bad input.
     a, b = 1 % n, 1 % n  # F(1), F(2)
@@ -67,65 +72,14 @@ def _rank_scan(n: int) -> int:
     raise RuntimeError(f"no rank of apparition found for {n} within 6n steps")
 
 
-class RankCache:
-    """Memoized n → rank of apparition and n → entry exponent.
-
-    Behaves as one logical map under concurrent use: a rank is computed under
-    the lock, and a computed entry exponent is stored with setdefault under
-    it, so the first value stored is the one every caller gets and results
-    never depend on interleaving.
-    """
-
-    def __init__(self) -> None:
-        self._ranks: dict[int, int] = {}
-        self._entries: dict[int, int] = {}
-        self._lock = threading.Lock()
-
-    def rank(self, n: int) -> int:
-        with self._lock:
-            r = self._ranks.get(n)
-            if r is None:
-                r = _rank_scan(n)
-                self._ranks[n] = r
-            return r
-
-    def entry_exponent(self, n: int) -> int:
-        with self._lock:
-            e = self._entries.get(n)
-        if e is None:
-            e = valuation(fib(self.rank(n)), n)
-            with self._lock:
-                e = self._entries.setdefault(n, e)
-        return e
-
-    def preload(self, n: int, rank: int, entry_exponent: int) -> None:
-        with self._lock:
-            self._ranks[n] = rank
-            self._entries[n] = entry_exponent
-
-
-DEFAULT_RANK_CACHE = RankCache()
-
-
-def rank(n: int, cache: RankCache = DEFAULT_RANK_CACHE) -> int:
-    """Rank of apparition: least m ≥ 1 with n | F(m).
-
-    Computed by scanning consecutive Fibonacci residues mod n up to 6n.
-    Duality: n | F(m) if and only if rank(n) | m.
-    """
-    if n < 1:
-        raise ValueError("rank expects n >= 1")
-    return cache.rank(n)
-
-
-def entry_exponent(n: int, cache: RankCache = DEFAULT_RANK_CACHE) -> int:
+def entry_exponent(n: int) -> int:
     """Largest m with n^m | F(rank(n)); defined for n ≥ 2."""
     if n < 2:
         raise ValueError("entry_exponent expects n >= 2")
-    return cache.entry_exponent(n)
+    return valuation(fib(rank(n)), n)
 
 
-def rank_prime_power(p: int, k: int, cache: RankCache = DEFAULT_RANK_CACHE) -> int:
+def rank_prime_power(p: int, k: int) -> int:
     """rank(p^k) via the prime-power shortcut.
 
     p = 2 is exceptional: 3, 6, then 3·2^(k−2).  For odd p the rank stays at
@@ -141,10 +95,9 @@ def rank_prime_power(p: int, k: int, cache: RankCache = DEFAULT_RANK_CACHE) -> i
         if k == 2:
             return 6
         return 3 * 2 ** (k - 2)
-    e = cache.entry_exponent(p)
-    if k <= e:
-        return cache.rank(p)
-    return p ** (k - e) * cache.rank(p)
+    r = rank(p)
+    e = valuation(fib(r), p)
+    return r if k <= e else p ** (k - e) * r
 
 
 # --- Fibonacci factorization with a fail-fast scale guard ---
@@ -173,11 +126,15 @@ def require_factorable(n: int, budget: Optional[int] = None) -> int:
 
 
 def fib_factorization(n: int, budget: Optional[int] = None) -> Factorization:
-    """Factorization of F(n), memoized; fails fast when F(n) is beyond scale."""
+    """Factorization of F(n), memoized; fails fast when F(n) is beyond scale.
+
+    The scale check comes first, so a budget refuses the same n whether or
+    not F(n) is in the memo.
+    """
+    units = require_factorable(n, budget)
     cached = _FIB_FACTORS.get(n)
     if cached is not None:
         return cached
-    units = require_factorable(n, budget)
     f = factorize(fib(n), budget=units)
     _FIB_FACTORS[n] = f
     return f
@@ -196,13 +153,13 @@ def divisor_has_rank(d: int, n: int) -> bool:
 
     rank(d) divides n, so it suffices that d divides no F(n/q) for the
     maximal proper divisors n/q of n; this avoids rank scans for large d.
+    The primes q are read from n when it is a Factorization.
     """
     if d == 1:
         return n == 1
-    for p, _ in factorize(n).factors:
-        if fib_mod(n // p, d) == 0:
-            return False
-    return True
+    if not isinstance(n, Factorization):
+        n = factorize(n)
+    return all(fib_mod(n // q, d) for q, _ in n.factors)
 
 
 def primitive_primes(n: int, budget: Optional[int] = None) -> list[tuple[int, int]]:
@@ -216,7 +173,8 @@ def primitive_primes(n: int, budget: Optional[int] = None) -> list[tuple[int, in
     if n in (1, 2):
         return []
     fac = fib_factorization(n, budget)
-    return [(p, e) for p, e in fac.factors if divisor_has_rank(p, n)]
+    index = factorize(n)
+    return [(p, e) for p, e in fac.factors if divisor_has_rank(p, index)]
 
 
 def lcm_fib(x: float) -> int:
@@ -230,11 +188,6 @@ def lcm_fib(x: float) -> int:
         out = math.lcm(out, a)
         a, b = b, a + b
     return out
-
-
-def log_of_big(v: int) -> ExactLog:
-    """Exact-integer-backed logarithm of v ≥ 1."""
-    return ExactLog(v)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Any, Callable, Optional, Union
 
 
@@ -22,54 +21,28 @@ class BudgetExceededError(Exception):
 # The first 13 primes decide Miller-Rabin deterministically below this bound.
 MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_BASE_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# At or above it, the first 30 primes: reproducible, but only probable.
+_MR_LARGE_WITNESSES = _MR_BASE_WITNESSES + (43, 47, 53, 59, 61, 67, 71, 73, 79,
+                                           83, 89, 97, 101, 103, 107, 109, 113)
 
 DEFAULT_FACTOR_BUDGET = 2_000_000
 
 _TRIAL_BOUND = 4096  # trial-divide below this, Pollard rho above
 
 
-@dataclass(frozen=True)
-class PrimalityPolicy:
-    """Fixed, documented primality-testing policy.
+def is_prime(n: int) -> bool:
+    """Miller-Rabin primality test; 1 is not prime.
 
-    Below ``deterministic_threshold`` the 13 witnesses 2..41 give a proven
-    answer.  At or above it, the first ``witness_count`` primes are used as a
-    fixed witness list: still fully reproducible, probabilistic in guarantee.
-    """
-
-    deterministic_threshold: int = MR_DETERMINISTIC_BOUND
-    witness_count: int = 30
-
-
-DEFAULT_POLICY = PrimalityPolicy()
-
-
-@lru_cache(maxsize=None)
-def _first_primes(k: int) -> tuple[int, ...]:
-    primes: list[int] = []
-    n = 2
-    while len(primes) < k:
-        if all(n % p for p in primes):
-            primes.append(n)
-        n += 1
-    return tuple(primes)
-
-
-def is_prime(n: int, policy: PrimalityPolicy = DEFAULT_POLICY) -> bool:
-    """Miller-Rabin primality test under the given policy.
-
-    Deterministic below policy.deterministic_threshold, fixed witness list
-    above it.  1 is not prime.
+    Proven below MR_DETERMINISTIC_BOUND (witnesses 2..41), probable at or
+    above it (the fixed witnesses 2..113).
     """
     if n < 2:
         return False
     for p in _MR_BASE_WITNESSES:
         if n % p == 0:
             return n == p
-    if n < policy.deterministic_threshold:
-        witnesses = _MR_BASE_WITNESSES
-    else:
-        witnesses = _first_primes(policy.witness_count)
+    witnesses = (_MR_BASE_WITNESSES if n < MR_DETERMINISTIC_BOUND
+                 else _MR_LARGE_WITNESSES)
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -105,12 +78,6 @@ class Factorization(int):
 
     def __getnewargs__(self) -> tuple[int, tuple[tuple[int, int], ...]]:
         return int(self), self.factors   # for copy and pickle
-
-    def exponent_of(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
 
 
 class _Budget:
@@ -171,15 +138,14 @@ def _brent_rho(n: int, budget: _Budget) -> int:
     raise BudgetExceededError(f"rho could not split {n}")  # pragma: no cover
 
 
-def _factor_into(n: int, out: dict[int, int], budget: _Budget,
-                 policy: PrimalityPolicy) -> None:
+def _factor_into(n: int, out: dict[int, int], budget: _Budget) -> None:
     stack = [n]
     while stack:
         m = stack.pop()
         if m == 1:
             continue
         budget.spend(m.bit_length())
-        if is_prime(m, policy):
+        if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
         d = _brent_rho(m, budget)
@@ -187,22 +153,15 @@ def _factor_into(n: int, out: dict[int, int], budget: _Budget,
         stack.append(m // d)
 
 
-_FACTOR_CACHE: dict[int, tuple[tuple[int, int], ...]] = {1: ()}
-
-
-def factorize(n: int, budget: Optional[int] = None,
-              policy: PrimalityPolicy = DEFAULT_POLICY) -> Factorization:
-    """Full prime factorization of n ≥ 1.
+def factorize(n: int, budget: Optional[int] = None) -> Factorization:
+    """Full prime factorization of n ≥ 1; a pure function, nothing memoized.
 
     Trial division up to a small fixed bound, then deterministic Brent rho.
-    Raises BudgetExceededError once the configured work units are spent.
-    Completed factorizations are memoized process-wide.
+    Raises BudgetExceededError once the configured work units are spent, on
+    every call alike.
     """
     if n < 1:
         raise ValueError(f"factorize expects n >= 1, got {n}")
-    cached = _FACTOR_CACHE.get(n)
-    if cached is not None:
-        return Factorization(n, cached)
     b = _Budget(DEFAULT_FACTOR_BUDGET if budget is None else budget, n)
     fac: dict[int, int] = {}
     m = n
@@ -222,10 +181,8 @@ def factorize(n: int, budget: Optional[int] = None,
         if p * p > m:
             fac[m] = fac.get(m, 0) + 1
         else:
-            _factor_into(m, fac, b, policy)
-    factors = tuple(sorted(fac.items()))
-    _FACTOR_CACHE[n] = factors
-    return Factorization(n, factors)
+            _factor_into(m, fac, b)
+    return Factorization(n, tuple(sorted(fac.items())))
 
 
 def valuation(v: int, n: int) -> int:

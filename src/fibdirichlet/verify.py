@@ -24,16 +24,15 @@ from .contraction import (
 )
 from .fib import (
     CONSTANTS,
-    ExactLog,
     fib,
     fib_factorization,
     lcm_fib,
-    log_of_big,
     primitive_primes,
     require_factorable,
 )
 from .numtheory import (
     ArithFn,
+    ExactLog,
     LIOUVILLE,
     MANGOLDT,
     MU,
@@ -196,7 +195,7 @@ def logprod_closed_form(x: float) -> tuple[ExactLog, float, float]:
     for _ in range(max(n_max, 0)):
         prod *= a
         a, b = b, a + b
-    lhs = log_of_big(prod)
+    lhs = ExactLog(prod)
     r = CONSTANTS.golden_ratio
     rhs = (math.log(r) / 2 * n_max * n_max + math.log(r / 5) / 2 * n_max
            + constant_c(n_max))
@@ -220,7 +219,7 @@ def asymptotic_mangoldt_report(x_values: Sequence[int]) -> list[AsymptoticSample
     """log lcm(F(1)..F(x)) against its predicted quadratic growth."""
     samples = []
     for x in x_values:
-        exact = log_of_big(lcm_fib(x)) if x >= 1 else log_of_big(1)
+        exact = ExactLog(lcm_fib(x)) if x >= 1 else ExactLog(1)
         predicted = CONSTANTS.lcm_growth_constant * x * x
         ratio = exact.log_value / predicted if predicted > 0 else 0.0
         samples.append(AsymptoticSample(x, exact, predicted, ratio))
@@ -238,7 +237,7 @@ def ep_weighted_sum(x: int, budget: Optional[int] = None
     for n in range(3, x + 1):
         for p, e in primitive_primes(n, budget):
             prod *= p**e
-    exact = log_of_big(prod)
+    exact = ExactLog(prod)
     predicted = CONSTANTS.lcm_growth_constant * x * x
     ratio = exact.log_value / predicted if predicted > 0 else 0.0
     return exact, AsymptoticSample(x, exact, predicted, ratio)
@@ -533,14 +532,18 @@ SUITE: dict[str, Callable[..., list[VerificationReport]]] = {
 }
 
 
-def run_suite(name: str, **overrides) -> list[VerificationReport]:
-    """Run one named check (or 'all') with optional parameter overrides."""
+def run_suite(name: str, budget: Optional[int] = None,
+              **overrides) -> list[VerificationReport]:
+    """Run one named check (or 'all') with optional parameter overrides.
+
+    The budget reaches every check, 'all' included.
+    """
     if name == "all":
         reports = []
         for check in SUITE.values():
-            reports.extend(check())
+            reports.extend(check(budget=budget))
         return reports
     if name not in SUITE:
         raise ValueError(f"unknown check {name!r}; pick from "
                          f"{sorted(SUITE) + ['all']}")
-    return SUITE[name](**overrides)
+    return SUITE[name](budget=budget, **overrides)

@@ -154,6 +154,12 @@ def test_verify_budget_exhaustion_exits_3(capsys):
     assert "budget" in capsys.readouterr().err.lower()
 
 
+def test_verify_all_honours_the_budget(capsys):
+    assert run_cli(["verify", "theorem1", "--budget", "10"]) == 3
+    assert run_cli(["verify", "all", "--budget", "10"]) == 3
+    assert "budget" in capsys.readouterr().err.lower()
+
+
 def test_verify_report_file(tmp_path):
     out = tmp_path / "report.json"
     assert run_cli(["verify", "t-tables", "--format", "json",

@@ -1,26 +1,21 @@
 import math
-import random
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from fibdirichlet.fib import (
     CONSTANTS,
-    RankCache,
     divisor_has_rank,
     entry_exponent,
     fib,
     fib_factorization,
     fib_mod,
     lcm_fib,
-    log_of_big,
     max_factorable_index,
     primitive_primes,
     rank,
     rank_prime_power,
 )
-from fibdirichlet.numtheory import BudgetExceededError
+from fibdirichlet.numtheory import BudgetExceededError, ExactLog
 
 
 def naive_fib(n):
@@ -80,9 +75,7 @@ def test_entry_exponent():
     assert entry_exponent(7) == 1
     assert entry_exponent(12) == 2  # F(12) = 144 = 12^2
     with pytest.raises(ValueError):
-        entry_exponent(1)
-    with pytest.raises(ValueError):
-        RankCache().entry_exponent(1)   # unbounded: 1 divides everything
+        entry_exponent(1)   # unbounded: 1 divides everything
 
 
 def test_primitive_primes():
@@ -113,16 +106,16 @@ def test_lcm_fib():
 
 
 def test_log_of_big():
-    assert log_of_big(1).log_value == 0.0
+    assert ExactLog(1).log_value == 0.0
     for v, expected in ((30, 3.4011973816621555), (240, 5.480638923341991)):
-        log = log_of_big(v)
+        log = ExactLog(v)
         assert abs(log.log_value - expected) <= 1e-12 * expected
         assert log.integer_value == v
-    huge = log_of_big(fib(5000))
+    huge = ExactLog(fib(5000))
     assert abs(huge.log_value - 5000 * math.log(CONSTANTS.golden_ratio)
                + math.log(math.sqrt(5.0))) < 1e-6
     with pytest.raises(ValueError):
-        log_of_big(0)
+        ExactLog(0)
 
 
 def test_constants():
@@ -156,40 +149,10 @@ def test_fib_factorization_scale_guard():
         fib_factorization(2000)
 
 
-def test_rank_cache_concurrent_get_or_compute():
-    cache = RankCache()
-    ns = list(range(1, 400))
-    random.Random(7).shuffle(ns)
-    above_1 = [n for n in ns if n > 1]   # no entry exponent at 1
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = dict(zip(ns, pool.map(cache.rank, ns, timeout=60)))
-            entries = dict(zip(above_1, pool.map(cache.entry_exponent,
-                                                 above_1, timeout=60)))
-    finally:
-        sys.setswitchinterval(interval)
-    for n, r in results.items():
-        assert r == rank(n)
-    for n, e in entries.items():
-        assert e == entry_exponent(n)
-
-
-def test_entry_exponent_keeps_the_value_stored_first():
-    # A store that lands while the exponent is being computed (here a preload
-    # made during the rank lookup) is what every caller sees afterwards.
-    cache = RankCache()
-    compute_rank = cache.rank
-
-    def rank_then_preload(n):
-        r = compute_rank(n)
-        cache.preload(n, r, 7)
-        return r
-
-    cache.rank = rank_then_preload
-    assert cache.entry_exponent(12) == 7
-    assert cache.entry_exponent(12) == 7
+def test_fib_factorization_budget_ignores_a_warm_memo():
+    fib_factorization(100)
+    with pytest.raises(BudgetExceededError):
+        fib_factorization(100, budget=10)
 
 
 def test_fib_submodule_is_not_shadowed():

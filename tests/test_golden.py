@@ -2,8 +2,9 @@
 
 The first five digests were taken from the command-line program before the
 von Mangoldt function became an ordinary ArithFn, the other four before
-divisors carried their prime factors; refactors must keep every one of them.
-Each command runs in-process through ``cli.main``.
+divisors carried their prime factors, and the cache-file digest before rank
+and entry exponent stopped being memoized; refactors must keep every one of
+them.  Each command runs in-process through ``cli.main``.
 """
 
 import hashlib
@@ -11,6 +12,7 @@ import hashlib
 import pytest
 
 from fibdirichlet import cli
+from fibdirichlet import fib as fib_module
 
 STDOUT_DIGESTS = {
     ("verify", "all"):
@@ -38,6 +40,11 @@ THEOREM1_REPORT_DIGEST = (
     "25b2b609f235472796cce8671237b6164afae354ea1afa5acfff9240e4a01bde")
 
 
+# The cache file written by `contract mu 3 40 --cache FILE` from an empty memo.
+CACHE_FILE_DIGEST = (
+    "7721961bc714d72151cc12f8b5b6a974a1a11b6baf826d4d294e001d7a110c7e")
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -57,3 +64,11 @@ def test_theorem1_report_file_is_golden(tmp_path, capsys):
     out = tmp_path / "r.csv"
     assert cli.main(["verify", "theorem1", "--x", "40", "--out", str(out)]) == 0
     assert _sha256(out.read_bytes()) == THEOREM1_REPORT_DIGEST
+
+
+def test_cache_file_is_golden(tmp_path, capsys, monkeypatch):
+    # the file holds every F(n) factored so far, so start from an empty memo
+    monkeypatch.setattr(fib_module, "_FIB_FACTORS", {})
+    cache = tmp_path / "cache.txt"
+    assert cli.main(["contract", "mu", "3", "40", "--cache", str(cache)]) == 0
+    assert _sha256(cache.read_bytes()) == CACHE_FILE_DIGEST

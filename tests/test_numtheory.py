@@ -186,3 +186,10 @@ def test_zeta_partial():
 def test_factor_budget_error():
     with pytest.raises(BudgetExceededError):
         factorize(1000003 * 1000033, budget=10)
+
+
+def test_factor_budget_ignores_a_warm_call():
+    fib_100 = 354224848179261915075
+    factorize(fib_100)
+    with pytest.raises(BudgetExceededError):
+        factorize(fib_100, budget=10)
