@@ -18,6 +18,7 @@ from typing import Iterable, Union
 
 from .fib import (
     divisor_has_rank,
+    entry_exponent,
     fib,
     fib_mod,
     known_fib_factorizations,
@@ -132,14 +133,9 @@ def apply_records(records: Iterable[CacheRecord]) -> None:
 
 
 def collect_records() -> list[CacheRecord]:
-    """Every Fibonacci index factored so far as a cache record.
+    """Every Fibonacci index in the memo as a cache record.
 
-    alpha and e are computed here: one rank scan of at most 6n steps per n.
+    alpha and e are computed here from the factors of n by the lcm law.
     """
-    out = []
-    for n, fac in sorted(known_fib_factorizations().items()):
-        if n >= 2:
-            alpha = rank(n)
-            out.append(CacheRecord(n, fac.factors, alpha,
-                                   valuation(fib(alpha), n)))
-    return out
+    return [CacheRecord(n, fac.factors, rank(n), entry_exponent(n))
+            for n, fac in sorted(known_fib_factorizations().items()) if n >= 2]

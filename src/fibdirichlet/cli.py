@@ -24,7 +24,13 @@ from typing import Optional
 from . import cache as cache_io
 from . import verify as verify_mod
 from .contraction import CLOSED_FORMS, alpha_contract_iter
-from .fib import CONSTANTS, entry_exponent, fib, rank
+from .fib import (
+    CONSTANTS,
+    clear_fib_factorizations,
+    entry_exponent,
+    fib,
+    rank,
+)
 from .numtheory import BudgetExceededError, DEFAULT_FACTOR_BUDGET, NAMED_FUNCTIONS
 from .verify import (
     EULER_SERIES,
@@ -182,9 +188,9 @@ def cmd_scalar(args: argparse.Namespace, config: Config) -> int:
     if args.command == "fib":
         print(fib(args.n))
     elif args.command == "alpha":
-        print(rank(args.n))
+        print(rank(args.n, config.factor_budget))
     else:
-        print(entry_exponent(args.n))
+        print(entry_exponent(args.n, config.factor_budget))
     return EXIT_OK
 
 
@@ -325,6 +331,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     config = _config_from(args)
+    # each call starts from an empty memo, so the cache file it writes holds
+    # what this call loaded or factored, as a fresh process would write it
+    clear_fib_factorizations()
 
     if config.cache_path and os.path.exists(config.cache_path):
         try:

@@ -17,9 +17,9 @@ from functools import lru_cache
 from typing import Any, Optional
 
 from .fib import (
-    divisor_has_rank,
     fib,
     fib_factorization,
+    prime_power_ranks,
 )
 from .numtheory import (
     ArithFn,
@@ -45,10 +45,14 @@ def divisor_union_ranks(x: float, budget: Optional[int] = None) -> dict[int, int
 
 
 def contributors(n: int, budget: Optional[int] = None) -> list[int]:
-    """Divisors of F(n) whose rank of apparition is exactly n, ascending."""
-    fac = fib_factorization(n, budget)
-    index = factorize(n)
-    return [d for d in divisors(fac) if divisor_has_rank(d, index)]
+    """Divisors of F(n) whose rank of apparition is exactly n, ascending.
+
+    rank(d) is the lcm of the ranks of the prime powers in d (read from
+    prime_power_ranks), so no Fibonacci residue is computed per divisor.
+    """
+    ranks = prime_power_ranks(n, budget)
+    return [d for d in divisors(fib_factorization(n, budget))
+            if math.lcm(*(ranks[p][j - 1] for p, j in d.factors)) == n]
 
 
 def alpha_contract(f: ArithFn, n: int, budget: Optional[int] = None) -> Any:

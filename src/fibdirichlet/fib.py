@@ -1,9 +1,9 @@
 """Exact Fibonacci arithmetic and the rank of apparition.
 
 Fast-doubling Fibonacci values, modular Fibonacci, the rank of apparition
-(least index m with n | F(m)) with its prime-power shortcut, entry exponents,
-primitive prime extraction, exact Fibonacci lcms, and the golden-ratio
-constants.
+(least index m with n | F(m)) by the lcm law over the prime powers of n,
+entry exponents, the ranks of the prime powers dividing F(n) with primitive
+prime extraction, exact Fibonacci lcms, and the golden-ratio constants.
 """
 
 from __future__ import annotations
@@ -54,50 +54,92 @@ def fib_mod(n: int, m: int) -> int:
     return a
 
 
-def rank(n: int) -> int:
-    """Rank of apparition: least m ≥ 1 with n | F(m).
+def _rank_within(m: int, multiple: Factorization) -> Factorization:
+    """rank(m), given a multiple of it that carries its factors.
 
-    Computed by scanning consecutive Fibonacci residues mod n up to 6n.
-    Duality: n | F(m) if and only if rank(n) | m.
+    By duality the r | multiple with m | F(r) are the multiples of rank(m),
+    so dividing out each prime of the multiple while m still divides F(r)
+    ends at rank(m), whatever the order of the primes.
     """
-    if n < 1:
-        raise ValueError("rank expects n >= 1")
-    # The scan is bounded by 6n, a classical Pisano-period bound the source
-    # material leaves implicit; exceeding it means a bug, not a bad input.
-    a, b = 1 % n, 1 % n  # F(1), F(2)
-    for k in range(1, 6 * n + 1):
-        if a == 0:
-            return k
-        a, b = b, (a + b) % n
-    raise RuntimeError(f"no rank of apparition found for {n} within 6n steps")
+    r = int(multiple)
+    kept = []
+    for q, k in multiple.factors:
+        while k and fib_mod(r // q, m) == 0:
+            r //= q
+            k -= 1
+        if k:
+            kept.append((q, k))
+    return Factorization(r, tuple(kept))
 
 
-def entry_exponent(n: int) -> int:
-    """Largest m with n^m | F(rank(n)); defined for n ≥ 2."""
-    if n < 2:
-        raise ValueError("entry_exponent expects n >= 2")
-    return valuation(fib(rank(n)), n)
+def _power_ranks(p: int, k: int, r: Factorization) -> list[Factorization]:
+    """[rank(p), rank(p^2), …, rank(p^k)] for a prime p with rank(p) = r.
+
+    For odd p the rank stays r while p^j divides F(r) and then gains a
+    factor p per step; one residue F(r) mod p^k gives how far that is.
+    p = 2 is exceptional: 3, 6, then 3·2^(j−2).
+    """
+    if p == 2:
+        extra = [0] + [max(1, j - 2) for j in range(2, k + 1)]
+    else:
+        residue = fib_mod(r, p**k)
+        e = k if residue == 0 else valuation(residue, p)
+        extra = [max(0, j - e) for j in range(1, k + 1)]
+    out = []
+    for a in extra:
+        exponents = dict(r.factors)
+        if a:
+            exponents[p] = exponents.get(p, 0) + a
+        out.append(Factorization(r * p**a, tuple(sorted(exponents.items()))))
+    return out
 
 
-def rank_prime_power(p: int, k: int) -> int:
-    """rank(p^k) via the prime-power shortcut.
+def rank_prime_power(p: int, k: int, budget: Optional[int] = None) -> Factorization:
+    """rank(p^k) for a prime p, carrying its factors.
 
-    p = 2 is exceptional: 3, 6, then 3·2^(k−2).  For odd p the rank stays at
-    rank(p) while k ≤ entry exponent of p and then grows by a factor p per step.
+    rank(p) divides p − (5|p) (Lucas; Wall, "Fibonacci series modulo m",
+    1960): it is p − 1 when p ≡ ±1 (mod 5), p + 1 when p ≡ ±2, and 5 for
+    p = 5, so rank(p) comes from factoring that multiple and walking down.
     """
     if k < 1:
         raise ValueError("rank_prime_power expects k >= 1")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p == 2:
-        if k == 1:
-            return 3
-        if k == 2:
-            return 6
-        return 3 * 2 ** (k - 2)
-    r = rank(p)
-    e = valuation(fib(r), p)
-    return r if k <= e else p ** (k - e) * r
+    multiple = p - 1 if p % 5 in (1, 4) else p + 1 if p % 5 else p
+    return _power_ranks(p, k, _rank_within(p, factorize(multiple, budget)))[-1]
+
+
+def rank(n: int, budget: Optional[int] = None) -> Factorization:
+    """Rank of apparition: least m ≥ 1 with n | F(m), carrying its factors.
+
+    The lcm of rank(p^k) over the prime powers p^k ‖ n.  Duality: n | F(m)
+    if and only if rank(n) | m.  The answer is checked against the
+    definition before it is returned; factoring n or the p ∓ 1 beyond the
+    budget raises BudgetExceededError.
+    """
+    if n < 1:
+        raise ValueError("rank expects n >= 1")
+    exponents: dict[int, int] = {}
+    for p, k in factorize(n, budget).factors:
+        for q, e in rank_prime_power(p, k, budget).factors:
+            exponents[q] = max(exponents.get(q, 0), e)
+    r = Factorization(math.prod(q**e for q, e in exponents.items()),
+                      tuple(sorted(exponents.items())))
+    if (n > 1 and fib_mod(r, n)) or not divisor_has_rank(n, r):
+        raise RuntimeError(f"the lcm law gave {r}, which is not the rank "
+                           f"of apparition of {n}")
+    return r
+
+
+def entry_exponent(n: int, budget: Optional[int] = None) -> int:
+    """Largest m with n^m | F(rank(n)); defined for n ≥ 2."""
+    if n < 2:
+        raise ValueError("entry_exponent expects n >= 2")
+    r = rank(n, budget)
+    m = 1
+    while fib_mod(r, n ** (m + 1)) == 0:
+        m += 1
+    return m
 
 
 # --- Fibonacci factorization with a fail-fast scale guard ---
@@ -148,18 +190,36 @@ def known_fib_factorizations() -> dict[int, Factorization]:
     return dict(_FIB_FACTORS)
 
 
+def clear_fib_factorizations() -> None:
+    """Empty the memo of F(n) factorizations, as in a fresh process."""
+    _FIB_FACTORS.clear()
+
+
 def divisor_has_rank(d: int, n: int) -> bool:
     """For d | F(n): True iff rank(d) is exactly n.
 
     rank(d) divides n, so it suffices that d divides no F(n/q) for the
-    maximal proper divisors n/q of n; this avoids rank scans for large d.
-    The primes q are read from n when it is a Factorization.
+    maximal proper divisors n/q of n.  The primes q are read from n when it
+    is a Factorization.
     """
     if d == 1:
         return n == 1
     if not isinstance(n, Factorization):
         n = factorize(n)
     return all(fib_mod(n // q, d) for q, _ in n.factors)
+
+
+def prime_power_ranks(n: int, budget: Optional[int] = None
+                      ) -> dict[int, list[Factorization]]:
+    """p → [rank(p), rank(p^2), …, rank(p^e)] for each p^e ‖ F(n).
+
+    Each of these ranks divides n, so rank(p) is found by walking down the
+    primes of n.  A divisor of F(n) has rank n iff the lcm of the ranks of
+    its prime powers is n.
+    """
+    index = factorize(n)
+    return {p: _power_ranks(p, e, _rank_within(p, index))
+            for p, e in fib_factorization(n, budget).factors}
 
 
 def primitive_primes(n: int, budget: Optional[int] = None) -> list[tuple[int, int]]:
@@ -171,10 +231,10 @@ def primitive_primes(n: int, budget: Optional[int] = None) -> list[tuple[int, in
     if n < 1:
         raise ValueError("primitive_primes expects n >= 1")
     if n in (1, 2):
-        return []
-    fac = fib_factorization(n, budget)
-    index = factorize(n)
-    return [(p, e) for p, e in fac.factors if divisor_has_rank(p, index)]
+        return []  # F(1) = F(2) = 1; also keeps them out of the memo
+    ranks = prime_power_ranks(n, budget)
+    return [(p, e) for p, e in fib_factorization(n, budget).factors
+            if ranks[p][0] == n]
 
 
 def lcm_fib(x: float) -> int:

@@ -148,12 +148,12 @@ def test_criterion_9_euler_products():
                  "within derived tail tolerances at s in {2,3}, N=10^4")
 
 
-def test_criterion_10_lemma_conformance():
+def test_criterion_10_lemma_conformance(rank_scan):
     for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
         for k in (1, 2, 3):
-            assert rank_prime_power(p, k) == rank(p**k), (p, k)
+            assert rank_prime_power(p, k) == rank_scan(p**k), (p, k)
     for k in range(1, 13):
-        assert rank_prime_power(2, k) == rank(2**k), k
+        assert rank_prime_power(2, k) == rank_scan(2**k), k
     fibs = [fib(m) for m in range(201)]
     for n in range(1, 501):
         r = rank(n)

@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -39,6 +40,18 @@ def test_usage_error_exit_code():
 def test_invalid_argument_exits_2(capsys):
     assert run_cli(["entry-exponent", "1"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_alpha_beyond_the_budget_exits_3(capsys):
+    # (10^20 + 39)(10^20 + 129): rho would need ~10^10 steps to split it
+    semiprime = "10000000000000000016800000000000000005031"
+    start = time.perf_counter()
+    assert run_cli(["alpha", semiprime]) == 3
+    assert run_cli(["entry-exponent", semiprime]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert run_cli(["alpha", "1000000007", "--budget", "1"]) == 3
+    assert run_cli(["alpha", "1000000007"]) == 0
+    assert capsys.readouterr().out == "1000000008\n"
 
 
 def test_contract_golden_sequence(tmp_path):
@@ -262,6 +275,16 @@ def test_cache_file_lifecycle(tmp_path):
     third = _run_script(["contract", "mu", "1", "10", "--cache", str(cache)])
     assert third.returncode == 2
     assert "line 4" in third.stderr
+
+
+def test_cache_holds_only_this_calls_records(tmp_path, capsys):
+    first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+    assert run_cli(["contract", "mu", "1", "30", "--cache", str(first)]) == 0
+    assert run_cli(["fib", "5", "--cache", str(second)]) == 0
+    fresh = tmp_path / "fresh.txt"
+    assert _run_script(["fib", "5", "--cache", str(fresh)]).returncode == 0
+    assert second.read_bytes() == fresh.read_bytes()
+    assert len(load_cache_file(first)) == 29
 
 
 def test_cache_path_from_environment(tmp_path):

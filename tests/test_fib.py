@@ -1,7 +1,11 @@
 import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fibdirichlet import fib as fib_module
+from fibdirichlet.contraction import contributors
 from fibdirichlet.fib import (
     CONSTANTS,
     divisor_has_rank,
@@ -15,7 +19,15 @@ from fibdirichlet.fib import (
     rank,
     rank_prime_power,
 )
-from fibdirichlet.numtheory import BudgetExceededError, ExactLog
+from fibdirichlet.numtheory import (
+    BudgetExceededError,
+    ExactLog,
+    Factorization,
+    divisors,
+    factorize,
+    is_prime,
+    valuation,
+)
 
 
 def naive_fib(n):
@@ -53,6 +65,22 @@ def test_rank_examples():
     assert rank(10) == 15  # F(15) = 610
 
 
+def test_rank_matches_scan(rank_scan):
+    for n in range(1, 3001):
+        assert rank(n) == rank_scan(n), n
+
+
+def test_rank_carries_its_factors():
+    for n in (1, 2, 10, 25, 144, 1000, 10**9 + 7):
+        r = rank(n)
+        assert r.factors == factorize(int(r)).factors, n
+
+
+def test_entry_exponent_matches_scan(rank_scan):
+    for n in range(2, 1001):
+        assert entry_exponent(n) == valuation(fib(rank_scan(n)), n), n
+
+
 def test_rank_duality_small():
     fibs = [fib(m) for m in range(101)]
     for n in range(1, 101):
@@ -65,8 +93,24 @@ def test_rank_prime_power_examples():
     assert rank_prime_power(2, 3) == 6  # F(6) = 8
     assert rank_prime_power(2, 1) == 3
     assert rank_prime_power(3, 2) == 12  # 9 | F(12) = 144
+    assert rank_prime_power(5, 3) == 125
     with pytest.raises(ValueError):
         rank_prime_power(6, 1)
+
+
+def test_rank_checks_its_answer(monkeypatch):
+    # a wrong prime-power rank must not get past the definition check
+    monkeypatch.setattr(fib_module, "rank_prime_power",
+                        lambda p, k, budget=None: Factorization(16, ((2, 4),)))
+    with pytest.raises(RuntimeError, match="not the rank"):
+        rank(7)   # the true rank is 8, and 7 | F(16) but also 7 | F(8)
+
+
+def test_rank_honours_the_budget():
+    with pytest.raises(BudgetExceededError):
+        rank(10**9 + 7, budget=1)
+    with pytest.raises(BudgetExceededError):
+        entry_exponent((10**20 + 39) * (10**20 + 129))
 
 
 def test_entry_exponent():
@@ -85,17 +129,71 @@ def test_primitive_primes():
     assert primitive_primes(1) == [] and primitive_primes(2) == []
 
 
-def test_primitive_primes_rank_agrees_with_scan():
+def test_primitive_primes_rank_agrees_with_scan(rank_scan):
     for n in range(3, 40):
         for p, _ in primitive_primes(n):
-            assert rank(p) == n
+            assert rank_scan(p) == n
 
 
-def test_divisor_has_rank_matches_scan():
+def test_divisor_has_rank_matches_scan(rank_scan):
     for n in (8, 12, 20, 24):
-        from fibdirichlet.numtheory import divisors
         for d in divisors(fib_factorization(n)):
-            assert divisor_has_rank(d, n) == (rank(d) == n)
+            assert divisor_has_rank(d, n) == (rank_scan(d) == n)
+
+
+def _legendre5(p):
+    """(5|p) for an odd prime p: 0 at 5, else +1 iff p ≡ ±1 (mod 5)."""
+    return 0 if p == 5 else 1 if p % 5 in (1, 4) else -1
+
+
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**6), st.integers(1, 10**5))
+def test_rank_duality_property(n, m):
+    divides = n == 1 or fib_mod(m, n) == 0
+    assert divides == (m % rank(n) == 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**6), st.integers(1, 10**6))
+def test_rank_lcm_law(a, b):
+    assert rank(math.lcm(a, b)) == math.lcm(rank(a), rank(b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(7, 10**12).map(_next_prime))
+def test_rank_of_prime_divides_p_minus_legendre(p):
+    assert (p - _legendre5(p)) % rank(p) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 120))
+def test_contributors_match_the_divisor_filter(n):
+    literal = [d for d in divisors(fib_factorization(n))
+               if divisor_has_rank(d, n)]
+    assert contributors(n) == literal
+
+
+def test_large_prime_ranks_are_certified():
+    # the certificate is the definition itself, not a second rank routine
+    rng = random.Random(20161)
+    primes = {10**9 + 7}
+    while len(primes) < 51:
+        p = rng.randrange(10**9, 2 * 10**9)
+        if is_prime(p):
+            primes.add(p)
+    for p in sorted(primes):
+        r = rank(p)
+        assert (p - _legendre5(p)) % r == 0, p
+        assert fib_mod(r, p) == 0, p
+        for q, _ in factorize(r).factors:
+            assert fib_mod(r // q, p) != 0, (p, q)
+    assert rank(10**9 + 7) == 10**9 + 8
 
 
 def test_lcm_fib():
