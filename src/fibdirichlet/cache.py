@@ -17,15 +17,15 @@ from pathlib import Path
 from typing import Iterable, Union
 
 from .fib import (
+    _exponent_at_rank,
     divisor_has_rank,
-    entry_exponent,
     fib,
     fib_mod,
     known_fib_factorizations,
     preload_fib_factorization,
     rank,
 )
-from .numtheory import is_prime, valuation
+from .numtheory import is_prime
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,13 @@ def format_record(record: CacheRecord) -> str:
 
 
 def parse_record(line: str) -> CacheRecord:
+    """One validated record; raises ValueError on a record to distrust."""
+    return _parse_record(line, set())
+
+
+def _parse_record(line: str, proven: set[int]) -> CacheRecord:
+    """parse_record, skipping the primality test of primes in proven and
+    adding those it tests."""
     fields = {}
     for token in line.split():
         if "=" not in token:
@@ -84,32 +91,39 @@ def parse_record(line: str) -> CacheRecord:
         raise ValueError("factors must be distinct ascending primes with "
                          "exponents >= 1")
     for p in primes:
-        if not is_prime(p):
-            raise ValueError(f"factor {p} of F({n}) is not prime")
+        if p not in proven:
+            if not is_prime(p):
+                raise ValueError(f"factor {p} of F({n}) is not prime")
+            proven.add(p)
     product = 1
     for p, e in record.fib_factorization:
         product *= p**e
     if product != fib(n):
         raise ValueError(f"factorization does not reconstruct F({n})")
     # every rank is at most 6n (the Pisano-period bound); checking that first
-    # keeps factoring alpha and computing F(alpha) at the scale of F(n) above
+    # keeps factoring alpha at the scale of n
     if not (1 <= alpha <= 6 * n and fib_mod(alpha, n) == 0
             and divisor_has_rank(n, alpha)):
         raise ValueError(f"alpha={alpha} is not the rank of apparition of {n}")
-    if record.entry_exponent != valuation(fib(alpha), n):
+    # counted from the residues, so a forged e is never used as an exponent
+    if record.entry_exponent != _exponent_at_rank(n, alpha):
         raise ValueError(f"e={record.entry_exponent} is not the exponent of "
                          f"{n} in F({alpha})")
     return record
 
 
 def load_cache_file(path: Union[str, Path]) -> list[CacheRecord]:
-    """Parse a cache file; a corrupt line raises with its line number."""
+    """Parse a cache file; a corrupt line raises with its line number.
+
+    Each distinct prime is tested once per file.
+    """
     records = []
+    proven: set[int] = set()
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            records.append(parse_record(line))
+            records.append(_parse_record(line, proven))
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from exc
     return records
@@ -137,5 +151,9 @@ def collect_records() -> list[CacheRecord]:
 
     alpha and e are computed here from the factors of n by the lcm law.
     """
-    return [CacheRecord(n, fac.factors, rank(n), entry_exponent(n))
-            for n, fac in sorted(known_fib_factorizations().items()) if n >= 2]
+    records = []
+    for n, fac in sorted(known_fib_factorizations().items()):
+        if n >= 2:
+            r = rank(n)
+            records.append(CacheRecord(n, fac.factors, r, _exponent_at_rank(n, r)))
+    return records

@@ -135,7 +135,15 @@ def entry_exponent(n: int, budget: Optional[int] = None) -> int:
     """Largest m with n^m | F(rank(n)); defined for n ≥ 2."""
     if n < 2:
         raise ValueError("entry_exponent expects n >= 2")
-    r = rank(n, budget)
+    return _exponent_at_rank(n, rank(n, budget))
+
+
+def _exponent_at_rank(n: int, r: int) -> int:
+    """Largest m with n^m | F(r), for n ≥ 2 of rank r.
+
+    It counts up one residue at a time, so it costs m residues whatever
+    value a caller expects.
+    """
     m = 1
     while fib_mod(r, n ** (m + 1)) == 0:
         m += 1

@@ -404,8 +404,12 @@ NAMED_FUNCTIONS: dict[str, ArithFn] = {
 
 
 def dirichlet_convolve(f: ArithFn, g: ArithFn, n: int) -> Any:
-    """(f*g)(n) = Σ_{d|n} f(d)·g(n/d), exactly."""
-    divs = divisors(factorize(n))
+    """(f*g)(n) = Σ_{d|n} f(d)·g(n/d), exactly.
+
+    A Factorization is not factored again: its divisors and their
+    cofactors carry factors taken from its own.
+    """
+    divs = divisors(n if isinstance(n, Factorization) else factorize(n))
     return sum((f(d) * g(c) for d, c in zip(divs, reversed(divs))),
                f.zero * g.zero)
 

@@ -10,10 +10,11 @@ as limits.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
+from operator import mul
 from typing import Callable, Optional, Sequence, Union
 
 from .contraction import (
@@ -33,12 +34,14 @@ from .fib import (
 from .numtheory import (
     ArithFn,
     ExactLog,
+    Factorization,
     LIOUVILLE,
     MANGOLDT,
     MU,
     ONE,
     PHI,
     IDENTITY,
+    dirichlet_convolve,
     divisors,
     euler_phi,
     factorize,
@@ -85,46 +88,103 @@ def small_integer_fn(seed: int, name: Optional[str] = None) -> ArithFn:
 # --- the double-counting identity ---
 
 
+@dataclass(frozen=True)
+class DivisorTables:
+    """The divisors of F(1..n_max), listed once, with index tables over them.
+
+    ``divisors`` holds the divisors of F(1), then those of F(2), and so on,
+    each F(k)'s ascending from ``starts[k - 1]`` to ``starts[k]``, so the
+    entry as far from the end of its run as d is from the start is F(k)/d.
+    ``firsts`` holds the first position of each distinct n, in order of
+    appearance: these n are the ones with rank(n) ≤ n_max, first listed
+    under F(rank(n)).  Row i of ``slots``, from ``bounds[i]`` to
+    ``bounds[i + 1]``, holds the position of F(k)/n for each multiple k of
+    rank(n) up to n_max, n being the i-th distinct divisor.
+    """
+
+    n_max: int
+    divisors: list[Factorization]
+    starts: Sequence[int]
+    firsts: Sequence[int]
+    bounds: Sequence[int]
+    slots: Sequence[int]
+
+
+def divisor_tables(n_max: int, budget: Optional[int] = None) -> DivisorTables:
+    """List the divisors of F(1..n_max) once and index them for theorem 1.
+
+    Fails at once when F(n_max) is beyond the budget's scale.  The rank of n
+    is the first index whose Fibonacci number n divides; a listed n missing
+    from F(k) for a multiple k of that rank raises RuntimeError.
+    """
+    # imported here, so that commands which never build these tables do not
+    # load the array extension module (about 0.2 MB of peak RSS)
+    from array import array
+
+    require_factorable(n_max, budget)
+    flat: list[Factorization] = []
+    starts = array("l", [0])
+    firsts = array("l")
+    seen: set[int] = set()
+    for k in range(1, n_max + 1):
+        for d in divisors(fib_factorization(k, budget)):
+            if d not in seen:
+                seen.add(d)
+                firsts.append(len(flat))
+            flat.append(d)
+        starts.append(len(flat))
+    del seen
+    bounds = array("l", [0])
+    slots = array("l")
+    for position in firsts:
+        n = flat[position]
+        m = bisect_right(starts, position)  # the run holding n is F(m)'s
+        for k in range(m, n_max + 1, m):
+            lo, hi = starts[k - 1], starts[k]
+            i = bisect_left(flat, n, lo, hi)
+            if i == hi or flat[i] != n:
+                raise RuntimeError(f"{n} has rank {m} but does not divide "
+                                   f"F({k})")
+            slots.append(lo + hi - 1 - i)
+        bounds.append(len(slots))
+    return DivisorTables(n_max, flat, starts, firsts, bounds, slots)
+
+
 def check_theorem1(f: ArithFn, g: ArithFn, x: float,
-                   budget: Optional[int] = None) -> VerificationReport:
+                   budget: Optional[int] = None,
+                   tables: Optional[DivisorTables] = None
+                   ) -> VerificationReport:
     """Verify the three-way double-counting identity at real x ≥ 1.
 
     Direct side: Σ_{n≤x} (f*g)(F(n)) by literal divisor sums.  The other two
     sides enumerate all n with rank(n) ≤ x (the divisor union of the first
     ⌊x⌋ Fibonacci numbers) and weight by the inner g- and f-sums over
-    F(d·rank(n))/n.  The divisors of F(1..⌊x⌋) are listed once, carrying
-    their factors, and every quotient is read off those lists.  Exact
-    equality is required; residual is an exact integer difference, taken on
-    the held integers when the values are ExactLogs.  Fails at once when
-    F(⌊x⌋) is beyond the budget's scale.
+    F(d·rank(n))/n.  Every quotient is read off the divisor tables of
+    F(1..⌊x⌋), built here unless a suite passes its own, and f and g are
+    evaluated once per listed divisor.  Exact equality is required; residual
+    is an exact integer difference, taken on the held integers when the
+    values are ExactLogs.  Fails at once when F(⌊x⌋) is beyond the budget's
+    scale.
     """
     params = f"f={f.name}, g={g.name}, x={x}"
     n_max = math.floor(x)
     require_factorable(n_max, budget)
-    # fib_divisors[k] ascends, so the entry as far from its end as d is from
-    # its start is F(k)/d
-    fib_divisors = {k: divisors(fib_factorization(k, budget))
-                    for k in range(1, n_max + 1)}
+    if tables is None:
+        tables = divisor_tables(n_max, budget)
+    elif tables.n_max != n_max:
+        raise ValueError(f"the tables list F(1..{tables.n_max}), "
+                         f"not F(1..{n_max})")
+    fv = list(map(f.fn, tables.divisors))
+    gv = list(map(g.fn, tables.divisors))
     direct = weighted = swapped = f.zero * g.zero
-    ranks: dict[int, int] = {}
-    for k, divs in fib_divisors.items():
-        for d, quotient in zip(divs, reversed(divs)):
-            direct += f(d) * g(quotient)
-            ranks.setdefault(d, k)
-    for n, m in ranks.items():
-        inner_g = g.zero
-        inner_f = f.zero
-        for k in range(m, n_max + 1, m):
-            divs = fib_divisors[k]
-            i = bisect_left(divs, n)
-            if divs[i] != n:
-                raise RuntimeError(f"{n} has rank {m} but does not divide "
-                                   f"F({k})")
-            v = divs[-1 - i]
-            inner_g += g(v)
-            inner_f += f(v)
-        weighted += f(n) * inner_g
-        swapped += g(n) * inner_f
+    starts = tables.starts
+    for lo, hi in zip(starts, starts[1:]):
+        direct = sum(map(mul, fv[lo:hi], reversed(gv[lo:hi])), direct)
+    bounds = tables.bounds
+    for position, lo, hi in zip(tables.firsts, bounds, bounds[1:]):
+        row = tables.slots[lo:hi]
+        weighted += fv[position] * sum(map(gv.__getitem__, row), g.zero)
+        swapped += gv[position] * sum(map(fv.__getitem__, row), f.zero)
     sides = [v.integer_value if isinstance(v, ExactLog) else v
              for v in (direct, weighted, swapped)]
     residual = max(abs(sides[0] - sides[1]), abs(sides[0] - sides[2]))
@@ -163,10 +223,7 @@ def check_corollary_completely_mult(f: ArithFn, g: ArithFn, n_max: int,
 
     for n in range(1, n_max + 1):
         an = fib_factorization(n, budget)
-        divs = divisors(an)
-        lhs = Fraction(0)
-        for d, quotient in zip(divs, reversed(divs)):
-            lhs += Fraction(f(d)) * g(quotient)
+        lhs = Fraction(dirichlet_convolve(f, g, an))
         rhs = Fraction(g(an)) * sum(
             (quotient_contraction(k) for k in range(1, n + 1) if n % k == 0),
             Fraction(0),
@@ -382,17 +439,14 @@ RATIO_WINDOW_EP = (0.8, 1.2)
 
 def _suite_theorem1(x: float = 25.0, random_pairs: int = 20,
                     budget: Optional[int] = None) -> list[VerificationReport]:
-    reports = [
-        check_theorem1(MU, ONE, x, budget),
-        check_theorem1(PHI, ONE, x, budget),
-        check_theorem1(LIOUVILLE, ONE, x, budget),
-        check_theorem1(MANGOLDT, ONE, x, budget),
-    ]
+    tables = divisor_tables(math.floor(x), budget)
+    reports = [check_theorem1(f, ONE, x, budget, tables)
+               for f in (MU, PHI, LIOUVILLE, MANGOLDT)]
     details = []
     worst = 0
     for seed in range(random_pairs):
         rep = check_theorem1(small_integer_fn(seed), small_integer_fn(1000 + seed),
-                             x, budget)
+                             x, budget, tables)
         worst = max(worst, rep.residual)
         details.append({"seed": seed, "passed": rep.passed})
     reports.append(VerificationReport(

@@ -6,9 +6,12 @@ import time
 
 import pytest
 
+from fibdirichlet import cache as cache_module
 from fibdirichlet import cli
+from fibdirichlet import fib as fib_module
 from fibdirichlet.cache import (
     CacheRecord,
+    collect_records,
     format_record,
     load_cache_file,
     parse_record,
@@ -238,6 +241,7 @@ def test_cache_rejects_corruption(tmp_path):
     ("n=12 fib=4^2*9 alpha=12 e=2", "factor 4 of F(12) is not prime"),
     ("n=12 fib=2^4*3^2 alpha=12 e=3", "e=3 is not the exponent"),
     ("n=12 fib=3^2*2^4 alpha=12 e=2", "distinct ascending primes"),
+    ("n=12 fib=2^4*3^2 alpha=12 e=" + "9" * 4000, "is not the exponent"),
 ])
 def test_cache_rejects_untrusted_records(tmp_path, capsys, record, complaint):
     path = tmp_path / "cache.txt"
@@ -245,6 +249,46 @@ def test_cache_rejects_untrusted_records(tmp_path, capsys, record, complaint):
     assert run_cli(["alpha", "12", "--cache", str(path)]) == 2
     assert complaint in capsys.readouterr().err
     assert path.read_text() == record + "\n"  # never saved back
+
+
+def test_standalone_record_is_tested_for_primality():
+    with pytest.raises(ValueError, match="factor 4 of F\\(12\\) is not prime"):
+        parse_record("n=12 fib=4^2*9 alpha=12 e=2")
+
+
+def _fill_memo(monkeypatch, n_max):
+    monkeypatch.setattr(fib_module, "_FIB_FACTORS", {})
+    for n in range(2, n_max + 1):
+        fib_module.fib_factorization(n)
+
+
+def test_saving_ranks_each_record_once(monkeypatch):
+    _fill_memo(monkeypatch, 60)
+    calls = []
+    original = fib_module.rank
+    for module in (fib_module, cache_module):
+        monkeypatch.setattr(module, "rank",
+                            lambda *a, **k: calls.append(a) or original(*a, **k))
+    records = collect_records()
+    assert [r.n for r in records] == list(range(2, 61))
+    assert len(calls) == len(records)
+    for r in records:
+        assert (r.rank, r.entry_exponent) == (original(r.n),
+                                              fib_module.entry_exponent(r.n))
+
+
+def test_loading_tests_each_distinct_prime_once(tmp_path, monkeypatch):
+    _fill_memo(monkeypatch, 60)
+    records = collect_records()
+    path = tmp_path / "cache.txt"
+    save_cache_file(path, records)
+    calls = []
+    original = cache_module.is_prime
+    monkeypatch.setattr(cache_module, "is_prime",
+                        lambda p: calls.append(p) or original(p))
+    assert load_cache_file(path) == records
+    primes = {p for r in records for p, _ in r.fib_factorization}
+    assert sorted(calls) == sorted(primes)
 
 
 def _run_script(args, env_extra=None):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from fibdirichlet import numtheory
 from fibdirichlet.numtheory import (
     ArithFn,
     BudgetExceededError,
@@ -158,6 +159,22 @@ def test_mangoldt_convolved_with_one_is_log():
     for n in range(1, 201):
         assert dirichlet_convolve(MANGOLDT, ONE, n).integer_value == n
         assert dirichlet_convolve(ONE, MANGOLDT, n).integer_value == n
+
+
+def test_dirichlet_convolve_reads_carried_factors(monkeypatch):
+    from fibdirichlet.fib import fib_factorization
+    pairs = [(MU, ONE), (PHI, LIOUVILLE), (MANGOLDT, ONE)]
+    plain = {(f.name, n): dirichlet_convolve(f, g, int(fib_factorization(n)))
+             for f, g in pairs for n in range(1, 61)}
+    calls = []
+    original = numtheory.factorize
+    monkeypatch.setattr(numtheory, "factorize",
+                        lambda *a, **k: calls.append(a) or original(*a, **k))
+    for f, g in pairs:
+        for n in range(1, 61):
+            value = dirichlet_convolve(f, g, fib_factorization(n))
+            assert value == plain[(f.name, n)], (f.name, n)
+    assert calls == []
 
 
 def test_dirichlet_convolve_commutative():

@@ -78,6 +78,64 @@ def test_theorem1_fails_fast_beyond_index_cap(monkeypatch):
     assert calls == []
 
 
+def test_theorem1_sides_match_literal_oracle():
+    from fibdirichlet.numtheory import dirichlet_convolve
+    pairs = [(f, ONE) for f in (MU, PHI, LIOUVILLE, MANGOLDT)]
+    pairs += [(small_integer_fn(seed), small_integer_fn(1000 + seed))
+              for seed in (0, 7, 19)]
+    tables = verify.divisor_tables(40)
+    for f, g in pairs:
+        for x in (12.5, 40):
+            oracle = sum((dirichlet_convolve(f, g, fib(n))
+                          for n in range(1, math.floor(x) + 1)),
+                         f.zero * g.zero)
+            report = check_theorem1(f, g, x,
+                                    tables=tables if x == 40 else None)
+            assert [d["value"] for d in report.details] == [oracle] * 3, \
+                (f.name, g.name, x)
+    with pytest.raises(ValueError):
+        check_theorem1(MU, ONE, 39, tables=tables)
+
+
+def test_theorem1_suite_rank_map_matches_rank():
+    from bisect import bisect_right
+    n_max = 80
+    tables = verify.divisor_tables(n_max)
+    flat, starts = tables.divisors, tables.starts
+    assert len(tables.firsts) == 4243
+    for i, position in enumerate(tables.firsts):
+        n = flat[position]
+        m = fib_module.rank(n)
+        assert bisect_right(starts, position) == m, n
+        row = tables.slots[tables.bounds[i]:tables.bounds[i + 1]]
+        assert [bisect_right(starts, s) for s in row] == \
+            list(range(m, n_max + 1, m)), n
+        assert all(flat[s] * n == fib(bisect_right(starts, s)) for s in row)
+
+
+def test_theorem1_suite_lists_divisors_once(monkeypatch):
+    calls = []
+    original = numtheory.divisors
+    for module in (numtheory, verify):
+        monkeypatch.setattr(
+            module, "divisors",
+            lambda *a, **k: calls.append(a) or original(*a, **k))
+    reports = verify._suite_theorem1(x=60)
+    assert all(r.passed for r in reports)
+    assert len(calls) == 60
+
+
+def test_theorem1_rejects_a_divisor_missing_from_a_multiple(monkeypatch):
+    from fibdirichlet.numtheory import Factorization
+    original = verify.fib_factorization
+    monkeypatch.setattr(  # a forged F(5) = 7, which F(10) = 55 lacks
+        verify, "fib_factorization",
+        lambda k, budget=None: (Factorization(7, ((7, 1),)) if k == 5
+                                else original(k, budget)))
+    with pytest.raises(RuntimeError, match="7 has rank 5"):
+        check_theorem1(MU, ONE, 10)
+
+
 def test_corollary_with_unit_function():
     for f in (MU, PHI, LIOUVILLE):
         report = check_corollary_completely_mult(f, ONE, 20)
