@@ -40,13 +40,8 @@ from .fib import (
     rank_prime_power,
 )
 from .contraction import (
-    ContractionTable,
-    MissingTableEntryError,
-    SummatoryTable,
     alpha_contract,
     alpha_contract_iter,
-    build_contraction_table,
-    build_summatory_table,
     closed_delta23,
     closed_lambda_alpha,
     closed_mu_alpha,
@@ -54,7 +49,6 @@ from .contraction import (
     closed_mu_alpha3,
     contributors,
     divisor_union_ranks,
-    invert_T_to_S,
     summatory_S,
     summatory_T,
 )

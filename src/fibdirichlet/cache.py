@@ -12,9 +12,8 @@ three fields but keeps only ``fib``; saving computes ``alpha`` and ``e``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .fib import (
     _exponent_at_rank,
@@ -28,8 +27,7 @@ from .fib import (
 from .numtheory import is_prime
 
 
-@dataclass(frozen=True)
-class CacheRecord:
+class CacheRecord(NamedTuple):
     n: int
     fib_factorization: tuple[tuple[int, int], ...]
     rank: int

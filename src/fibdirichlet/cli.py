@@ -12,13 +12,10 @@ configuration.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from . import cache as cache_io
@@ -53,7 +50,6 @@ DEFAULT_ASYMPTOTIC_XS = (5, 12, 30, 60, 200)
 DEFAULT_CONTRACT_N_MAX = 24
 
 
-@dataclass
 class Config:
     """Resolved run configuration; every default works with no config file."""
 
@@ -79,12 +75,18 @@ def _normalize(value, precision: int, for_json: bool):
 
 def emit_rows(rows: list[dict], name: str, config: Config) -> None:
     """Write rows as CSV (header + RFC quoting) or a JSON samples object."""
+    # each format's module is imported only where rows are written in it, so
+    # the scalar commands, which write none, load neither
     if config.output_format == "json":
+        import json
+
         samples = [{k: _normalize(v, config.precision, True) for k, v in row.items()}
                    for row in rows]
         text = json.dumps({"report": name, "samples": samples},
                           indent=2, sort_keys=True) + "\n"
     else:
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         if rows:

@@ -5,14 +5,12 @@ m whose rank of apparition is exactly n.  By duality those m are precisely
 the divisors of F(n) that divide no earlier Fibonacci number, which makes the
 sum finite and exactly computable.  This module also provides the iterated
 contractions of μ, the floor-weighted (T) and plain (S) summatory functions,
-Möbius inversion between them, and closed forms for μ_α, μ_α², μ_α³, λ_α and
-the kernel element Δ₂₃.
+and closed forms for μ_α, μ_α², μ_α³, λ_α and the kernel element Δ₂₃.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Optional
 
@@ -196,30 +194,7 @@ CLOSED_FORMS: dict[tuple[str, int], ArithFn] = {
 DELTA23 = ArithFn("delta23", closed_delta23)
 
 
-@dataclass(frozen=True)
-class ContractionTable:
-    """Tabulated iterated contraction: values[n] for 1 ≤ n ≤ horizon."""
-
-    source: str
-    depth: int
-    values: dict[int, int]
-    horizon: int
-
-
-def build_contraction_table(f: ArithFn, depth: int, horizon: int,
-                            budget: Optional[int] = None) -> ContractionTable:
-    """Tabulate the depth-fold contraction of f up to horizon (depth 0 = f)."""
-    if depth == 0:
-        values = {n: f(n) for n in range(1, horizon + 1)}
-    else:
-        values = {
-            n: alpha_contract_iter(f, depth, n, budget)
-            for n in range(1, horizon + 1)
-        }
-    return ContractionTable(f.name, depth, values, horizon)
-
-
-# --- summatory functions and Moebius inversion between them ---
+# --- summatory functions ---
 
 
 def summatory_T(f: ArithFn, x: float, budget: Optional[int] = None) -> Any:
@@ -241,49 +216,3 @@ def summatory_S(f: ArithFn, x: float, budget: Optional[int] = None) -> Any:
     """
     return sum((alpha_contract(f, n, budget)
                 for n in range(1, math.floor(x) + 1)), f.zero)
-
-
-class MissingTableEntryError(KeyError):
-    """A summatory table lacks an argument required by Moebius inversion."""
-
-
-@dataclass(frozen=True)
-class SummatoryTable:
-    """Integer summatory values at integer arguments, for inversion checks."""
-
-    kind: str  # "S" or "T"
-    fn_name: str
-    values: dict[int, int]
-
-
-def build_summatory_table(kind: str, f: ArithFn, x_max: int,
-                          budget: Optional[int] = None) -> SummatoryTable:
-    if kind not in ("S", "T"):
-        raise ValueError("table kind must be 'S' or 'T'")
-    if f.zero != 0:
-        raise ValueError(f"summatory tables hold integers; {f.name} has "
-                         f"values of another type")
-    compute = summatory_S if kind == "S" else summatory_T
-    return SummatoryTable(
-        kind, f.name, {n: compute(f, n, budget) for n in range(1, x_max + 1)}
-    )
-
-
-def invert_T_to_S(table: SummatoryTable, x: float) -> int:
-    """Moebius inversion Σ_{n≤x} μ(n)·T(x/n), recovering S from a T table.
-
-    Both summatory functions are step functions changing only at integers,
-    so only the values T(⌊⌊x⌋/n⌋) are needed.
-    """
-    if table.kind != "T":
-        raise ValueError("inversion expects a T table")
-    n_max = math.floor(x)
-    total = 0
-    for n in range(1, n_max + 1):
-        arg = n_max // n
-        if arg not in table.values:
-            raise MissingTableEntryError(
-                f"T table for {table.fn_name} has no entry at {arg}"
-            )
-        total += mobius(n) * table.values[arg]
-    return total

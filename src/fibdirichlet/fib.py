@@ -9,8 +9,7 @@ prime extraction, exact Fibonacci lcms, and the golden-ratio constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .numtheory import (
     BudgetExceededError,
@@ -258,8 +257,7 @@ def lcm_fib(x: float) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class Constants:
+class Constants(NamedTuple):
     """Floating constants used by the closed forms and asymptotics."""
 
     golden_ratio: float          # (1+√5)/2

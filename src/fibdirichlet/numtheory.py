@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Any, Callable, Optional, Union
 
 
@@ -373,20 +372,41 @@ class ExactLog:
         return f"ExactLog({self.integer_value})"
 
 
-@dataclass(frozen=True)
 class ArithFn:
     """A named, deterministic, exact arithmetic function.
 
     ``zero`` is the additive zero of its values, where every sum of them
-    starts: 0 for the integer-valued functions, ExactLog(1) for Λ.
+    starts: 0 for the integer-valued functions, ExactLog(1) for Λ.  Frozen:
+    equal, hashed and shown by (name, fn, zero).
     """
 
-    name: str
-    fn: Callable[[int], Any]
-    zero: Union[int, ExactLog] = 0
+    __slots__ = ("name", "fn", "zero")
+
+    def __init__(self, name: str, fn: Callable[[int], Any],
+                 zero: Union[int, ExactLog] = 0) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "zero", zero)
+
+    def __setattr__(self, attr: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {attr!r}")
+
+    def __delattr__(self, attr: str) -> None:
+        raise AttributeError(f"cannot delete field {attr!r}")
 
     def __call__(self, n: int) -> Any:
         return self.fn(n)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.fn, self.zero) == (other.name, other.fn, other.zero)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.fn, self.zero))
+
+    def __repr__(self) -> str:
+        return f"ArithFn(name={self.name!r}, fn={self.fn!r}, zero={self.zero!r})"
 
 
 MU = ArithFn("mu", mobius)

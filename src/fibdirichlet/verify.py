@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import accumulate
 from operator import mul
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .contraction import (
     CLOSED_FORMS,
@@ -50,19 +48,20 @@ from .numtheory import (
 )
 
 
-@dataclass
 class VerificationReport:
     """Structured pass/fail record for one identity check."""
 
-    check_name: str
-    parameters: str
-    passed: bool
-    residual: Union[int, float]
-    details: list[dict] = field(default_factory=list)
+    def __init__(self, check_name: str, parameters: str, passed: bool,
+                 residual: Union[int, float],
+                 details: Optional[list[dict]] = None) -> None:
+        self.check_name = check_name
+        self.parameters = parameters
+        self.passed = passed
+        self.residual = residual
+        self.details = [] if details is None else details
 
 
-@dataclass(frozen=True)
-class AsymptoticSample:
+class AsymptoticSample(NamedTuple):
     """One exact-vs-predicted comparison point."""
 
     x: int
@@ -88,8 +87,7 @@ def small_integer_fn(seed: int, name: Optional[str] = None) -> ArithFn:
 # --- the double-counting identity ---
 
 
-@dataclass(frozen=True)
-class DivisorTables:
+class DivisorTables(NamedTuple):
     """The divisors of F(1..n_max), listed once, with index tables over them.
 
     ``divisors`` holds the divisors of F(1), then those of F(2), and so on,
@@ -203,6 +201,10 @@ def check_corollary_completely_mult(f: ArithFn, g: ArithFn, n_max: int,
     contraction is evaluated by the divisor-sum definition in exact rationals.
     With g = 1 this is precisely the specialization (1*f)(F(n)) = (1*f_α)(n).
     """
+    # imported here, so that commands which never run this check do not load
+    # fractions with its decimal and numbers modules
+    from fractions import Fraction
+
     params = f"f={f.name}, g={g.name}, N={n_max}"
     details = []
     worst = Fraction(0)
@@ -337,11 +339,23 @@ def pi_alpha_bound_report(x_values: Sequence[int],
 
 def check_phi_identity(x: float, budget: Optional[int] = None) -> VerificationReport:
     """Verify Σ_{rank(n)≤x} φ(n)·⌊x/rank(n)⌋ = Σ_{n≤x} F(n) = F(⌊x⌋+2) − 1."""
+    return _phi_identity_report(x, _phi_rank_sums(x, budget)[-1])
+
+
+def _phi_rank_sums(x: float, budget: Optional[int] = None) -> list[int]:
+    """[Σ_{rank(n)≤k} φ(n)·⌊k/rank(n)⌋ for k = 0..⌊x⌋] from one rank map.
+
+    φ is summed per rank once; each k then weights those ⌊x⌋ totals.
+    """
+    by_rank = [0] * (max(math.floor(x), 0) + 1)
+    for n, m in divisor_union_ranks(x, budget).items():
+        by_rank[m] += euler_phi(n)
+    return [sum(by_rank[m] * (k // m) for m in range(1, k + 1))
+            for k in range(len(by_rank))]
+
+
+def _phi_identity_report(x: float, rank_sum: int) -> VerificationReport:
     n_max = math.floor(x)
-    rank_sum = sum(
-        euler_phi(n) * (n_max // m)
-        for n, m in divisor_union_ranks(x, budget).items()
-    )
     fib_sum = sum(fib(n) for n in range(1, n_max + 1))
     closed = fib(n_max + 2) - 1
     residual = max(abs(rank_sum - fib_sum), abs(fib_sum - closed))
@@ -537,8 +551,9 @@ def _suite_phi_identity(x: float = 30.0,
                         budget: Optional[int] = None) -> list[VerificationReport]:
     worst = 0
     details = []
+    rank_sums = _phi_rank_sums(x, budget)  # lists F(1..⌊x⌋)'s divisors once
     for n in range(1, math.floor(x) + 1):
-        rep = check_phi_identity(n, budget)
+        rep = _phi_identity_report(n, rank_sums[n])
         worst = max(worst, rep.residual)
         details.append({"x": n, "passed": rep.passed})
     return [VerificationReport("phi-identity", f"x<={math.floor(x)}",

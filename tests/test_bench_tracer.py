@@ -1,12 +1,18 @@
-"""The benchmark's layer tracer wraps functions by name; each must exist."""
+"""The benchmark's layer tracer wraps functions by name; each must exist,
+and the wrappers it swaps into ``ArithFn.fn`` must be the ones called."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-LAYERTRACE = Path(__file__).resolve().parents[1] / "bench" / "layertrace.py"
+ROOT = Path(__file__).resolve().parents[1]
+LAYERTRACE = ROOT / "bench" / "layertrace.py"
 
 
 def _load_layertrace():
@@ -22,3 +28,21 @@ def _load_layertrace():
 def test_traced_name_exists(short, name):
     module = importlib.import_module(f"fibdirichlet.{short}")
     assert callable(getattr(module, name, None))
+
+
+def test_tracer_counts_calls_through_a_swapped_arith_fn(tmp_path):
+    # series reads CLOSED_FORMS[("mu", 1)].fn, which the tracer replaces
+    # with object.__setattr__ on the frozen ArithFn
+    stats, stdout = tmp_path / "stats.json", tmp_path / "stdout.txt"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, str(LAYERTRACE), str(stats), str(stdout),
+                    "series", "--s", "3", "--n", "2000"],
+                   env=env, check=True, timeout=120)
+    pairs = json.loads(stats.read_text())["pairs"]
+    calls = {(p["function"], p["caller"]): p["calls"] for p in pairs}
+    assert calls[("contraction.closed_mu_alpha",
+                  "verify.euler_product_check")] == 2000
+    assert calls[("verify.euler_product_check", "cli.main")] == 4
+    assert stdout.read_text().count("\n") == 5   # header and four rows

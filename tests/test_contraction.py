@@ -3,12 +3,8 @@ import math
 import pytest
 
 from fibdirichlet.contraction import (
-    MissingTableEntryError,
-    SummatoryTable,
     alpha_contract,
     alpha_contract_iter,
-    build_contraction_table,
-    build_summatory_table,
     closed_delta23,
     closed_lambda_alpha,
     closed_mu_alpha,
@@ -16,7 +12,6 @@ from fibdirichlet.contraction import (
     closed_mu_alpha3,
     contributors,
     divisor_union_ranks,
-    invert_T_to_S,
     summatory_S,
     summatory_T,
 )
@@ -30,8 +25,24 @@ from fibdirichlet.numtheory import (
     ONE,
     PHI,
     mertens,
+    mobius,
 )
 from fibdirichlet.fib import fib, lcm_fib
+
+
+def invert_T_to_S(T: dict[int, int], x: float) -> int:
+    """Moebius inversion Σ_{n≤x} μ(n)·T(x/n), recovering S from T's values.
+
+    Both summatory functions are step functions changing only at integers,
+    so only the values T(⌊⌊x⌋/n⌋) are needed.
+    """
+    n_max = math.floor(x)
+    return sum(mobius(n) * T[n_max // n] for n in range(1, n_max + 1))
+
+
+def summatory_values(summatory, f, x_max):
+    """{x: summatory(f, x)} at the integers 1..x_max."""
+    return {x: summatory(f, x) for x in range(1, x_max + 1)}
 
 
 def test_alpha_contract_examples():
@@ -60,6 +71,8 @@ def test_alpha_contract_iter_examples():
     assert alpha_contract_iter(MU, 2, 6) == -1
     assert alpha_contract_iter(MU, 3, 6) == -1
     assert alpha_contract_iter(MU, 1, 1) == 1
+    for n in range(1, 21):
+        assert alpha_contract_iter(MU, 1, n) == alpha_contract(MU, n), n
 
 
 def test_mu_fast_path_is_chosen_by_identity():
@@ -165,12 +178,12 @@ def test_plain_summatory_matches_mertens_pair():
 
 
 def test_inversion_examples():
-    table = build_summatory_table("T", MU, 6)
+    table = summatory_values(summatory_T, MU, 6)
     assert invert_T_to_S(table, 4) == -1
     assert invert_T_to_S(table, 1) == 1
     # the once-contracted mu, evaluated by the divisor-sum oracle
     mu_alpha_direct = ArithFn("mu_alpha_direct", lambda d: alpha_contract(MU, d))
-    table2 = build_summatory_table("T", mu_alpha_direct, 6)
+    table2 = summatory_values(summatory_T, mu_alpha_direct, 6)
     value = invert_T_to_S(table2, 6)
     assert value == -2  # equals M(6) + M(3) + M(2)
     assert value == mertens(6) + mertens(3) + mertens(2)
@@ -179,40 +192,15 @@ def test_inversion_examples():
 
 def test_inversion_round_trip():
     for f in (MU, PHI, LIOUVILLE):
-        table = build_summatory_table("T", f, 30)
+        table = summatory_values(summatory_T, f, 30)
         for x in range(1, 31):
             assert invert_T_to_S(table, x) == summatory_S(f, x), (f.name, x)
 
 
 def test_T_is_the_divisor_coarsening_of_S():
     for f in (MU, PHI, LIOUVILLE):
-        s_table = build_summatory_table("S", f, 25)
+        s_table = summatory_values(summatory_S, f, 25)
         for x in range(1, 26):
-            total = sum(s_table.values[x // n] for n in range(1, x + 1)
+            total = sum(s_table[x // n] for n in range(1, x + 1)
                         if x // n >= 1)
             assert total == summatory_T(f, x), (f.name, x)
-
-
-def test_missing_table_entry():
-    table = SummatoryTable("T", "mu", {1: 1, 3: 2})  # no entry at 2
-    with pytest.raises(MissingTableEntryError):
-        invert_T_to_S(table, 6)
-    with pytest.raises(ValueError):
-        invert_T_to_S(SummatoryTable("S", "mu", {1: 1}), 1)
-
-
-def test_contraction_table():
-    table = build_contraction_table(MU, 1, 20)
-    assert table.values[2] == 0
-    assert table.horizon == 20 and table.depth == 1 and table.source == "mu"
-    for n in range(1, 21):
-        assert table.values[n] == alpha_contract(MU, n)
-    raw = build_contraction_table(MU, 0, 10)
-    assert all(raw.values[n] == MU(n) for n in range(1, 11))
-
-
-def test_summatory_table_rejects_mangoldt():
-    with pytest.raises(ValueError):
-        build_summatory_table("T", MANGOLDT, 5)
-    with pytest.raises(ValueError):
-        build_summatory_table("X", MU, 5)

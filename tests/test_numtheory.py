@@ -127,6 +127,25 @@ def test_exact_log_arithmetic():
         ExactLog(0)
 
 
+def test_arith_fn_is_frozen_and_compared_by_fields():
+    with pytest.raises(AttributeError):
+        MU.name = "not mu"
+    with pytest.raises(AttributeError):
+        MU.extra = 1
+    with pytest.raises(AttributeError):
+        del MU.fn
+    assert MU.name == "mu" and MU.fn is mobius and MU.zero == 0
+    a, b = ArithFn("mu", mobius), ArithFn("mu", mobius)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a == MU and hash(a) == hash(MU)
+    assert ArithFn("mu", mobius, zero=ExactLog(1)) != a
+    assert ArithFn("other", mobius) != a
+    assert ArithFn("mu", liouville) != a
+    assert a != ("mu", mobius, 0)
+    assert repr(MANGOLDT).startswith("ArithFn(name='mangoldt', fn=")
+    assert repr(MANGOLDT).endswith(", zero=ExactLog(1))")
+
+
 def test_mangoldt_values():
     assert MANGOLDT(8) == ExactLog(2)
     assert MANGOLDT(12) == MANGOLDT(1) == MANGOLDT.zero == ExactLog(1)

@@ -2,9 +2,11 @@ import math
 
 import pytest
 
+from fibdirichlet import contraction
 from fibdirichlet import fib as fib_module
 from fibdirichlet import numtheory
 from fibdirichlet import verify
+from fibdirichlet.contraction import divisor_union_ranks
 from fibdirichlet.fib import CONSTANTS, fib, lcm_fib
 from fibdirichlet.numtheory import (
     BudgetExceededError,
@@ -123,6 +125,28 @@ def test_theorem1_suite_lists_divisors_once(monkeypatch):
     reports = verify._suite_theorem1(x=60)
     assert all(r.passed for r in reports)
     assert len(calls) == 60
+
+
+def test_phi_identity_suite_lists_divisors_once(monkeypatch):
+    calls = []
+    original = numtheory.divisors
+    for module in (numtheory, contraction, verify):
+        monkeypatch.setattr(
+            module, "divisors",
+            lambda *a, **k: calls.append(a) or original(*a, **k))
+    reports = verify._suite_phi_identity(x=30)
+    assert all(r.passed for r in reports)
+    assert len(calls) == 30
+
+
+def test_phi_rank_sums_match_the_literal_sum():
+    sums = verify._phi_rank_sums(30)
+    assert len(sums) == 31 and sums[0] == 0
+    for k in range(1, 31):
+        literal = sum(numtheory.euler_phi(n) * (k // m)
+                      for n, m in divisor_union_ranks(k).items())
+        assert sums[k] == literal == fib(k + 2) - 1, k
+        assert check_phi_identity(k).details[0]["rank_sum"] == literal
 
 
 def test_theorem1_rejects_a_divisor_missing_from_a_multiple(monkeypatch):
