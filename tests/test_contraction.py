@@ -71,8 +71,17 @@ def test_alpha_contract_iter_examples():
     assert alpha_contract_iter(MU, 2, 6) == -1
     assert alpha_contract_iter(MU, 3, 6) == -1
     assert alpha_contract_iter(MU, 1, 1) == 1
+
+
+def test_contraction_table():
+    # the depth-1 iterate tabulated over 1..20 is the plain contraction
+    values = {n: alpha_contract_iter(MU, 1, n) for n in range(1, 21)}
+    assert values[2] == 0
     for n in range(1, 21):
-        assert alpha_contract_iter(MU, 1, n) == alpha_contract(MU, n), n
+        assert values[n] == alpha_contract(MU, n), n
+    # depth 0 is f itself and is not an iterate
+    with pytest.raises(ValueError):
+        alpha_contract_iter(MU, 0, 10)
 
 
 def test_mu_fast_path_is_chosen_by_identity():
