@@ -12,10 +12,12 @@ three fields but keeps only ``fib``; saving computes ``alpha`` and ``e``.
 
 from __future__ import annotations
 
-from pathlib import Path
+import math
+import os
 from typing import Iterable, NamedTuple, Union
 
 from .fib import (
+    _LOG2_GOLDEN,
     _exponent_at_rank,
     divisor_has_rank,
     fib,
@@ -83,20 +85,29 @@ def _parse_record(line: str, proven: set[int]) -> CacheRecord:
     n, alpha = record.n, record.rank
     if n < 2:
         raise ValueError(f"records start at n=2, got n={n}")
-    primes = [p for p, _ in record.fib_factorization]
+    factors = record.fib_factorization
+    primes = [p for p, _ in factors]
     if (primes != sorted(set(primes))
-            or any(e < 1 for _, e in record.fib_factorization)):
+            or any(p < 2 or e < 1 for p, e in factors)):
         raise ValueError("factors must be distinct ascending primes with "
                          "exponents >= 1")
+    # F(n) has n·log2 φ − log2 √5 bits to within one, and its residue mod
+    # the prime 2^64 − 59 costs O(log n): both are checked first, so that a
+    # forged record costs no primality test and nothing at the scale of n
+    m = 2**64 - 59
+    try:
+        excess = sum(e * math.log2(p) for p, e in factors) - n * _LOG2_GOLDEN
+    except OverflowError:
+        excess = math.inf
+    if (abs(excess + math.log2(5) / 2) > 1
+            or math.prod(pow(p, e, m) for p, e in factors) % m != fib_mod(n, m)):
+        raise ValueError(f"factorization does not reconstruct F({n})")
     for p in primes:
         if p not in proven:
             if not is_prime(p):
                 raise ValueError(f"factor {p} of F({n}) is not prime")
             proven.add(p)
-    product = 1
-    for p, e in record.fib_factorization:
-        product *= p**e
-    if product != fib(n):
+    if math.prod(p**e for p, e in factors) != fib(n):
         raise ValueError(f"factorization does not reconstruct F({n})")
     # every rank is at most 6n (the Pisano-period bound); checking that first
     # keeps factoring alpha at the scale of n
@@ -110,14 +121,16 @@ def _parse_record(line: str, proven: set[int]) -> CacheRecord:
     return record
 
 
-def load_cache_file(path: Union[str, Path]) -> list[CacheRecord]:
+def load_cache_file(path: Union[str, os.PathLike]) -> list[CacheRecord]:
     """Parse a cache file; a corrupt line raises with its line number.
 
     Each distinct prime is tested once per file.
     """
     records = []
     proven: set[int] = set()
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    with open(path) as f:
+        lines = f.read().splitlines()
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
@@ -127,11 +140,13 @@ def load_cache_file(path: Union[str, Path]) -> list[CacheRecord]:
     return records
 
 
-def save_cache_file(path: Union[str, Path], records: Iterable[CacheRecord]) -> None:
+def save_cache_file(path: Union[str, os.PathLike],
+                    records: Iterable[CacheRecord]) -> None:
     """Write records sorted by n; identical inputs give identical bytes."""
     unique = {r.n: r for r in records}
     lines = [format_record(unique[n]) for n in sorted(unique)]
-    Path(path).write_text("".join(line + "\n" for line in lines))
+    with open(path, "w") as f:
+        f.write("".join(line + "\n" for line in lines))
 
 
 def apply_records(records: Iterable[CacheRecord]) -> None:

@@ -12,17 +12,14 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import filterfalse
 from typing import Any, Optional
 
-from .fib import (
-    fib,
-    fib_factorization,
-    prime_power_ranks,
-)
+from .fib import fib, fib_factorization
 from .numtheory import (
     ArithFn,
     MU,
-    cofactor,
+    _prime_factors,
     divisors,
     factorize,
     mobius,
@@ -45,12 +42,15 @@ def divisor_union_ranks(x: float, budget: Optional[int] = None) -> dict[int, int
 def contributors(n: int, budget: Optional[int] = None) -> list[int]:
     """Divisors of F(n) whose rank of apparition is exactly n, ascending.
 
-    rank(d) is the lcm of the ranks of the prime powers in d (read from
-    prime_power_ranks), so no Fibonacci residue is computed per divisor.
+    By duality d | F(n) has rank n iff d divides no F(n/q) for a prime
+    q | n, so the divisors of those F(n/q) are listed and left out; no
+    Fibonacci residue is computed per divisor.  F(n) is factored first, so
+    an n beyond the index cap raises before any F(n/q) enters the memo.
     """
-    ranks = prime_power_ranks(n, budget)
-    return [d for d in divisors(fib_factorization(n, budget))
-            if math.lcm(*(ranks[p][j - 1] for p, j in d.factors)) == n]
+    fib_n = fib_factorization(n, budget)
+    excluded = {d for q, _ in factorize(n).factors
+                for d in divisors(fib_factorization(n // q, budget))}
+    return list(filterfalse(excluded.__contains__, divisors(fib_n)))
 
 
 def alpha_contract(f: ArithFn, n: int, budget: Optional[int] = None) -> Any:
@@ -96,11 +96,27 @@ def _mu_iterate_weights(depth: int) -> tuple[tuple[int, int], ...]:
 
 
 def _mu_iterate_fn(depth: int) -> ArithFn:
-    # the dilates are factored once, so each cofactor n/m reads their factors
-    weights = [(factorize(m), c) for m, c in _mu_iterate_weights(depth)]
+    # the dilates are factored once; μ(n/m) is read from n's exponents less
+    # those of m, so no quotient is built
+    weights = [(m, dict(factorize(m).factors), c)
+               for m, c in _mu_iterate_weights(depth)]
 
     def evaluate(n: int) -> int:
-        return sum(c * mobius(cofactor(n, m)) for m, c in weights if n % m == 0)
+        factors = _prime_factors(n)
+        total = 0
+        for m, dilate, c in weights:
+            if n % m:
+                continue
+            sign = c
+            for p, e in factors:
+                e -= dilate.get(p, 0)
+                if e > 1:
+                    break  # n/m is not squarefree: μ(n/m) = 0
+                if e:
+                    sign = -sign
+            else:
+                total += sign
+        return total
 
     return ArithFn(f"mu_iter{depth}", evaluate)
 

@@ -2,8 +2,8 @@
 
 Fast-doubling Fibonacci values, modular Fibonacci, the rank of apparition
 (least index m with n | F(m)) by the lcm law over the prime powers of n,
-entry exponents, the ranks of the prime powers dividing F(n) with primitive
-prime extraction, exact Fibonacci lcms, and the golden-ratio constants.
+entry exponents, the memo of factored F(n), primitive prime extraction,
+exact Fibonacci lcms, and the golden-ratio constants.
 """
 
 from __future__ import annotations
@@ -216,19 +216,6 @@ def divisor_has_rank(d: int, n: int) -> bool:
     return all(fib_mod(n // q, d) for q, _ in n.factors)
 
 
-def prime_power_ranks(n: int, budget: Optional[int] = None
-                      ) -> dict[int, list[Factorization]]:
-    """p → [rank(p), rank(p^2), …, rank(p^e)] for each p^e ‖ F(n).
-
-    Each of these ranks divides n, so rank(p) is found by walking down the
-    primes of n.  A divisor of F(n) has rank n iff the lcm of the ranks of
-    its prime powers is n.
-    """
-    index = factorize(n)
-    return {p: _power_ranks(p, e, _rank_within(p, index))
-            for p, e in fib_factorization(n, budget).factors}
-
-
 def primitive_primes(n: int, budget: Optional[int] = None) -> list[tuple[int, int]]:
     """Primes p | F(n) with rank(p) = n, each with its exponent in F(n).
 
@@ -239,9 +226,9 @@ def primitive_primes(n: int, budget: Optional[int] = None) -> list[tuple[int, in
         raise ValueError("primitive_primes expects n >= 1")
     if n in (1, 2):
         return []  # F(1) = F(2) = 1; also keeps them out of the memo
-    ranks = prime_power_ranks(n, budget)
+    index = factorize(n)
     return [(p, e) for p, e in fib_factorization(n, budget).factors
-            if ranks[p][0] == n]
+            if divisor_has_rank(p, index)]
 
 
 def lcm_fib(x: float) -> int:

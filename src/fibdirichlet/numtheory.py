@@ -9,7 +9,6 @@ explicit tail bound with its floating value.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from typing import Any, Callable, Optional, Union
 
 
@@ -204,24 +203,6 @@ def divisors(f: Factorization) -> list[Factorization]:
                   for d, factors in pairs for k in range(1, e + 1)]
     pairs.sort()
     return [Factorization(d, factors) for d, factors in pairs]
-
-
-def cofactor(n: int, d: int) -> Factorization:
-    """n // d for a divisor d of n, carrying its factors.
-
-    The exponents of d are taken from those of n, so nothing is factored
-    when both carry their factors.
-    """
-    factors = list(_prime_factors(n))
-    for q, k in _prime_factors(d):
-        i = bisect_left(factors, (q,))
-        if i == len(factors) or factors[i][0] != q or factors[i][1] < k:
-            raise ValueError(f"{d} does not divide {n}")
-        if factors[i][1] == k:
-            del factors[i]
-        else:
-            factors[i] = (q, factors[i][1] - k)
-    return Factorization(n // d, tuple(factors))
 
 
 def _prime_factors(n: int) -> tuple[tuple[int, int], ...]:
@@ -426,8 +407,8 @@ NAMED_FUNCTIONS: dict[str, ArithFn] = {
 def dirichlet_convolve(f: ArithFn, g: ArithFn, n: int) -> Any:
     """(f*g)(n) = Σ_{d|n} f(d)·g(n/d), exactly.
 
-    A Factorization is not factored again: its divisors and their
-    cofactors carry factors taken from its own.
+    A Factorization is not factored again: its divisors carry factors taken
+    from its own, and n/d is read from the other end of their list.
     """
     divs = divisors(n if isinstance(n, Factorization) else factorize(n))
     return sum((f(d) * g(c) for d, c in zip(divs, reversed(divs))),

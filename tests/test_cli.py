@@ -251,6 +251,31 @@ def test_cache_rejects_untrusted_records(tmp_path, capsys, record, complaint):
     assert path.read_text() == record + "\n"  # never saved back
 
 
+@pytest.mark.parametrize("record", [
+    "n=30000000 fib=2 alpha=3 e=1",
+    "n=1000000000 fib=2 alpha=3 e=1",
+    # the size of F(10^9) to within a bit, so only the residue tells
+    "n=1000000000 fib=2^694241912 alpha=3 e=1",
+    # a 4,299-digit composite as the factor of F(5) = 5
+    "n=5 fib=" + str(10**4298 + 1) + " alpha=5 e=1",
+    "n=5 fib=5^" + "9" * 400 + " alpha=5 e=1",
+], ids=["n=3e7", "n=1e9", "n=1e9-2^e", "n=5-composite", "n=5-5^e"])
+def test_cache_rejects_a_record_of_the_wrong_size_at_once(
+        tmp_path, capsys, monkeypatch, record):
+    # neither F(n) nor a primality test is computed for such a record
+    calls = []
+    for name in ("fib", "is_prime"):
+        monkeypatch.setattr(cache_module, name,
+                            lambda *a, name=name: calls.append(name))
+    path = tmp_path / "cache.txt"
+    path.write_text(record + "\n")
+    start = time.perf_counter()
+    assert run_cli(["fib", "1", "--cache", str(path)]) == 2
+    assert time.perf_counter() - start < 1
+    assert "does not reconstruct F(" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_standalone_record_is_tested_for_primality():
     with pytest.raises(ValueError, match="factor 4 of F\\(12\\) is not prime"):
         parse_record("n=12 fib=4^2*9 alpha=12 e=2")

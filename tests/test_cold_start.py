@@ -28,12 +28,24 @@ print("\\n".join(sorted(set(sys.modules) - before)))
 """
 
 
-def test_cli_import_loads_no_heavy_module():
+def _loaded_by_cli_import(*flags):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", PROBE], capture_output=True,
-                         text=True, env=env, check=True, timeout=60).stdout
+    out = subprocess.run([sys.executable, *flags, "-c", PROBE],
+                         capture_output=True, text=True, env=env, check=True,
+                         timeout=60).stdout
     loaded = set(out.split())
     assert "fibdirichlet.cli" in loaded
+    return loaded
+
+
+def test_cli_import_loads_no_heavy_module():
+    loaded = _loaded_by_cli_import()
     assert not loaded & set(NOT_AT_START), sorted(loaded & set(NOT_AT_START))
+
+
+def test_cli_import_without_site_loads_no_pathlib():
+    # without site nothing is loaded ahead of the CLI, so every module its
+    # import needs shows; the cache file is read and written with open()
+    assert "pathlib" not in _loaded_by_cli_import("-S")

@@ -3,6 +3,8 @@ import math
 import pytest
 
 from fibdirichlet.contraction import (
+    _mu_iterate_fn,
+    _mu_iterate_weights,
     alpha_contract,
     alpha_contract_iter,
     closed_delta23,
@@ -15,7 +17,7 @@ from fibdirichlet.contraction import (
     summatory_S,
     summatory_T,
 )
-from fibdirichlet.fib import rank
+from fibdirichlet.fib import fib_factorization, rank
 from fibdirichlet.numtheory import (
     ArithFn,
     BudgetExceededError,
@@ -24,6 +26,7 @@ from fibdirichlet.numtheory import (
     MU,
     ONE,
     PHI,
+    divisors,
     mertens,
     mobius,
 )
@@ -138,6 +141,30 @@ def test_delta23_consistency():
 def test_deeper_iterates_hit_the_fixed_point():
     for n in range(1, 21):
         assert alpha_contract_iter(MU, 4, n) == alpha_contract_iter(MU, 3, n)
+
+
+def test_closed_forms_match_the_dilation_form():
+    # the paper's case tables against the iterates generated from the
+    # Fibonacci values among the dilations, at every depth up to 6
+    generated = {k: _mu_iterate_fn(k) for k in range(1, 7)}
+    for n in range(1, 5001):
+        assert closed_mu_alpha(n) == generated[1](n), n
+        assert closed_mu_alpha2(n) == generated[2](n), n
+        assert closed_mu_alpha3(n) == generated[3](n), n
+        for k in (4, 5, 6):
+            assert generated[k](n) == generated[3](n), (k, n)
+
+
+def test_dilation_form_reads_mu_of_the_quotient():
+    # on carried factors, against Σ c·μ(d/m) over plain-int quotients
+    for k in range(1, 5):
+        iterate = _mu_iterate_fn(k)
+        weights = _mu_iterate_weights(k)
+        for n in range(1, 61):
+            for d in divisors(fib_factorization(n)):
+                literal = sum(c * mobius(int(d) // m)
+                              for m, c in weights if d % m == 0)
+                assert iterate(d) == literal, (k, n, d)
 
 
 def test_generic_deep_iteration_exceeds_budget():

@@ -1,9 +1,9 @@
 """The factored fast paths against independent slow oracles.
 
-Divisors of F(n) carry their factors, cofactors take theirs from those of
-F(n) and the divisor, and μ on 1..N comes from a sieve.  Each is checked
-against a fresh factorization of the plain integer, and against sympy where
-it is installed.
+Divisors of F(n) carry their factors, F(n) over a divisor is read from the
+other end of the divisor list, and μ on 1..N comes from a sieve.  Each is
+checked against a fresh factorization of the plain integer, and against
+sympy where it is installed.
 """
 
 import pytest
@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from fibdirichlet.fib import fib_factorization
 from fibdirichlet.numtheory import (
     MANGOLDT,
-    cofactor,
     divisor_count,
     divisors,
     euler_phi,
@@ -32,21 +31,12 @@ def test_carried_factors_match_a_fresh_factorization(n, data):
     divs = divisors(fib_n)
     i = data.draw(st.integers(0, len(divs) - 1), label="divisor index")
     d = divs[i]
-    quotient = cofactor(fib_n, d)
-    assert quotient == divs[-1 - i] == int(fib_n) // int(d)
-    for carried in (d, divs[-1 - i], quotient):
+    assert divs[-1 - i] == int(fib_n) // int(d)
+    for carried in (d, divs[-1 - i]):
         fresh = factorize(int(carried))
         assert carried.factors == fresh.factors
         for fn in FUNCTIONS:
             assert fn(carried) == fn(fresh) == fn(int(carried))
-
-
-def test_cofactor_rejects_a_non_divisor():
-    fib_60 = fib_factorization(60)
-    with pytest.raises(ValueError):
-        cofactor(fib_60, 7)          # 7 does not divide F(60)
-    with pytest.raises(ValueError):
-        cofactor(fib_60, 2**5)       # F(60) holds 2 only to the 4th power
 
 
 def test_sieve_mobius_matches_factorized_mobius():

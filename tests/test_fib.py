@@ -171,12 +171,22 @@ def test_rank_of_prime_divides_p_minus_legendre(p):
     assert (p - _legendre5(p)) % rank(p) == 0
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 120))
-def test_contributors_match_the_divisor_filter(n):
-    literal = [d for d in divisors(fib_factorization(n))
-               if divisor_has_rank(d, n)]
-    assert contributors(n) == literal
+def test_contributors_match_the_divisor_filter():
+    for n in range(1, 121):
+        literal = [d for d in divisors(fib_factorization(n))
+                   if divisor_has_rank(d, n)]
+        found = contributors(n)
+        assert found == literal, n
+        assert [d.factors for d in found] == [d.factors for d in literal], n
+
+
+def test_contributors_past_the_cap_raise_before_memoizing(monkeypatch):
+    # F(130) is past the default index cap; F(65), F(26) and F(10), which
+    # duality would list, must not be factored first
+    monkeypatch.setattr(fib_module, "_FIB_FACTORS", {})
+    with pytest.raises(BudgetExceededError):
+        contributors(130)
+    assert fib_module._FIB_FACTORS == {}
 
 
 def test_large_prime_ranks_are_certified():

@@ -8,11 +8,14 @@ them.  Each command runs in-process through ``cli.main``.
 """
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
 from fibdirichlet import cli
 from fibdirichlet import fib as fib_module
+from fibdirichlet.cache import load_cache_file
 
 STDOUT_DIGESTS = {
     ("verify", "all"):
@@ -44,6 +47,9 @@ THEOREM1_REPORT_DIGEST = (
 CACHE_FILE_DIGEST = (
     "7721961bc714d72151cc12f8b5b6a974a1a11b6baf826d4d294e001d7a110c7e")
 
+# The benchmark's own digests, among them those of the cache files it writes.
+BENCH_GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -72,3 +78,16 @@ def test_cache_file_is_golden(tmp_path, capsys, monkeypatch):
     cache = tmp_path / "cache.txt"
     assert cli.main(["contract", "mu", "3", "40", "--cache", str(cache)]) == 0
     assert _sha256(cache.read_bytes()) == CACHE_FILE_DIGEST
+
+
+# pi-alpha keeps F(1) = F(2) = 1 out of the memo, so its file starts at n = 3
+@pytest.mark.parametrize("command, first", [("contract mu 3 120", 2),
+                                            ("verify pi-alpha --x 120", 3)])
+def test_benchmark_cache_files_are_golden_and_load(command, first, tmp_path,
+                                                   capsys, monkeypatch):
+    golden = json.loads(BENCH_GOLDEN.read_text())["cache_file"]
+    monkeypatch.setattr(fib_module, "_FIB_FACTORS", {})
+    cache = tmp_path / "cache.txt"
+    assert cli.main(command.split() + ["--cache", str(cache)]) == 0
+    assert _sha256(cache.read_bytes()) == golden[command + " --cache {cache}"]
+    assert [r.n for r in load_cache_file(cache)] == list(range(first, 121))
