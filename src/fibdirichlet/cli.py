@@ -28,7 +28,12 @@ from .fib import (
     fib,
     rank,
 )
-from .numtheory import BudgetExceededError, DEFAULT_FACTOR_BUDGET, NAMED_FUNCTIONS
+from .numtheory import (
+    BudgetExceededError,
+    DEFAULT_FACTOR_BUDGET,
+    NAMED_FUNCTIONS,
+    factor_budget,
+)
 from .verify import (
     EULER_SERIES,
     asymptotic_mangoldt_report,
@@ -54,7 +59,6 @@ class Config:
     """Resolved run configuration; every default works with no config file."""
 
     cache_path: Optional[str] = None
-    factor_budget: int = DEFAULT_FACTOR_BUDGET
     output_format: str = "csv"
     precision: int = 12
     out_path: Optional[str] = None
@@ -106,7 +110,7 @@ def emit_rows(rows: list[dict], name: str, config: Config) -> None:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache", help="cache file path (FIBDIRICHLET_CACHE "
                                         "overrides the default, flag wins)")
-    parser.add_argument("--budget", type=int,
+    parser.add_argument("--budget", type=int, default=DEFAULT_FACTOR_BUDGET,
                         help=f"factorization work budget "
                              f"(default {DEFAULT_FACTOR_BUDGET})")
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
@@ -178,8 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from(args: argparse.Namespace) -> Config:
     config = Config()
     config.cache_path = args.cache or os.environ.get(ENV_CACHE) or None
-    if args.budget is not None:
-        config.factor_budget = args.budget
     config.output_format = args.format
     config.precision = args.precision
     config.out_path = args.out
@@ -190,9 +192,9 @@ def cmd_scalar(args: argparse.Namespace, config: Config) -> int:
     if args.command == "fib":
         print(fib(args.n))
     elif args.command == "alpha":
-        print(rank(args.n, config.factor_budget))
+        print(rank(args.n))
     else:
-        print(entry_exponent(args.n, config.factor_budget))
+        print(entry_exponent(args.n))
     return EXIT_OK
 
 
@@ -211,8 +213,7 @@ def cmd_contract(args: argparse.Namespace, config: Config) -> int:
     for n in range(1, n_max + 1):
         row: dict = {"n": n}
         try:
-            row["direct"] = alpha_contract_iter(f, depth, n,
-                                                config.factor_budget)
+            row["direct"] = alpha_contract_iter(f, depth, n)
         except BudgetExceededError:
             row["direct"] = "budget-exceeded"
         if closed is not None:
@@ -251,7 +252,7 @@ def cmd_verify(args: argparse.Namespace, config: Config) -> int:
         value = getattr(args, flag)
         if value is not None:
             overrides[kwarg] = cast(value)
-    reports = run_suite(args.check, budget=config.factor_budget, **overrides)
+    reports = run_suite(args.check, **overrides)
     rows = []
     for rep in reports:
         print(f"{'PASS' if rep.passed else 'FAIL'} {rep.check_name} "
@@ -285,7 +286,7 @@ def cmd_report_asymptotics(args: argparse.Namespace, config: Config) -> int:
                      "predicted": sample.predicted, "ratio": sample.ratio})
     for x in xs:
         try:
-            _, sample = ep_weighted_sum(x, config.factor_budget)
+            _, sample = ep_weighted_sum(x)
             rows.append({"kind": "ep_log_sum", "x": x,
                          "exact": sample.exact_as_float(),
                          "predicted": sample.predicted, "ratio": sample.ratio})
@@ -297,7 +298,7 @@ def cmd_report_asymptotics(args: argparse.Namespace, config: Config) -> int:
     bound = verify_mod.PRIMITIVE_COUNT_BOUND
     for x in xs:
         try:
-            count = pi_alpha(x, config.factor_budget)
+            count = pi_alpha(x)
             scaled = count * math.log(x) / (x * x) if x > 1 else 0.0
             rows.append({"kind": "pi_alpha_scaled", "x": x, "exact": scaled,
                          "predicted": bound,
@@ -332,6 +333,8 @@ def cmd_series(args: argparse.Namespace, config: Config) -> int:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.budget < 1:
+        parser.error(f"--budget must be at least 1, got {args.budget}")
     config = _config_from(args)
     # each call starts from an empty memo, so the cache file it writes holds
     # what this call loaded or factored, as a fresh process would write it
@@ -344,17 +347,19 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
 
+    # the command's factorizations are charged to --budget, cache I/O is not
     try:
-        if args.command in ("fib", "alpha", "entry-exponent"):
-            status = cmd_scalar(args, config)
-        elif args.command == "contract":
-            status = cmd_contract(args, config)
-        elif args.command == "verify":
-            status = cmd_verify(args, config)
-        elif args.command == "report-asymptotics":
-            status = cmd_report_asymptotics(args, config)
-        else:
-            status = cmd_series(args, config)
+        with factor_budget(args.budget):
+            if args.command in ("fib", "alpha", "entry-exponent"):
+                status = cmd_scalar(args, config)
+            elif args.command == "contract":
+                status = cmd_contract(args, config)
+            elif args.command == "verify":
+                status = cmd_verify(args, config)
+            elif args.command == "report-asymptotics":
+                status = cmd_report_asymptotics(args, config)
+            else:
+                status = cmd_series(args, config)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

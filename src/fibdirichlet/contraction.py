@@ -13,20 +13,22 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import filterfalse
-from typing import Any, Optional
+from typing import Any
 
 from .fib import fib, fib_factorization
 from .numtheory import (
     ArithFn,
     MU,
+    ONE,
     _prime_factors,
+    dirichlet_convolve,
     divisors,
     factorize,
     mobius,
 )
 
 
-def divisor_union_ranks(x: float, budget: Optional[int] = None) -> dict[int, int]:
+def divisor_union_ranks(x: float) -> dict[int, int]:
     """All n with rank(n) ≤ ⌊x⌋, mapped to rank(n).
 
     This set is the union of the divisor sets of F(1)..F(⌊x⌋); the first
@@ -34,12 +36,12 @@ def divisor_union_ranks(x: float, budget: Optional[int] = None) -> dict[int, int
     """
     ranks: dict[int, int] = {}
     for n in range(1, math.floor(x) + 1):
-        for d in divisors(fib_factorization(n, budget)):
+        for d in divisors(fib_factorization(n)):
             ranks.setdefault(d, n)
     return ranks
 
 
-def contributors(n: int, budget: Optional[int] = None) -> list[int]:
+def contributors(n: int) -> list[int]:
     """Divisors of F(n) whose rank of apparition is exactly n, ascending.
 
     By duality d | F(n) has rank n iff d divides no F(n/q) for a prime
@@ -47,13 +49,13 @@ def contributors(n: int, budget: Optional[int] = None) -> list[int]:
     Fibonacci residue is computed per divisor.  F(n) is factored first, so
     an n beyond the index cap raises before any F(n/q) enters the memo.
     """
-    fib_n = fib_factorization(n, budget)
+    fib_n = fib_factorization(n)
     excluded = {d for q, _ in factorize(n).factors
-                for d in divisors(fib_factorization(n // q, budget))}
+                for d in divisors(fib_factorization(n // q))}
     return list(filterfalse(excluded.__contains__, divisors(fib_n)))
 
 
-def alpha_contract(f: ArithFn, n: int, budget: Optional[int] = None) -> Any:
+def alpha_contract(f: ArithFn, n: int) -> Any:
     """Contraction of f at n: Σ f(m) over m with rank(m) = n.
 
     Empty sums are f.zero — in particular at n = 2, where F(2) = 1 has no
@@ -61,7 +63,7 @@ def alpha_contract(f: ArithFn, n: int, budget: Optional[int] = None) -> Any:
     """
     if n < 1:
         raise ValueError("alpha_contract expects n >= 1")
-    return sum((f(m) for m in contributors(n, budget)), f.zero)
+    return sum((f(m) for m in contributors(n)), f.zero)
 
 
 # --- iterated contractions of mu ---
@@ -95,9 +97,10 @@ def _mu_iterate_weights(depth: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(combo.items()))
 
 
+@lru_cache(maxsize=None)
 def _mu_iterate_fn(depth: int) -> ArithFn:
-    # the dilates are factored once; μ(n/m) is read from n's exponents less
-    # those of m, so no quotient is built
+    # built once per depth, so the dilates are factored once; μ(n/m) is read
+    # from n's exponents less those of m, so no quotient is built
     weights = [(m, dict(factorize(m).factors), c)
                for m, c in _mu_iterate_weights(depth)]
 
@@ -121,8 +124,7 @@ def _mu_iterate_fn(depth: int) -> ArithFn:
     return ArithFn(f"mu_iter{depth}", evaluate)
 
 
-def alpha_contract_iter(f: ArithFn, depth: int, n: int,
-                        budget: Optional[int] = None) -> Any:
+def alpha_contract_iter(f: ArithFn, depth: int, n: int) -> Any:
     """depth-fold contraction of f at n.
 
     For μ the inner iterate is evaluated through its exact dilation form, so
@@ -133,16 +135,13 @@ def alpha_contract_iter(f: ArithFn, depth: int, n: int,
     if depth < 1:
         raise ValueError("alpha_contract_iter expects depth >= 1")
     if depth == 1:
-        return alpha_contract(f, n, budget)
+        return alpha_contract(f, n)
     if f is MU:
         inner = _mu_iterate_fn(depth - 1)
     else:
-        inner = ArithFn(
-            f"{f.name}_iter{depth - 1}",
-            lambda m: alpha_contract_iter(f, depth - 1, m, budget),
-            f.zero,
-        )
-    return alpha_contract(inner, n, budget)
+        inner = ArithFn(f"{f.name}_iter{depth - 1}",
+                        lambda m: alpha_contract_iter(f, depth - 1, m), f.zero)
+    return alpha_contract(inner, n)
 
 
 # --- closed forms ---
@@ -213,22 +212,22 @@ DELTA23 = ArithFn("delta23", closed_delta23)
 # --- summatory functions ---
 
 
-def summatory_T(f: ArithFn, x: float, budget: Optional[int] = None) -> Any:
+def summatory_T(f: ArithFn, x: float) -> Any:
     """Floor-weighted summatory function Σ_{rank(n)≤x} f(n)·⌊x/rank(n)⌋.
 
     Evaluated through the double-counting identity as Σ_{n≤x} (1*f)(F(n)),
     i.e. divisor sums over Fibonacci numbers, which avoids enumerating the
     full rank-bounded set.  For Λ it is the log of F(1)·…·F(⌊x⌋).
     """
-    return sum((f(d) for n in range(1, math.floor(x) + 1)
-                for d in divisors(fib_factorization(n, budget))), f.zero)
+    return sum((dirichlet_convolve(ONE, f, fib_factorization(n))
+                for n in range(1, math.floor(x) + 1)), f.zero)
 
 
-def summatory_S(f: ArithFn, x: float, budget: Optional[int] = None) -> Any:
+def summatory_S(f: ArithFn, x: float) -> Any:
     """Plain summatory function Σ_{rank(n)≤x} f(n).
 
     Computed as the sum of contractions up to ⌊x⌋; for Λ it is the log of
     lcm(F(1)..F(⌊x⌋)).
     """
-    return sum((alpha_contract(f, n, budget)
+    return sum((alpha_contract(f, n)
                 for n in range(1, math.floor(x) + 1)), f.zero)

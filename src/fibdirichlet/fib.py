@@ -9,11 +9,11 @@ exact Fibonacci lcms, and the golden-ratio constants.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .numtheory import (
     BudgetExceededError,
-    DEFAULT_FACTOR_BUDGET,
+    FACTOR_BUDGET,
     Factorization,
     factorize,
     is_prime,
@@ -93,7 +93,7 @@ def _power_ranks(p: int, k: int, r: Factorization) -> list[Factorization]:
     return out
 
 
-def rank_prime_power(p: int, k: int, budget: Optional[int] = None) -> Factorization:
+def rank_prime_power(p: int, k: int) -> Factorization:
     """rank(p^k) for a prime p, carrying its factors.
 
     rank(p) divides p − (5|p) (Lucas; Wall, "Fibonacci series modulo m",
@@ -105,10 +105,10 @@ def rank_prime_power(p: int, k: int, budget: Optional[int] = None) -> Factorizat
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     multiple = p - 1 if p % 5 in (1, 4) else p + 1 if p % 5 else p
-    return _power_ranks(p, k, _rank_within(p, factorize(multiple, budget)))[-1]
+    return _power_ranks(p, k, _rank_within(p, factorize(multiple)))[-1]
 
 
-def rank(n: int, budget: Optional[int] = None) -> Factorization:
+def rank(n: int) -> Factorization:
     """Rank of apparition: least m ≥ 1 with n | F(m), carrying its factors.
 
     The lcm of rank(p^k) over the prime powers p^k ‖ n.  Duality: n | F(m)
@@ -119,8 +119,8 @@ def rank(n: int, budget: Optional[int] = None) -> Factorization:
     if n < 1:
         raise ValueError("rank expects n >= 1")
     exponents: dict[int, int] = {}
-    for p, k in factorize(n, budget).factors:
-        for q, e in rank_prime_power(p, k, budget).factors:
+    for p, k in factorize(n).factors:
+        for q, e in rank_prime_power(p, k).factors:
             exponents[q] = max(exponents.get(q, 0), e)
     r = Factorization(math.prod(q**e for q, e in exponents.items()),
                       tuple(sorted(exponents.items())))
@@ -130,11 +130,11 @@ def rank(n: int, budget: Optional[int] = None) -> Factorization:
     return r
 
 
-def entry_exponent(n: int, budget: Optional[int] = None) -> int:
+def entry_exponent(n: int) -> int:
     """Largest m with n^m | F(rank(n)); defined for n ≥ 2."""
     if n < 2:
         raise ValueError("entry_exponent expects n >= 2")
-    return _exponent_at_rank(n, rank(n, budget))
+    return _exponent_at_rank(n, rank(n))
 
 
 def _exponent_at_rank(n: int, r: int) -> int:
@@ -154,37 +154,36 @@ def _exponent_at_rank(n: int, r: int) -> int:
 _FIB_FACTORS: dict[int, Factorization] = {}
 
 
-def max_factorable_index(budget: int) -> int:
-    """Largest Fibonacci index the given work budget could plausibly factor.
+def max_factorable_index(units: int) -> int:
+    """Largest Fibonacci index a budget of units could plausibly factor.
 
     Rho splits a composite m in ~m^(1/4) iterations, so the budget affords
-    values of about 4·log2(budget) bits; F(n) has about 0.694·n bits.
+    values of about 4·log2(units) bits; F(n) has about 0.694·n bits.
     """
-    return int(4 * math.log2(budget + 2) / _LOG2_GOLDEN)
+    return int(4 * math.log2(units + 2) / _LOG2_GOLDEN)
 
 
-def require_factorable(n: int, budget: Optional[int] = None) -> int:
-    """The work units of budget; raises at once if F(n) is beyond their scale."""
-    units = DEFAULT_FACTOR_BUDGET if budget is None else budget
+def require_factorable(n: int) -> None:
+    """Raise at once if F(n) is beyond the scale of the FACTOR_BUDGET units."""
+    units = FACTOR_BUDGET.get()
     if n > max_factorable_index(units):
         raise BudgetExceededError(
             f"F({n}) is beyond the factable scale for a budget of {units} "
             f"work units (index cap {max_factorable_index(units)})"
         )
-    return units
 
 
-def fib_factorization(n: int, budget: Optional[int] = None) -> Factorization:
+def fib_factorization(n: int) -> Factorization:
     """Factorization of F(n), memoized; fails fast when F(n) is beyond scale.
 
     The scale check comes first, so a budget refuses the same n whether or
     not F(n) is in the memo.
     """
-    units = require_factorable(n, budget)
+    require_factorable(n)
     cached = _FIB_FACTORS.get(n)
     if cached is not None:
         return cached
-    f = factorize(fib(n), budget=units)
+    f = factorize(fib(n))
     _FIB_FACTORS[n] = f
     return f
 
@@ -216,7 +215,7 @@ def divisor_has_rank(d: int, n: int) -> bool:
     return all(fib_mod(n // q, d) for q, _ in n.factors)
 
 
-def primitive_primes(n: int, budget: Optional[int] = None) -> list[tuple[int, int]]:
+def primitive_primes(n: int) -> list[tuple[int, int]]:
     """Primes p | F(n) with rank(p) = n, each with its exponent in F(n).
 
     The exponent of such a p in F(n) equals its entry exponent, since F(n)
@@ -227,7 +226,7 @@ def primitive_primes(n: int, budget: Optional[int] = None) -> list[tuple[int, in
     if n in (1, 2):
         return []  # F(1) = F(2) = 1; also keeps them out of the memo
     index = factorize(n)
-    return [(p, e) for p, e in fib_factorization(n, budget).factors
+    return [(p, e) for p, e in fib_factorization(n).factors
             if divisor_has_rank(p, index)]
 
 

@@ -9,7 +9,9 @@ explicit tail bound with its floating value.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Optional, Union
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Any, Callable, Iterator, Optional, Union
 
 
 class BudgetExceededError(Exception):
@@ -26,6 +28,19 @@ _MR_LARGE_WITNESSES = _MR_BASE_WITNESSES + (43, 47, 53, 59, 61, 67, 71, 73, 79,
 DEFAULT_FACTOR_BUDGET = 2_000_000
 
 _TRIAL_BOUND = 4096  # trial-divide below this, Pollard rho above
+
+# The work units each factorization may spend; set only by factor_budget.
+FACTOR_BUDGET = ContextVar("FACTOR_BUDGET", default=DEFAULT_FACTOR_BUDGET)
+
+
+@contextmanager
+def factor_budget(units: int) -> Iterator[None]:
+    """Charge every factorization inside the block to a budget of units."""
+    token = FACTOR_BUDGET.set(units)
+    try:
+        yield
+    finally:
+        FACTOR_BUDGET.reset(token)
 
 
 def is_prime(n: int) -> bool:
@@ -95,7 +110,7 @@ class _Budget:
             )
 
 
-def _brent_rho(n: int, budget: _Budget) -> int:
+def _brent_rho(n: int, meter: _Budget) -> int:
     """Deterministic Brent-cycle Pollard rho: returns a proper factor of composite n.
 
     Polynomial constants are tried in a fixed order, so repeated runs split
@@ -105,8 +120,8 @@ def _brent_rho(n: int, budget: _Budget) -> int:
         return 2
     # expected iterations ~ n**(1/4); refuse hopeless inputs up front
     expected = math.isqrt(math.isqrt(n)) + 1
-    if expected > budget.remaining:
-        budget.spend(expected)
+    if expected > meter.remaining:
+        meter.spend(expected)
     for c in range(1, 1000):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
@@ -121,7 +136,7 @@ def _brent_rho(n: int, budget: _Budget) -> int:
                 for _ in range(steps):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
-                budget.spend(steps)
+                meter.spend(steps)
                 g = math.gcd(q, n)
                 k += m
             r *= 2
@@ -129,38 +144,38 @@ def _brent_rho(n: int, budget: _Budget) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                budget.spend(1)
+                meter.spend(1)
                 g = math.gcd(abs(x - ys), n)
         if g != n:
             return g
     raise BudgetExceededError(f"rho could not split {n}")  # pragma: no cover
 
 
-def _factor_into(n: int, out: dict[int, int], budget: _Budget) -> None:
+def _factor_into(n: int, out: dict[int, int], meter: _Budget) -> None:
     stack = [n]
     while stack:
         m = stack.pop()
         if m == 1:
             continue
-        budget.spend(m.bit_length())
+        meter.spend(m.bit_length())
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        d = _brent_rho(m, budget)
+        d = _brent_rho(m, meter)
         stack.append(d)
         stack.append(m // d)
 
 
-def factorize(n: int, budget: Optional[int] = None) -> Factorization:
+def factorize(n: int) -> Factorization:
     """Full prime factorization of n ≥ 1; a pure function, nothing memoized.
 
     Trial division up to a small fixed bound, then deterministic Brent rho.
-    Raises BudgetExceededError once the configured work units are spent, on
+    Raises BudgetExceededError once the FACTOR_BUDGET units are spent, on
     every call alike.
     """
     if n < 1:
         raise ValueError(f"factorize expects n >= 1, got {n}")
-    b = _Budget(DEFAULT_FACTOR_BUDGET if budget is None else budget, n)
+    b = _Budget(FACTOR_BUDGET.get(), n)
     fac: dict[int, int] = {}
     m = n
     for p in (2, 3):

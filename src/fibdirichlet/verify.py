@@ -108,7 +108,7 @@ class DivisorTables(NamedTuple):
     slots: Sequence[int]
 
 
-def divisor_tables(n_max: int, budget: Optional[int] = None) -> DivisorTables:
+def divisor_tables(n_max: int) -> DivisorTables:
     """List the divisors of F(1..n_max) once and index them for theorem 1.
 
     Fails at once when F(n_max) is beyond the budget's scale.  The rank of n
@@ -119,13 +119,13 @@ def divisor_tables(n_max: int, budget: Optional[int] = None) -> DivisorTables:
     # load the array extension module (about 0.2 MB of peak RSS)
     from array import array
 
-    require_factorable(n_max, budget)
+    require_factorable(n_max)
     flat: list[Factorization] = []
     starts = array("l", [0])
     firsts = array("l")
     seen: set[int] = set()
     for k in range(1, n_max + 1):
-        for d in divisors(fib_factorization(k, budget)):
+        for d in divisors(fib_factorization(k)):
             if d not in seen:
                 seen.add(d)
                 firsts.append(len(flat))
@@ -149,9 +149,7 @@ def divisor_tables(n_max: int, budget: Optional[int] = None) -> DivisorTables:
 
 
 def check_theorem1(f: ArithFn, g: ArithFn, x: float,
-                   budget: Optional[int] = None,
-                   tables: Optional[DivisorTables] = None
-                   ) -> VerificationReport:
+                   tables: Optional[DivisorTables] = None) -> VerificationReport:
     """Verify the three-way double-counting identity at real x ≥ 1.
 
     Direct side: Σ_{n≤x} (f*g)(F(n)) by literal divisor sums.  The other two
@@ -166,9 +164,9 @@ def check_theorem1(f: ArithFn, g: ArithFn, x: float,
     """
     params = f"f={f.name}, g={g.name}, x={x}"
     n_max = math.floor(x)
-    require_factorable(n_max, budget)
+    require_factorable(n_max)
     if tables is None:
-        tables = divisor_tables(n_max, budget)
+        tables = divisor_tables(n_max)
     elif tables.n_max != n_max:
         raise ValueError(f"the tables list F(1..{tables.n_max}), "
                          f"not F(1..{n_max})")
@@ -192,8 +190,7 @@ def check_theorem1(f: ArithFn, g: ArithFn, x: float,
     return VerificationReport("theorem1", params, residual == 0, residual, details)
 
 
-def check_corollary_completely_mult(f: ArithFn, g: ArithFn, n_max: int,
-                                    budget: Optional[int] = None
+def check_corollary_completely_mult(f: ArithFn, g: ArithFn, n_max: int
                                     ) -> VerificationReport:
     """Verify (f*g)(F(n)) = g(F(n)) · Σ_{k|n} (f/g)-contraction(k) for n ≤ N.
 
@@ -213,7 +210,7 @@ def check_corollary_completely_mult(f: ArithFn, g: ArithFn, n_max: int,
     def quotient_contraction(k: int) -> Fraction:
         if k not in quotient_cache:
             total = Fraction(0)
-            for m in contributors(k, budget):
+            for m in contributors(k):
                 gm = g(m)
                 if gm == 0:
                     raise ZeroDivisionError(
@@ -224,7 +221,7 @@ def check_corollary_completely_mult(f: ArithFn, g: ArithFn, n_max: int,
         return quotient_cache[k]
 
     for n in range(1, n_max + 1):
-        an = fib_factorization(n, budget)
+        an = fib_factorization(n)
         lhs = Fraction(dirichlet_convolve(f, g, an))
         rhs = Fraction(g(an)) * sum(
             (quotient_contraction(k) for k in range(1, n + 1) if n % k == 0),
@@ -285,8 +282,7 @@ def asymptotic_mangoldt_report(x_values: Sequence[int]) -> list[AsymptoticSample
     return samples
 
 
-def ep_weighted_sum(x: int, budget: Optional[int] = None
-                    ) -> tuple[ExactLog, AsymptoticSample]:
+def ep_weighted_sum(x: int) -> tuple[ExactLog, AsymptoticSample]:
     """Σ entry_exponent(p)·log p over primes with rank(p) ≤ x, held exactly.
 
     The sum is the log of ∏ p^(e_p); each prime enters at its rank with its
@@ -294,7 +290,7 @@ def ep_weighted_sum(x: int, budget: Optional[int] = None
     """
     prod = 1
     for n in range(3, x + 1):
-        for p, e in primitive_primes(n, budget):
+        for p, e in primitive_primes(n):
             prod *= p**e
     exact = ExactLog(prod)
     predicted = CONSTANTS.lcm_growth_constant * x * x
@@ -302,24 +298,23 @@ def ep_weighted_sum(x: int, budget: Optional[int] = None
     return exact, AsymptoticSample(x, exact, predicted, ratio)
 
 
-def pi_alpha(x: int, budget: Optional[int] = None) -> int:
+def pi_alpha(x: int) -> int:
     """Number of distinct primes whose rank of apparition is ≤ x."""
-    return _pi_alpha_counts(x, budget)[-1]
+    return _pi_alpha_counts(x)[-1]
 
 
-def _pi_alpha_counts(x: int, budget: Optional[int] = None) -> list[int]:
+def _pi_alpha_counts(x: int) -> list[int]:
     """[π_α(1), …, π_α(x)]: each prime is counted once, at its rank."""
     if x < 1:
         raise ValueError("pi_alpha expects x >= 1")
-    return list(accumulate(len(primitive_primes(n, budget))
+    return list(accumulate(len(primitive_primes(n))
                            for n in range(1, x + 1)))
 
 
 PRIMITIVE_COUNT_BOUND = CONSTANTS.lcm_growth_constant / 2  # 3·log r / (2π²)
 
 
-def pi_alpha_bound_report(x_values: Sequence[int],
-                          budget: Optional[int] = None) -> list[dict]:
+def pi_alpha_bound_report(x_values: Sequence[int]) -> list[dict]:
     """Trend rows (x, count, count·log x / x², limsup bound).
 
     The bound is asymptotic, so rows are reported alongside it and never
@@ -327,7 +322,7 @@ def pi_alpha_bound_report(x_values: Sequence[int],
     """
     rows = []
     for x in x_values:
-        count = pi_alpha(x, budget)
+        count = pi_alpha(x)
         scaled = count * math.log(x) / (x * x) if x > 1 else 0.0
         rows.append({"x": x, "count": count, "scaled": scaled,
                      "bound": PRIMITIVE_COUNT_BOUND})
@@ -337,18 +332,18 @@ def pi_alpha_bound_report(x_values: Sequence[int],
 # --- the totient representation of Fibonacci numbers ---
 
 
-def check_phi_identity(x: float, budget: Optional[int] = None) -> VerificationReport:
+def check_phi_identity(x: float) -> VerificationReport:
     """Verify Σ_{rank(n)≤x} φ(n)·⌊x/rank(n)⌋ = Σ_{n≤x} F(n) = F(⌊x⌋+2) − 1."""
-    return _phi_identity_report(x, _phi_rank_sums(x, budget)[-1])
+    return _phi_identity_report(x, _phi_rank_sums(x)[-1])
 
 
-def _phi_rank_sums(x: float, budget: Optional[int] = None) -> list[int]:
+def _phi_rank_sums(x: float) -> list[int]:
     """[Σ_{rank(n)≤k} φ(n)·⌊k/rank(n)⌋ for k = 0..⌊x⌋] from one rank map.
 
     φ is summed per rank once; each k then weights those ⌊x⌋ totals.
     """
     by_rank = [0] * (max(math.floor(x), 0) + 1)
-    for n, m in divisor_union_ranks(x, budget).items():
+    for n, m in divisor_union_ranks(x).items():
         by_rank[m] += euler_phi(n)
     return [sum(by_rank[m] * (k // m) for m in range(1, k + 1))
             for k in range(len(by_rank))]
@@ -364,7 +359,7 @@ def _phi_identity_report(x: float, rank_sum: int) -> VerificationReport:
                               residual, details)
 
 
-def phi_recursive_fib(x_max: int, budget: Optional[int] = None) -> list[int]:
+def phi_recursive_fib(x_max: int) -> list[int]:
     """Regenerate F(1)..F(x_max+2) from the totient recursion alone.
 
     Seeds F(1) = 1; each step x ≥ 0 produces the (x+2)-nd term as one plus
@@ -378,7 +373,7 @@ def phi_recursive_fib(x_max: int, budget: Optional[int] = None) -> list[int]:
     ranks: dict[int, int] = {}
     for x in range(0, x_max + 1):
         if x >= 1:
-            for d in divisors(factorize(seq[x - 1], budget)):
+            for d in divisors(factorize(seq[x - 1])):
                 ranks.setdefault(d, x)
         seq.append(1 + sum(euler_phi(n) * (x // m) for n, m in ranks.items()))
     return seq
@@ -431,13 +426,12 @@ def euler_product_check(which: str, s: float, n_terms: int) -> VerificationRepor
 _T_TABLE_SOURCES = {1: MU, 2: CLOSED_FORMS[("mu", 1)], 3: CLOSED_FORMS[("mu", 2)]}
 
 
-def check_T_tables(depth: int, x: float,
-                   budget: Optional[int] = None) -> VerificationReport:
+def check_T_tables(depth: int, x: float) -> VerificationReport:
     """The floor-weighted summatory function of the (depth−1)-contracted μ
     is the step function min(⌊x⌋, depth+1)."""
     if depth not in _T_TABLE_SOURCES:
         raise ValueError("depth must be 1, 2 or 3")
-    value = summatory_T(_T_TABLE_SOURCES[depth], x, budget)
+    value = summatory_T(_T_TABLE_SOURCES[depth], x)
     expected = min(math.floor(x), depth + 1)
     details = [{"value": value, "expected": expected}]
     return VerificationReport("t-tables", f"depth={depth}, x={x}",
@@ -451,16 +445,15 @@ RATIO_WINDOW_LCM = (0.9, 1.1)
 RATIO_WINDOW_EP = (0.8, 1.2)
 
 
-def _suite_theorem1(x: float = 25.0, random_pairs: int = 20,
-                    budget: Optional[int] = None) -> list[VerificationReport]:
-    tables = divisor_tables(math.floor(x), budget)
-    reports = [check_theorem1(f, ONE, x, budget, tables)
+def _suite_theorem1(x: float = 25.0, random_pairs: int = 20) -> list[VerificationReport]:
+    tables = divisor_tables(math.floor(x))
+    reports = [check_theorem1(f, ONE, x, tables)
                for f in (MU, PHI, LIOUVILLE, MANGOLDT)]
     details = []
     worst = 0
     for seed in range(random_pairs):
         rep = check_theorem1(small_integer_fn(seed), small_integer_fn(1000 + seed),
-                             x, budget, tables)
+                             x, tables)
         worst = max(worst, rep.residual)
         details.append({"seed": seed, "passed": rep.passed})
     reports.append(VerificationReport(
@@ -469,16 +462,14 @@ def _suite_theorem1(x: float = 25.0, random_pairs: int = 20,
     return reports
 
 
-def _suite_corollary(n_max: int = 20,
-                     budget: Optional[int] = None) -> list[VerificationReport]:
+def _suite_corollary(n_max: int = 20) -> list[VerificationReport]:
     pairs = [(MU, ONE), (PHI, ONE), (LIOUVILLE, ONE), (MU, LIOUVILLE),
              (PHI, IDENTITY)]
-    return [check_corollary_completely_mult(f, g, n_max, budget)
+    return [check_corollary_completely_mult(f, g, n_max)
             for f, g in pairs]
 
 
-def _suite_logprod(x: float = 40.0, tolerance: float = 1e-8,
-                   budget: Optional[int] = None) -> list[VerificationReport]:
+def _suite_logprod(x: float = 40.0, tolerance: float = 1e-8) -> list[VerificationReport]:
     details = []
     worst = 0.0
     for n in range(1, math.floor(x) + 1):
@@ -489,7 +480,7 @@ def _suite_logprod(x: float = 40.0, tolerance: float = 1e-8,
                                worst <= tolerance, worst, details)]
 
 
-def _suite_constant_c(budget: Optional[int] = None) -> list[VerificationReport]:
+def _suite_constant_c() -> list[VerificationReport]:
     value = constant_c(50)
     residual = abs(value - STATED_TAIL_CONSTANT)
     cauchy_ok = True
@@ -503,8 +494,7 @@ def _suite_constant_c(budget: Optional[int] = None) -> list[VerificationReport]:
                                residual <= 1e-9 and cauchy_ok, residual, details)]
 
 
-def _suite_asymptotic_mangoldt(budget: Optional[int] = None
-                               ) -> list[VerificationReport]:
+def _suite_asymptotic_mangoldt() -> list[VerificationReport]:
     samples = asymptotic_mangoldt_report([5, 50, 200])
     lo, hi = RATIO_WINDOW_LCM
     at50 = samples[1].ratio
@@ -517,9 +507,8 @@ def _suite_asymptotic_mangoldt(budget: Optional[int] = None
                                passed, abs(at200 - 1), details)]
 
 
-def _suite_ep_sum(x: int = 60, budget: Optional[int] = None
-                  ) -> list[VerificationReport]:
-    _, sample = ep_weighted_sum(x, budget)
+def _suite_ep_sum(x: int = 60) -> list[VerificationReport]:
+    _, sample = ep_weighted_sum(x)
     lo, hi = RATIO_WINDOW_EP
     details = [{"x": sample.x, "exact": sample.exact_as_float(),
                 "predicted": sample.predicted, "ratio": sample.ratio}]
@@ -528,9 +517,8 @@ def _suite_ep_sum(x: int = 60, budget: Optional[int] = None
                                abs(sample.ratio - 1), details)]
 
 
-def _suite_pi_alpha(x: int = 60, budget: Optional[int] = None
-                    ) -> list[VerificationReport]:
-    counts = _pi_alpha_counts(x, budget)
+def _suite_pi_alpha(x: int = 60) -> list[VerificationReport]:
+    counts = _pi_alpha_counts(x)
     monotone = all(a <= b for a, b in zip(counts, counts[1:]))
     anchors = counts[4] == 3 and counts[11] == 8 if x >= 12 else True
     details = [{"pi_alpha_5": counts[4] if x >= 5 else None,
@@ -540,18 +528,17 @@ def _suite_pi_alpha(x: int = 60, budget: Optional[int] = None
                                0 if monotone and anchors else 1, details)]
 
 
-def _suite_pi_alpha_bound(budget: Optional[int] = None) -> list[VerificationReport]:
-    rows = pi_alpha_bound_report([12, 30, 60], budget)
+def _suite_pi_alpha_bound() -> list[VerificationReport]:
+    rows = pi_alpha_bound_report([12, 30, 60])
     return [VerificationReport("pi-alpha-bound",
                                "trend report, bound not asserted",
                                True, 0, rows)]
 
 
-def _suite_phi_identity(x: float = 30.0,
-                        budget: Optional[int] = None) -> list[VerificationReport]:
+def _suite_phi_identity(x: float = 30.0) -> list[VerificationReport]:
     worst = 0
     details = []
-    rank_sums = _phi_rank_sums(x, budget)  # lists F(1..⌊x⌋)'s divisors once
+    rank_sums = _phi_rank_sums(x)  # lists F(1..⌊x⌋)'s divisors once
     for n in range(1, math.floor(x) + 1):
         rep = _phi_identity_report(n, rank_sums[n])
         worst = max(worst, rep.residual)
@@ -560,9 +547,8 @@ def _suite_phi_identity(x: float = 30.0,
                                worst == 0, worst, details)]
 
 
-def _suite_phi_recursion(x_max: int = 25,
-                         budget: Optional[int] = None) -> list[VerificationReport]:
-    seq = phi_recursive_fib(x_max, budget)
+def _suite_phi_recursion(x_max: int = 25) -> list[VerificationReport]:
+    seq = phi_recursive_fib(x_max)
     expected = [fib(i) for i in range(1, x_max + 3)]
     passed = seq == expected
     return [VerificationReport("phi-recursion", f"x_max={x_max}", passed,
@@ -571,16 +557,15 @@ def _suite_phi_recursion(x_max: int = 25,
 
 
 def _suite_euler_product(s: Optional[float] = None, n_terms: int = 10_000,
-                         which: Optional[str] = None,
-                         budget: Optional[int] = None) -> list[VerificationReport]:
+                         which: Optional[str] = None) -> list[VerificationReport]:
     s_values = [s] if s is not None else [2.0, 3.0]
     names = [which] if which is not None else sorted(EULER_SERIES)
     return [euler_product_check(name, sv, n_terms)
             for name in names for sv in s_values]
 
 
-def _suite_t_tables(budget: Optional[int] = None) -> list[VerificationReport]:
-    return [check_T_tables(depth, x, budget)
+def _suite_t_tables() -> list[VerificationReport]:
+    return [check_T_tables(depth, x)
             for depth in (1, 2, 3)
             for x in (1, 1.9, 2, 3, 4, 10, 25)]
 
@@ -601,18 +586,14 @@ SUITE: dict[str, Callable[..., list[VerificationReport]]] = {
 }
 
 
-def run_suite(name: str, budget: Optional[int] = None,
-              **overrides) -> list[VerificationReport]:
-    """Run one named check (or 'all') with optional parameter overrides.
-
-    The budget reaches every check, 'all' included.
-    """
+def run_suite(name: str, **overrides) -> list[VerificationReport]:
+    """Run one named check (or 'all') with optional parameter overrides."""
     if name == "all":
         reports = []
         for check in SUITE.values():
-            reports.extend(check(budget=budget))
+            reports.extend(check())
         return reports
     if name not in SUITE:
         raise ValueError(f"unknown check {name!r}; pick from "
                          f"{sorted(SUITE) + ['all']}")
-    return SUITE[name](budget=budget, **overrides)
+    return SUITE[name](**overrides)

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from fibdirichlet import cache as cache_module
-from fibdirichlet import cli
+from fibdirichlet import cli, contraction, numtheory
 from fibdirichlet import fib as fib_module
 from fibdirichlet.cache import (
     CacheRecord,
@@ -55,6 +55,37 @@ def test_alpha_beyond_the_budget_exits_3(capsys):
     assert run_cli(["alpha", "1000000007", "--budget", "1"]) == 3
     assert run_cli(["alpha", "1000000007"]) == 0
     assert capsys.readouterr().out == "1000000008\n"
+
+
+@pytest.mark.parametrize("units", ["-5", "0"])
+@pytest.mark.parametrize("command", ["verify theorem1 --x 10", "contract mu 1 6",
+                                     "alpha 12", "fib 5"])
+def test_budget_below_1_is_a_usage_error(command, units, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command.split() + ["--budget", units])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--budget must be at least 1" in captured.err
+
+
+def test_every_factorization_of_a_command_is_charged_to_the_budget(
+        monkeypatch, capsys):
+    seen = []
+    original = numtheory.factorize
+
+    def recording(n):
+        seen.append(numtheory.FACTOR_BUDGET.get())
+        return original(n)
+
+    # the index n in contributors and the plain-int μ of the closed forms
+    for module in (numtheory, fib_module, contraction):
+        monkeypatch.setattr(module, "factorize", recording)
+    monkeypatch.setattr(numtheory, "_mu_values", [0, 1])
+    monkeypatch.setattr(numtheory, "_mertens_prefix", [0, 1])
+    assert run_cli(["contract", "mu", "1", "30", "--budget", "54321"]) == 0
+    assert seen and set(seen) == {54321}
+    assert numtheory.FACTOR_BUDGET.get() == numtheory.DEFAULT_FACTOR_BUDGET
 
 
 def test_contract_golden_sequence(tmp_path):
@@ -124,10 +155,10 @@ def test_contract_mismatch_exits_1(monkeypatch, tmp_path, capsys):
 def test_contract_budget_rows_exit_0(monkeypatch, tmp_path):
     contract = cli.alpha_contract_iter
 
-    def capped(f, depth, n, budget=None):
+    def capped(f, depth, n):
         if n > 3:
             raise BudgetExceededError("capped for the test")
-        return contract(f, depth, n, budget)
+        return contract(f, depth, n)
 
     monkeypatch.setattr(cli, "alpha_contract_iter", capped)
     out = tmp_path / "capped.csv"
@@ -155,7 +186,7 @@ def test_verify_named_checks(capsys):
 
 
 def test_verify_failure_exits_1(monkeypatch, capsys):
-    def always_fails(budget=None):
+    def always_fails():
         return [VerificationReport("always-fails", "stub", False, 1)]
 
     monkeypatch.setitem(cli.verify_mod.SUITE, "always-fails", always_fails)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from fibdirichlet import contraction
 from fibdirichlet.contraction import (
     _mu_iterate_fn,
     _mu_iterate_weights,
@@ -165,6 +166,21 @@ def test_dilation_form_reads_mu_of_the_quotient():
                 literal = sum(c * mobius(int(d) // m)
                               for m, c in weights if d % m == 0)
                 assert iterate(d) == literal, (k, n, d)
+
+
+def test_mu_iterate_is_built_once_per_depth(monkeypatch):
+    assert _mu_iterate_fn(2) is _mu_iterate_fn(2)
+    calls = []
+    original = contraction.factorize
+    monkeypatch.setattr(contraction, "factorize",
+                        lambda n: calls.append(n) or original(n))
+    _mu_iterate_fn.cache_clear()
+    alpha_contract_iter(MU, 3, 10)
+    first = len(calls)
+    alpha_contract_iter(MU, 3, 12)
+    # the second call factors only its index, for contributors; the dilates
+    # of the depth-2 iterate were factored by the first
+    assert calls[first:] == [12]
 
 
 def test_generic_deep_iteration_exceeds_budget():

@@ -24,6 +24,7 @@ from fibdirichlet.numtheory import (
     ExactLog,
     Factorization,
     divisors,
+    factor_budget,
     factorize,
     is_prime,
     valuation,
@@ -101,14 +102,14 @@ def test_rank_prime_power_examples():
 def test_rank_checks_its_answer(monkeypatch):
     # a wrong prime-power rank must not get past the definition check
     monkeypatch.setattr(fib_module, "rank_prime_power",
-                        lambda p, k, budget=None: Factorization(16, ((2, 4),)))
+                        lambda p, k: Factorization(16, ((2, 4),)))
     with pytest.raises(RuntimeError, match="not the rank"):
         rank(7)   # the true rank is 8, and 7 | F(16) but also 7 | F(8)
 
 
 def test_rank_honours_the_budget():
-    with pytest.raises(BudgetExceededError):
-        rank(10**9 + 7, budget=1)
+    with factor_budget(1), pytest.raises(BudgetExceededError):
+        rank(10**9 + 7)
     with pytest.raises(BudgetExceededError):
         entry_exponent((10**20 + 39) * (10**20 + 129))
 
@@ -259,8 +260,8 @@ def test_fib_factorization_scale_guard():
 
 def test_fib_factorization_budget_ignores_a_warm_memo():
     fib_factorization(100)
-    with pytest.raises(BudgetExceededError):
-        fib_factorization(100, budget=10)
+    with factor_budget(10), pytest.raises(BudgetExceededError):
+        fib_factorization(100)
 
 
 def test_fib_submodule_is_not_shadowed():

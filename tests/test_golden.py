@@ -36,6 +36,19 @@ STDOUT_DIGESTS = {
         "1009cebfd284a1eef47ab411733a81821f1938abc7698a78c1d351ebb11866f7",
     ("series", "--s", "3", "--n", "50000"):
         "cd7165e55e003d92b3ca85b596799983d2ba14cd45d4b61323baab2ceb7cac42",
+    # taken while the budget was still passed as a parameter; they guard
+    # what a small --budget reaches: 44, 43 and 2 budget-exceeded rows in
+    # the first three, and the rank and entry-exponent scans in the others
+    ("contract", "mu", "3", "120", "--budget", "10000"):
+        "9cfa10c1f1c8bf968304f01bf4ca061988e24a36ccaa18a7241d3611da103996",
+    ("contract", "lambda", "1", "100", "--budget", "1000"):
+        "e833647ccb6d60fd97ccde6d2dd0ecc6333962e135591b3615a317b0f1d5441d",
+    ("report-asymptotics", "--x", "5,12,30,60", "--budget", "1000"):
+        "a33ad4d1d05c0e67ebf3e4b4295be34873a2606157aa3e3e3e52ef03919afc8c",
+    ("entry-exponent", "10214411", "--budget", "1000"):
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    ("alpha", "1000000007", "--budget", "100000"):
+        "495a9edb94e6c81fb2d6748203cc06228ef9791d89b9f8549a61d91573ea1cf2",
 }
 
 # The report file of the theorem1 suite, whose rows include the Λ residual.
@@ -64,6 +77,11 @@ def _no_cache_from_environment(monkeypatch):
 def test_stdout_is_golden(argv, capsys):
     assert cli.main(list(argv)) == 0
     assert _sha256(capsys.readouterr().out.encode()) == STDOUT_DIGESTS[argv]
+
+
+def test_verify_all_stops_at_the_budget_index_cap(capsys):
+    assert cli.main(["verify", "all", "--budget", "1000"]) == 3
+    assert "F(58)" in capsys.readouterr().err
 
 
 def test_theorem1_report_file_is_golden(tmp_path, capsys):

@@ -1,6 +1,10 @@
 import copy
+import importlib
+import inspect
 import math
+import pkgutil
 import random
+import types
 
 import pytest
 
@@ -15,6 +19,7 @@ from fibdirichlet.numtheory import (
     divisor_count,
     divisors,
     euler_phi,
+    factor_budget,
     factorize,
     is_prime,
     liouville,
@@ -220,12 +225,57 @@ def test_zeta_partial():
 
 
 def test_factor_budget_error():
-    with pytest.raises(BudgetExceededError):
-        factorize(1000003 * 1000033, budget=10)
+    with factor_budget(10), pytest.raises(BudgetExceededError):
+        factorize(1000003 * 1000033)
 
 
 def test_factor_budget_ignores_a_warm_call():
     fib_100 = 354224848179261915075
     factorize(fib_100)
-    with pytest.raises(BudgetExceededError):
-        factorize(fib_100, budget=10)
+    with factor_budget(10), pytest.raises(BudgetExceededError):
+        factorize(fib_100)
+
+
+def test_factor_budget_outside_any_scope_is_the_default():
+    assert numtheory.FACTOR_BUDGET.get() == numtheory.DEFAULT_FACTOR_BUDGET
+
+
+def test_nested_factor_budget_scopes_restore_the_outer_budget():
+    with factor_budget(500):
+        with factor_budget(7):
+            assert numtheory.FACTOR_BUDGET.get() == 7
+        assert numtheory.FACTOR_BUDGET.get() == 500
+        with pytest.raises(BudgetExceededError), factor_budget(3):
+            assert numtheory.FACTOR_BUDGET.get() == 3
+            factorize(1000003 * 1000033)
+        assert numtheory.FACTOR_BUDGET.get() == 500
+    assert numtheory.FACTOR_BUDGET.get() == numtheory.DEFAULT_FACTOR_BUDGET
+
+
+def _argument_names(code):
+    """The argument names of a code object and of every function it defines."""
+    count = code.co_argcount + code.co_kwonlyargcount
+    names = set(code.co_varnames[:count])
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _argument_names(const)
+    return names
+
+
+def test_no_function_takes_a_budget_parameter():
+    # the budget is read from the factor_budget scope; threading it through
+    # call signatures again would let a call forget to pass it on
+    import fibdirichlet
+
+    offenders = []
+    for info in pkgutil.iter_modules(fibdirichlet.__path__):
+        module = importlib.import_module(f"fibdirichlet.{info.name}")
+        for name, value in vars(module).items():
+            members = vars(value).items() if isinstance(value, type) else ()
+            for attr, obj in [(name, value), *members]:
+                fn = inspect.unwrap(obj)
+                code = getattr(fn, "__code__", None)
+                if (code is not None and fn.__module__ == module.__name__
+                        and "budget" in _argument_names(code)):
+                    offenders.append(f"{module.__name__}.{attr}")
+    assert offenders == []

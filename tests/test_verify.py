@@ -16,6 +16,7 @@ from fibdirichlet.numtheory import (
     MU,
     ONE,
     PHI,
+    factor_budget,
 )
 from fibdirichlet.verify import (
     PRIMITIVE_COUNT_BOUND,
@@ -75,8 +76,8 @@ def test_theorem1_fails_fast_beyond_index_cap(monkeypatch):
             lambda *a, _original=original, **k: calls.append(a) or _original(*a, **k))
     with pytest.raises(BudgetExceededError):
         check_theorem1(MU, ONE, 130)
-    with pytest.raises(BudgetExceededError):
-        check_theorem1(MU, ONE, 30, budget=10)
+    with factor_budget(10), pytest.raises(BudgetExceededError):
+        check_theorem1(MU, ONE, 30)
     assert calls == []
 
 
@@ -154,8 +155,7 @@ def test_theorem1_rejects_a_divisor_missing_from_a_multiple(monkeypatch):
     original = verify.fib_factorization
     monkeypatch.setattr(  # a forged F(5) = 7, which F(10) = 55 lacks
         verify, "fib_factorization",
-        lambda k, budget=None: (Factorization(7, ((7, 1),)) if k == 5
-                                else original(k, budget)))
+        lambda k: (Factorization(7, ((7, 1),)) if k == 5 else original(k)))
     with pytest.raises(RuntimeError, match="7 has rank 5"):
         check_theorem1(MU, ONE, 10)
 
