@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import math
 import os
 import sys
 from typing import Optional
@@ -21,25 +20,21 @@ from typing import Optional
 from . import cache as cache_io
 from . import verify as verify_mod
 from .contraction import CLOSED_FORMS, alpha_contract_iter
-from .fib import (
-    CONSTANTS,
-    clear_fib_factorizations,
-    entry_exponent,
-    fib,
-    rank,
-)
+from .fib import clear_fib_factorizations, entry_exponent, fib, rank
 from .numtheory import (
     BudgetExceededError,
     DEFAULT_FACTOR_BUDGET,
     NAMED_FUNCTIONS,
+    ExactLog,
     factor_budget,
 )
 from .verify import (
     EULER_SERIES,
     asymptotic_mangoldt_report,
-    ep_weighted_sum,
     euler_product_check,
-    pi_alpha,
+    growth_sample,
+    pi_alpha_row,
+    primitive_totals_at,
     run_suite,
 )
 
@@ -55,15 +50,6 @@ DEFAULT_ASYMPTOTIC_XS = (5, 12, 30, 60, 200)
 DEFAULT_CONTRACT_N_MAX = 24
 
 
-class Config:
-    """Resolved run configuration; every default works with no config file."""
-
-    cache_path: Optional[str] = None
-    output_format: str = "csv"
-    precision: int = 12
-    out_path: Optional[str] = None
-
-
 def _fmt_real(value: float, precision: int) -> str:
     return f"{value:.{precision}g}"
 
@@ -77,14 +63,15 @@ def _normalize(value, precision: int, for_json: bool):
     return value
 
 
-def emit_rows(rows: list[dict], name: str, config: Config) -> None:
-    """Write rows as CSV (header + RFC quoting) or a JSON samples object."""
+def emit_rows(rows: list[dict], name: str, args: argparse.Namespace) -> None:
+    """Write rows as CSV (header + RFC quoting) or a JSON samples object, in
+    the --format, --precision and --out of args."""
     # each format's module is imported only where rows are written in it, so
     # the scalar commands, which write none, load neither
-    if config.output_format == "json":
+    if args.format == "json":
         import json
 
-        samples = [{k: _normalize(v, config.precision, True) for k, v in row.items()}
+        samples = [{k: _normalize(v, args.precision, True) for k, v in row.items()}
                    for row in rows]
         text = json.dumps({"report": name, "samples": samples},
                           indent=2, sort_keys=True) + "\n"
@@ -97,11 +84,11 @@ def emit_rows(rows: list[dict], name: str, config: Config) -> None:
             header = list(rows[0].keys())
             writer.writerow(header)
             for row in rows:
-                writer.writerow([_normalize(row[k], config.precision, False)
+                writer.writerow([_normalize(row[k], args.precision, False)
                                  for k in header])
         text = buf.getvalue()
-    if config.out_path:
-        with open(config.out_path, "w") as handle:
+    if args.out:
+        with open(args.out, "w") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -179,16 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> Config:
-    config = Config()
-    config.cache_path = args.cache or os.environ.get(ENV_CACHE) or None
-    config.output_format = args.format
-    config.precision = args.precision
-    config.out_path = args.out
-    return config
-
-
-def cmd_scalar(args: argparse.Namespace, config: Config) -> int:
+def cmd_scalar(args: argparse.Namespace) -> int:
     if args.command == "fib":
         print(fib(args.n))
     elif args.command == "alpha":
@@ -198,7 +176,7 @@ def cmd_scalar(args: argparse.Namespace, config: Config) -> int:
     return EXIT_OK
 
 
-def cmd_contract(args: argparse.Namespace, config: Config) -> int:
+def cmd_contract(args: argparse.Namespace) -> int:
     depth = args.depth if args.depth is not None else args.depth_pos
     n_max = args.n_max if args.n_max is not None else args.n_max_pos
     if depth is None:
@@ -224,7 +202,7 @@ def cmd_contract(args: argparse.Namespace, config: Config) -> int:
             row["closed_form"] = ""
             row["match"] = ""
         rows.append(row)
-    emit_rows(rows, f"contract-{args.fn}-depth{depth}", config)
+    emit_rows(rows, f"contract-{args.fn}-depth{depth}", args)
     mismatches = [row["n"] for row in rows if row["match"] == "no"]
     if mismatches:
         print(f"FAILED: contract {args.fn} depth {depth} differs from its "
@@ -246,7 +224,7 @@ _CHECK_OVERRIDES: dict[str, dict[str, tuple[str, type]]] = {
 }
 
 
-def cmd_verify(args: argparse.Namespace, config: Config) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     overrides: dict = {}
     for flag, (kwarg, cast) in _CHECK_OVERRIDES.get(args.check, {}).items():
         value = getattr(args, flag)
@@ -264,8 +242,8 @@ def cmd_verify(args: argparse.Namespace, config: Config) -> int:
             "residual": rep.residual if isinstance(rep.residual, int)
             else float(rep.residual),
         })
-    if config.out_path:
-        emit_rows(rows, f"verify-{args.check}", config)
+    if args.out:
+        emit_rows(rows, f"verify-{args.check}", args)
     failing = [r for r in reports if not r.passed]
     if failing:
         print(f"FAILED: {failing[0].check_name} [{failing[0].parameters}]",
@@ -274,45 +252,37 @@ def cmd_verify(args: argparse.Namespace, config: Config) -> int:
     return EXIT_OK
 
 
-def cmd_report_asymptotics(args: argparse.Namespace, config: Config) -> int:
+def cmd_report_asymptotics(args: argparse.Namespace) -> int:
     if args.x:
         xs = [int(part) for part in args.x.split(",") if part.strip()]
     else:
         xs = list(DEFAULT_ASYMPTOTIC_XS)
-    rows = []
-    for sample in asymptotic_mangoldt_report(xs):
-        rows.append({"kind": "log_lcm", "x": sample.x,
-                     "exact": sample.exact_as_float(),
-                     "predicted": sample.predicted, "ratio": sample.ratio})
+    rows = [{"kind": "log_lcm", **sample.row()}
+            for sample in asymptotic_mangoldt_report(xs)]
+    totals = {}
+    try:
+        for x, count, product in primitive_totals_at(xs):
+            totals[x] = count, product
+    except BudgetExceededError:
+        # each F(n) factors or fails on its own, so the x from the first
+        # failing n on are exceeded, and no x before it
+        pass
     for x in xs:
-        try:
-            _, sample = ep_weighted_sum(x)
-            rows.append({"kind": "ep_log_sum", "x": x,
-                         "exact": sample.exact_as_float(),
-                         "predicted": sample.predicted, "ratio": sample.ratio})
-        except BudgetExceededError:
-            rows.append({"kind": "ep_log_sum", "x": x,
-                         "exact": "budget-exceeded",
-                         "predicted": CONSTANTS.lcm_growth_constant * x * x,
-                         "ratio": ""})
-    bound = verify_mod.PRIMITIVE_COUNT_BOUND
-    for x in xs:
-        try:
-            count = pi_alpha(x)
-            scaled = count * math.log(x) / (x * x) if x > 1 else 0.0
-            rows.append({"kind": "pi_alpha_scaled", "x": x, "exact": scaled,
-                         "predicted": bound,
-                         "ratio": scaled / bound})
-        except BudgetExceededError:
-            rows.append({"kind": "pi_alpha_scaled", "x": x,
-                         "exact": "budget-exceeded", "predicted": bound,
-                         "ratio": ""})
+        count, product = totals.get(x, (0, 1))
+        pi = pi_alpha_row(x, count)
+        rows += [{"kind": "ep_log_sum",
+                  **growth_sample(x, ExactLog(product)).row()},
+                 {"kind": "pi_alpha_scaled", "x": x, "exact": pi["scaled"],
+                  "predicted": pi["bound"], "ratio": pi["scaled"] / pi["bound"]}]
+        if x not in totals:
+            for row in rows[-2:]:
+                row.update(exact="budget-exceeded", ratio="")
     rows.sort(key=lambda r: (r["kind"], r["x"]))
-    emit_rows(rows, "asymptotics", config)
+    emit_rows(rows, "asymptotics", args)
     return EXIT_OK
 
 
-def cmd_series(args: argparse.Namespace, config: Config) -> int:
+def cmd_series(args: argparse.Namespace) -> int:
     names = sorted(EULER_SERIES) if args.which == "all" else [args.which]
     rows = []
     for name in names:
@@ -326,7 +296,7 @@ def cmd_series(args: argparse.Namespace, config: Config) -> int:
             "tolerance": detail["tolerance"],
             "passed": rep.passed,
         })
-    emit_rows(rows, "series", config)
+    emit_rows(rows, "series", args)
     return EXIT_OK
 
 
@@ -335,14 +305,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.budget < 1:
         parser.error(f"--budget must be at least 1, got {args.budget}")
-    config = _config_from(args)
+    cache_path = args.cache or os.environ.get(ENV_CACHE)
     # each call starts from an empty memo, so the cache file it writes holds
     # what this call loaded or factored, as a fresh process would write it
     clear_fib_factorizations()
 
-    if config.cache_path and os.path.exists(config.cache_path):
+    if cache_path and os.path.exists(cache_path):
         try:
-            cache_io.apply_records(cache_io.load_cache_file(config.cache_path))
+            cache_io.apply_records(cache_io.load_cache_file(cache_path))
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -351,15 +321,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         with factor_budget(args.budget):
             if args.command in ("fib", "alpha", "entry-exponent"):
-                status = cmd_scalar(args, config)
+                status = cmd_scalar(args)
             elif args.command == "contract":
-                status = cmd_contract(args, config)
+                status = cmd_contract(args)
             elif args.command == "verify":
-                status = cmd_verify(args, config)
+                status = cmd_verify(args)
             elif args.command == "report-asymptotics":
-                status = cmd_report_asymptotics(args, config)
+                status = cmd_report_asymptotics(args)
             else:
-                status = cmd_series(args, config)
+                status = cmd_series(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -367,8 +337,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    if config.cache_path:
-        cache_io.save_cache_file(config.cache_path, cache_io.collect_records())
+    if cache_path:
+        cache_io.save_cache_file(cache_path, cache_io.collect_records())
     return status
 
 

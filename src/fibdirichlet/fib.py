@@ -177,13 +177,17 @@ def fib_factorization(n: int) -> Factorization:
     """Factorization of F(n), memoized; fails fast when F(n) is beyond scale.
 
     The scale check comes first, so a budget refuses the same n whether or
-    not F(n) is in the memo.
+    not F(n) is in the memo.  A budget spent while factoring F(n) raises
+    BudgetExceededError naming F(n).
     """
     require_factorable(n)
     cached = _FIB_FACTORS.get(n)
     if cached is not None:
         return cached
-    f = factorize(fib(n))
+    try:
+        f = factorize(fib(n))
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(f"F({n}): {exc}") from exc
     _FIB_FACTORS[n] = f
     return f
 

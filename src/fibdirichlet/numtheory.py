@@ -35,7 +35,12 @@ FACTOR_BUDGET = ContextVar("FACTOR_BUDGET", default=DEFAULT_FACTOR_BUDGET)
 
 @contextmanager
 def factor_budget(units: int) -> Iterator[None]:
-    """Charge every factorization inside the block to a budget of units."""
+    """Charge every factorization inside the block to a budget of units.
+
+    The budget is a ContextVar: an asyncio task created inside the block
+    keeps it, but a thread started inside it runs at DEFAULT_FACTOR_BUDGET
+    unless it opens a scope of its own.
+    """
     token = FACTOR_BUDGET.set(units)
     try:
         yield
@@ -275,7 +280,6 @@ def mangoldt_base(n: int) -> Optional[int]:
 # --- the μ sieve behind mobius and mertens, grown on demand ---
 
 _mu_values: list[int] = [0, 1]   # μ(0) unused, μ(1)=1
-_mertens_prefix: list[int] = [0, 1]
 
 
 def grow_mu_sieve(limit: int) -> None:
@@ -305,21 +309,15 @@ def grow_mu_sieve(limit: int) -> None:
                 break
             mu[i * p] = -mu[i]
     _mu_values[:] = mu
-    pref = [0] * (limit + 1)
-    acc = 0
-    for i in range(1, limit + 1):
-        acc += mu[i]
-        pref[i] = acc
-    _mertens_prefix[:] = pref
 
 
 def mertens(x: float) -> int:
-    """M(x) = Σ_{n≤⌊x⌋} μ(n); 0 for x < 1."""
+    """M(x) = Σ_{n≤⌊x⌋} μ(n), summed from the sieve; 0 for x < 1."""
     n = math.floor(x)
     if n < 1:
         return 0
     grow_mu_sieve(n)
-    return _mertens_prefix[n]
+    return sum(_mu_values[1:n + 1])
 
 
 class ExactLog:

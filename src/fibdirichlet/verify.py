@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from itertools import accumulate
 from operator import mul
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .contraction import (
     CLOSED_FORMS,
@@ -65,14 +64,16 @@ class AsymptoticSample(NamedTuple):
     """One exact-vs-predicted comparison point."""
 
     x: int
-    exact_value: Union[ExactLog, int]
+    exact_value: ExactLog
     predicted: float
     ratio: float
 
     def exact_as_float(self) -> float:
-        if isinstance(self.exact_value, ExactLog):
-            return self.exact_value.log_value
-        return float(self.exact_value)
+        return self.exact_value.log_value
+
+    def row(self) -> dict:
+        return {"x": self.x, "exact": self.exact_as_float(),
+                "predicted": self.predicted, "ratio": self.ratio}
 
 
 def small_integer_fn(seed: int, name: Optional[str] = None) -> ArithFn:
@@ -271,62 +272,87 @@ def constant_c(n_terms: int) -> float:
 # --- asymptotics: reported with ratios, not asserted as limits ---
 
 
-def asymptotic_mangoldt_report(x_values: Sequence[int]) -> list[AsymptoticSample]:
-    """log lcm(F(1)..F(x)) against its predicted quadratic growth."""
-    samples = []
-    for x in x_values:
-        exact = ExactLog(lcm_fib(x)) if x >= 1 else ExactLog(1)
-        predicted = CONSTANTS.lcm_growth_constant * x * x
-        ratio = exact.log_value / predicted if predicted > 0 else 0.0
-        samples.append(AsymptoticSample(x, exact, predicted, ratio))
-    return samples
-
-
-def ep_weighted_sum(x: int) -> tuple[ExactLog, AsymptoticSample]:
-    """Σ entry_exponent(p)·log p over primes with rank(p) ≤ x, held exactly.
-
-    The sum is the log of ∏ p^(e_p); each prime enters at its rank with its
-    exponent in that first Fibonacci number it divides.
-    """
-    prod = 1
-    for n in range(3, x + 1):
-        for p, e in primitive_primes(n):
-            prod *= p**e
-    exact = ExactLog(prod)
+def growth_sample(x: int, exact: ExactLog) -> AsymptoticSample:
+    """exact against the quadratic growth CONSTANTS.lcm_growth_constant·x²."""
     predicted = CONSTANTS.lcm_growth_constant * x * x
     ratio = exact.log_value / predicted if predicted > 0 else 0.0
-    return exact, AsymptoticSample(x, exact, predicted, ratio)
+    return AsymptoticSample(x, exact, predicted, ratio)
+
+
+def asymptotic_mangoldt_report(x_values: Sequence[int]) -> list[AsymptoticSample]:
+    """log lcm(F(1)..F(x)) against its predicted quadratic growth."""
+    return [growth_sample(x, ExactLog(lcm_fib(x)) if x >= 1 else ExactLog(1))
+            for x in x_values]
+
+
+def primitive_prime_totals(x: int) -> Iterator[tuple[int, int]]:
+    """(π_α(n), ∏_{rank(p)≤n} p^(e_p)) for n = 1..x, from one walk.
+
+    Each prime p is counted at its rank n, with e_p its exponent in F(n),
+    which is its entry exponent since F(n) is the first Fibonacci number p
+    divides.  Lazy: F(n) is factored when the n-th pair is read, so a reader
+    that meets BudgetExceededError at n has read every pair before it.  x < 1
+    raises ValueError at the first read.
+    """
+    if x < 1:
+        raise ValueError(f"primitive-prime totals expect x >= 1, got {x}")
+    count, product = 0, 1
+    for n in range(1, x + 1):
+        primes = primitive_primes(n)
+        count += len(primes)
+        product *= math.prod(p**e for p, e in primes)
+        yield count, product
+
+
+def primitive_totals_at(x_values: Sequence[int]
+                        ) -> Iterator[tuple[int, int, int]]:
+    """(x, π_α(x), ∏_{rank(p)≤x} p^(e_p)) for each distinct x of x_values,
+    ascending, read from one primitive_prime_totals walk to the largest.
+
+    Every x is checked before anything is factored: one below 1 raises
+    ValueError at the first read.
+    """
+    wanted = set(x_values)
+    if wanted and min(wanted) < 1:
+        raise ValueError(f"primitive-prime totals expect x >= 1, "
+                         f"got {min(wanted)}")
+    walk = primitive_prime_totals(max(wanted, default=1))
+    for x, (count, product) in enumerate(walk, 1):
+        if x in wanted:
+            yield x, count, product
+
+
+def ep_weighted_sum(x: int) -> ExactLog:
+    """Σ entry_exponent(p)·log p over primes with rank(p) ≤ x, held exactly
+    as the log of ∏ p^(e_p)."""
+    [(_, _, product)] = primitive_totals_at([x])
+    return ExactLog(product)
 
 
 def pi_alpha(x: int) -> int:
     """Number of distinct primes whose rank of apparition is ≤ x."""
-    return _pi_alpha_counts(x)[-1]
-
-
-def _pi_alpha_counts(x: int) -> list[int]:
-    """[π_α(1), …, π_α(x)]: each prime is counted once, at its rank."""
-    if x < 1:
-        raise ValueError("pi_alpha expects x >= 1")
-    return list(accumulate(len(primitive_primes(n))
-                           for n in range(1, x + 1)))
+    [(_, count, _)] = primitive_totals_at([x])
+    return count
 
 
 PRIMITIVE_COUNT_BOUND = CONSTANTS.lcm_growth_constant / 2  # 3·log r / (2π²)
 
 
+def pi_alpha_row(x: int, count: int) -> dict:
+    """The trend row (x, count, count·log x / x², limsup bound) of π_α(x)."""
+    scaled = count * math.log(x) / (x * x) if x > 1 else 0.0
+    return {"x": x, "count": count, "scaled": scaled,
+            "bound": PRIMITIVE_COUNT_BOUND}
+
+
 def pi_alpha_bound_report(x_values: Sequence[int]) -> list[dict]:
-    """Trend rows (x, count, count·log x / x², limsup bound).
+    """Trend rows of π_α at each x, from one walk to the largest.
 
     The bound is asymptotic, so rows are reported alongside it and never
     asserted against it.
     """
-    rows = []
-    for x in x_values:
-        count = pi_alpha(x)
-        scaled = count * math.log(x) / (x * x) if x > 1 else 0.0
-        rows.append({"x": x, "count": count, "scaled": scaled,
-                     "bound": PRIMITIVE_COUNT_BOUND})
-    return rows
+    counts = {x: count for x, count, _ in primitive_totals_at(x_values)}
+    return [pi_alpha_row(x, counts[x]) for x in x_values]
 
 
 # --- the totient representation of Fibonacci numbers ---
@@ -500,25 +526,23 @@ def _suite_asymptotic_mangoldt() -> list[VerificationReport]:
     at50 = samples[1].ratio
     at200 = samples[2].ratio
     passed = lo <= at200 <= hi and abs(at200 - 1) < abs(at50 - 1)
-    details = [{"x": s.x, "exact": s.exact_as_float(), "predicted": s.predicted,
-                "ratio": s.ratio} for s in samples]
+    details = [s.row() for s in samples]
     return [VerificationReport("asymptotic-mangoldt",
                                f"window {lo}..{hi} at x=200, improving from x=50",
                                passed, abs(at200 - 1), details)]
 
 
 def _suite_ep_sum(x: int = 60) -> list[VerificationReport]:
-    _, sample = ep_weighted_sum(x)
+    sample = growth_sample(x, ep_weighted_sum(x))
     lo, hi = RATIO_WINDOW_EP
-    details = [{"x": sample.x, "exact": sample.exact_as_float(),
-                "predicted": sample.predicted, "ratio": sample.ratio}]
+    details = [sample.row()]
     return [VerificationReport("ep-sum", f"x={x}, window {lo}..{hi}",
                                lo <= sample.ratio <= hi,
                                abs(sample.ratio - 1), details)]
 
 
 def _suite_pi_alpha(x: int = 60) -> list[VerificationReport]:
-    counts = _pi_alpha_counts(x)
+    counts = [count for count, _ in primitive_prime_totals(x)]
     monotone = all(a <= b for a, b in zip(counts, counts[1:]))
     anchors = counts[4] == 3 and counts[11] == 8 if x >= 12 else True
     details = [{"pi_alpha_5": counts[4] if x >= 5 else None,

@@ -25,6 +25,7 @@ from fibdirichlet.verify import (
     constant_c,
     ep_weighted_sum,
     euler_product_check,
+    growth_sample,
     logprod_closed_form,
     phi_recursive_fib,
     pi_alpha,
@@ -112,7 +113,7 @@ def test_criterion_7_asymptotic_windows():
     at50, at200 = samples[0].ratio, samples[1].ratio
     assert 0.9 <= at200 <= 1.1
     assert abs(at200 - 1) < abs(at50 - 1)
-    _, ep_sample = ep_weighted_sum(60)
+    ep_sample = growth_sample(60, ep_weighted_sum(60))
     assert 0.8 <= ep_sample.ratio <= 1.2
     elapsed = time.monotonic() - started
     assert elapsed < 120.0

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 import time
@@ -7,7 +8,7 @@ import time
 import pytest
 
 from fibdirichlet import cache as cache_module
-from fibdirichlet import cli, contraction, numtheory
+from fibdirichlet import cli, contraction, numtheory, verify
 from fibdirichlet import fib as fib_module
 from fibdirichlet.cache import (
     CacheRecord,
@@ -18,7 +19,7 @@ from fibdirichlet.cache import (
     save_cache_file,
 )
 from fibdirichlet.numtheory import ArithFn, BudgetExceededError
-from fibdirichlet.verify import VerificationReport
+from fibdirichlet.verify import VerificationReport, ep_weighted_sum, pi_alpha
 
 
 def run_cli(args):
@@ -82,7 +83,6 @@ def test_every_factorization_of_a_command_is_charged_to_the_budget(
     for module in (numtheory, fib_module, contraction):
         monkeypatch.setattr(module, "factorize", recording)
     monkeypatch.setattr(numtheory, "_mu_values", [0, 1])
-    monkeypatch.setattr(numtheory, "_mertens_prefix", [0, 1])
     assert run_cli(["contract", "mu", "1", "30", "--budget", "54321"]) == 0
     assert seen and set(seen) == {54321}
     assert numtheory.FACTOR_BUDGET.get() == numtheory.DEFAULT_FACTOR_BUDGET
@@ -207,6 +207,13 @@ def test_verify_all_honours_the_budget(capsys):
     assert "budget" in capsys.readouterr().err.lower()
 
 
+def test_budget_error_names_the_fibonacci_index(capsys):
+    # the ep-sum suite is the first to reach F(29) = 514229, a prime that
+    # trial division cannot reach in 100 units
+    assert run_cli(["verify", "all", "--budget", "100"]) == 3
+    assert "F(29)" in capsys.readouterr().err
+
+
 def test_verify_report_file(tmp_path):
     out = tmp_path / "report.json"
     assert run_cli(["verify", "t-tables", "--format", "json",
@@ -235,6 +242,50 @@ def test_report_asymptotics_marks_budget_rows(tmp_path):
     assert ep200["exact"] == "budget-exceeded"
     lcm200 = next(r for r in rows if r["kind"] == "log_lcm" and r["x"] == "200")
     assert 0.9 <= float(lcm200["ratio"]) <= 1.1
+
+
+@pytest.mark.parametrize("xs", ["0,5", "5,-3"])
+def test_report_asymptotics_rejects_x_below_1(xs, capsys):
+    assert run_cli(["report-asymptotics", "--x", xs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "x >= 1" in captured.err
+
+
+def test_report_rows_equal_the_standalone_sums(tmp_path):
+    xs = range(1, 61)
+    out = tmp_path / "asym.json"
+    assert run_cli(["report-asymptotics", "--x", ",".join(map(str, xs)),
+                    "--format", "json", "--precision", "17",
+                    "--out", str(out)]) == 0
+    rows = {(r["kind"], r["x"]): r["exact"]
+            for r in json.loads(out.read_text())["samples"]}
+    for x in xs:
+        assert rows[("ep_log_sum", x)] == ep_weighted_sum(x).log_value, x
+        scaled = pi_alpha(x) * math.log(x) / (x * x) if x > 1 else 0.0
+        assert rows[("pi_alpha_scaled", x)] == scaled, x
+
+
+# One walk per command: a call per index up to the first F(n) the budget
+# refuses (F(121) at the default budget), and 60 for each of the ep-sum,
+# pi-alpha and pi-alpha-bound suites of `verify all`.
+@pytest.mark.parametrize("argv, calls", [
+    (["report-asymptotics"], 121),
+    (["report-asymptotics", "--x", "5,50,200"], 121),
+    (["verify", "all"], 180),
+], ids=["report-asymptotics", "report-asymptotics --x 5,50,200",
+        "verify all"])
+def test_primitive_primes_calls_per_command(argv, calls, monkeypatch, capsys):
+    seen = []
+    original = verify.primitive_primes
+
+    def counting(n):
+        seen.append(n)
+        return original(n)
+
+    monkeypatch.setattr(verify, "primitive_primes", counting)
+    assert run_cli(argv) == 0
+    assert len(seen) == calls
 
 
 def test_series_emission(tmp_path):

@@ -28,6 +28,7 @@ from fibdirichlet.verify import (
     constant_c,
     ep_weighted_sum,
     euler_product_check,
+    growth_sample,
     logprod_closed_form,
     phi_recursive_fib,
     pi_alpha,
@@ -201,18 +202,18 @@ def test_asymptotic_mangoldt_report():
 
 
 def test_ep_weighted_sum():
-    log, sample = ep_weighted_sum(5)
+    log = ep_weighted_sum(5)
     assert log.integer_value == 30  # primes 2, 3, 5 each with exponent 1
-    log, _ = ep_weighted_sum(2)
+    log = ep_weighted_sum(2)
     assert log.integer_value == 1 and log.log_value == 0.0
-    log, _ = ep_weighted_sum(12)
+    log = ep_weighted_sum(12)
     assert log.integer_value == 2 * 3 * 5 * 7 * 11 * 13 * 17 * 89
-    assert sample.x == 5
+    assert growth_sample(5, ep_weighted_sum(5)).x == 5
 
 
 def test_ep_product_divides_lcm():
     for x in range(1, 61):
-        log, _ = ep_weighted_sum(x)
+        log = ep_weighted_sum(x)
         total = lcm_fib(x) if x >= 1 else 1
         assert total % log.integer_value == 0
         assert log.log_value <= math.log(total) + 1e-9
