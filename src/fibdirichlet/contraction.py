@@ -206,8 +206,6 @@ CLOSED_FORMS: dict[tuple[str, int], ArithFn] = {
     ("lambda", 1): ArithFn("lambda_alpha", closed_lambda_alpha),
 }
 
-DELTA23 = ArithFn("delta23", closed_delta23)
-
 
 # --- summatory functions ---
 

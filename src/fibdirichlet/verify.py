@@ -94,18 +94,18 @@ class DivisorTables(NamedTuple):
     ``divisors`` holds the divisors of F(1), then those of F(2), and so on,
     each F(k)'s ascending from ``starts[k - 1]`` to ``starts[k]``, so the
     entry as far from the end of its run as d is from the start is F(k)/d.
-    ``firsts`` holds the first position of each distinct n, in order of
-    appearance: these n are the ones with rank(n) ≤ n_max, first listed
-    under F(rank(n)).  Row i of ``slots``, from ``bounds[i]`` to
-    ``bounds[i + 1]``, holds the position of F(k)/n for each multiple k of
-    rank(n) up to n_max, n being the i-th distinct divisor.
+    The distinct n are the ones with rank(n) ≤ n_max, first listed under
+    F(rank(n)).  Taking them in order of appearance, ``slots`` holds the
+    position of F(k)/n for each multiple k of rank(n) up to n_max, and
+    ``owners`` holds, slot for slot, the position where n is first listed.
+    So each pair (k, d | F(k)) is one slot, and ``owners`` is a run of equal
+    positions per n.
     """
 
     n_max: int
     divisors: list[Factorization]
     starts: Sequence[int]
-    firsts: Sequence[int]
-    bounds: Sequence[int]
+    owners: Sequence[int]
     slots: Sequence[int]
 
 
@@ -133,7 +133,7 @@ def divisor_tables(n_max: int) -> DivisorTables:
             flat.append(d)
         starts.append(len(flat))
     del seen
-    bounds = array("l", [0])
+    owners = array("l")
     slots = array("l")
     for position in firsts:
         n = flat[position]
@@ -144,9 +144,9 @@ def divisor_tables(n_max: int) -> DivisorTables:
             if i == hi or flat[i] != n:
                 raise RuntimeError(f"{n} has rank {m} but does not divide "
                                    f"F({k})")
+            owners.append(position)
             slots.append(lo + hi - 1 - i)
-        bounds.append(len(slots))
-    return DivisorTables(n_max, flat, starts, firsts, bounds, slots)
+    return DivisorTables(n_max, flat, starts, owners, slots)
 
 
 def check_theorem1(f: ArithFn, g: ArithFn, x: float,
@@ -155,13 +155,13 @@ def check_theorem1(f: ArithFn, g: ArithFn, x: float,
 
     Direct side: Σ_{n≤x} (f*g)(F(n)) by literal divisor sums.  The other two
     sides enumerate all n with rank(n) ≤ x (the divisor union of the first
-    ⌊x⌋ Fibonacci numbers) and weight by the inner g- and f-sums over
-    F(d·rank(n))/n.  Every quotient is read off the divisor tables of
-    F(1..⌊x⌋), built here unless a suite passes its own, and f and g are
-    evaluated once per listed divisor.  Exact equality is required; residual
-    is an exact integer difference, taken on the held integers when the
-    values are ExactLogs.  Fails at once when F(⌊x⌋) is beyond the budget's
-    scale.
+    ⌊x⌋ Fibonacci numbers) and sum f(n)·g(F(k)/n), then g(n)·f(F(k)/n),
+    over the multiples k of rank(n) up to x, each in one pass over the
+    slots of the divisor tables of F(1..⌊x⌋), built here unless a suite
+    passes its own.  f and g are evaluated once per listed divisor.  Exact
+    equality is required; residual is an exact integer difference, taken on
+    the held integers when the values are ExactLogs.  Fails at once when
+    F(⌊x⌋) is beyond the budget's scale.
     """
     params = f"f={f.name}, g={g.name}, x={x}"
     n_max = math.floor(x)
@@ -173,15 +173,15 @@ def check_theorem1(f: ArithFn, g: ArithFn, x: float,
                          f"not F(1..{n_max})")
     fv = list(map(f.fn, tables.divisors))
     gv = list(map(g.fn, tables.divisors))
-    direct = weighted = swapped = f.zero * g.zero
+    direct = zero = f.zero * g.zero
     starts = tables.starts
     for lo, hi in zip(starts, starts[1:]):
         direct = sum(map(mul, fv[lo:hi], reversed(gv[lo:hi])), direct)
-    bounds = tables.bounds
-    for position, lo, hi in zip(tables.firsts, bounds, bounds[1:]):
-        row = tables.slots[lo:hi]
-        weighted += fv[position] * sum(map(gv.__getitem__, row), g.zero)
-        swapped += gv[position] * sum(map(fv.__getitem__, row), f.zero)
+    owners, slots = tables.owners, tables.slots
+    weighted = sum(map(mul, map(fv.__getitem__, owners),
+                       map(gv.__getitem__, slots)), zero)
+    swapped = sum(map(mul, map(gv.__getitem__, owners),
+                      map(fv.__getitem__, slots)), zero)
     sides = [v.integer_value if isinstance(v, ExactLog) else v
              for v in (direct, weighted, swapped)]
     residual = max(abs(sides[0] - sides[1]), abs(sides[0] - sides[2]))

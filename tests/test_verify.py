@@ -1,4 +1,6 @@
 import math
+from itertools import groupby
+from operator import itemgetter
 
 import pytest
 
@@ -106,15 +108,30 @@ def test_theorem1_suite_rank_map_matches_rank():
     n_max = 80
     tables = verify.divisor_tables(n_max)
     flat, starts = tables.divisors, tables.starts
-    assert len(tables.firsts) == 4243
-    for i, position in enumerate(tables.firsts):
+    runs = [(position, [s for _, s in run]) for position, run
+            in groupby(zip(tables.owners, tables.slots), itemgetter(0))]
+    assert len(runs) == 4243
+    for position, row in runs:
         n = flat[position]
         m = fib_module.rank(n)
         assert bisect_right(starts, position) == m, n
-        row = tables.slots[tables.bounds[i]:tables.bounds[i + 1]]
         assert [bisect_right(starts, s) for s in row] == \
             list(range(m, n_max + 1, m)), n
         assert all(flat[s] * n == fib(bisect_right(starts, s)) for s in row)
+
+
+@pytest.mark.parametrize("n_max", [40, 100])
+def test_theorem1_slots_list_every_divisor_pair_once(n_max):
+    tables = verify.divisor_tables(n_max)
+    flat, owners = tables.divisors, tables.owners
+    assert sorted(tables.slots) == list(range(len(flat)))
+    assert len(owners) == len(tables.slots)
+    assert all(a <= b for a, b in zip(owners, owners[1:]))
+    first: dict[int, int] = {}
+    for position, n in enumerate(flat):
+        first.setdefault(n, position)
+    assert [position for position, _ in groupby(owners)] == \
+        sorted(first.values())
 
 
 def test_theorem1_suite_lists_divisors_once(monkeypatch):
