@@ -2,8 +2,9 @@
 
 Fast-doubling Fibonacci values, modular Fibonacci, the rank of apparition
 (least index m with n | F(m)) by the lcm law over the prime powers of n,
-entry exponents, the memo of factored F(n), primitive prime extraction,
-exact Fibonacci lcms, and the golden-ratio constants.
+entry exponents, the memo of factored F(n), each factored through the
+memoized F(n/q) so that Pollard rho sees only its primitive part, primitive
+prime extraction, exact Fibonacci lcms, and the golden-ratio constants.
 """
 
 from __future__ import annotations
@@ -176,6 +177,13 @@ def require_factorable(n: int) -> None:
 def fib_factorization(n: int) -> Factorization:
     """Factorization of F(n), memoized; fails fast when F(n) is beyond scale.
 
+    A prime of F(n) that is not primitive divides F(n/q) for some prime
+    q | n (strong divisibility), so the primes of those F(n/q), factored
+    through the memo, are divided out of F(n) with their exponents, and
+    only the rest, the primitive part of F(n) without its intrinsic primes,
+    is given to factorize.  F(1) = F(2) = 1 are skipped on the way, so
+    besides F(n) the memo gains only F(d) for the divisors 3 ≤ d < n of n.
+
     The scale check comes first, so a budget refuses the same n whether or
     not F(n) is in the memo.  A budget spent while factoring F(n) raises
     BudgetExceededError naming F(n).
@@ -184,10 +192,18 @@ def fib_factorization(n: int) -> Factorization:
     cached = _FIB_FACTORS.get(n)
     if cached is not None:
         return cached
+    value = fib(n)
     try:
-        f = factorize(fib(n))
+        old = {p for q, _ in factorize(n).factors if n // q > 2
+               for p, _ in fib_factorization(n // q).factors}
+        rest, exponents = value, {}
+        for p in old:
+            exponents[p] = valuation(rest, p)
+            rest //= p ** exponents[p]
+        exponents.update(factorize(rest).factors)
     except BudgetExceededError as exc:
         raise BudgetExceededError(f"F({n}): {exc}") from exc
+    f = Factorization(value, tuple(sorted(exponents.items())))
     _FIB_FACTORS[n] = f
     return f
 

@@ -324,7 +324,8 @@ class ExactLog:
     """log of an explicitly held positive integer, read as a float on demand.
 
     Sums of logs are carried exactly as products: a + b multiplies the held
-    integers and k·a raises them to the power k ≥ 0.
+    integers and k·a raises them to the power k ≥ 0.  Never mutated, so
+    1·a may be a itself.
     """
 
     __slots__ = ("integer_value",)
@@ -350,6 +351,8 @@ class ExactLog:
             return NotImplemented
         if k < 0:
             raise ValueError("an ExactLog scales only by integers k >= 0")
+        if k == 1:
+            return self
         return ExactLog(self.integer_value ** k)
 
     __rmul__ = __mul__

@@ -264,6 +264,66 @@ def test_fib_factorization_budget_ignores_a_warm_memo():
         fib_factorization(100)
 
 
+def test_fib_factorization_matches_direct_factoring(monkeypatch):
+    # the literal path, factorize(fib(n)), is the oracle; 94, 96 and 120
+    # are also factored alone, each from an empty memo
+    monkeypatch.setattr(fib_module, "_FIB_FACTORS", {})
+    for n in range(1, 101):
+        f = fib_factorization(n)
+        assert f == fib(n) and f.factors == factorize(fib(n)).factors, n
+    for n in (94, 96, 120):
+        monkeypatch.setattr(fib_module, "_FIB_FACTORS", {})
+        assert fib_factorization(n).factors == factorize(fib(n)).factors, n
+
+
+def test_fib_factorization_matches_sympy(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    monkeypatch.setattr(fib_module, "_FIB_FACTORS", {})
+    for n in range(1, 121):
+        expected = tuple(sorted(sympy.factorint(fib(n)).items()))
+        assert fib_factorization(n).factors == expected, n
+
+
+def test_primitive_prime_exists_except_at_1_2_6_12():
+    # Carmichael's primitive divisor theorem for the Fibonacci numbers
+    for n in range(1, 121):
+        assert bool(primitive_primes(n)) == (n not in (1, 2, 6, 12)), n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 12, 60, 94, 120])
+def test_fib_factorization_memoizes_only_its_divisor_indices(n, monkeypatch):
+    # F(1) = F(2) = 1 enter the memo only when asked for directly
+    monkeypatch.setattr(fib_module, "_FIB_FACTORS", {})
+    fib_factorization(n)
+    expected = {d for d in range(1, n + 1) if n % d == 0 and (d >= 3 or d == n)}
+    assert set(fib_module._FIB_FACTORS) == expected
+
+
+def _within_budget(fn, arg):
+    try:
+        fn(arg)
+    except BudgetExceededError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("units, gained", [(30, {26}), (100, {34}),
+                                           (1000, set()), (10000, set())])
+def test_fib_factorization_reaches_what_direct_factoring_reaches(
+        units, gained, monkeypatch):
+    # each piece is factored under its own budget, so the primitive-part
+    # route loses no index the direct route reaches, and gains a few
+    indices = range(1, max_factorable_index(units) + 1)
+    reached = set()
+    with factor_budget(units):
+        direct = {n for n in indices if _within_budget(factorize, fib(n))}
+        for n in indices:
+            monkeypatch.setattr(fib_module, "_FIB_FACTORS", {})
+            if _within_budget(fib_factorization, n):
+                reached.add(n)
+    assert direct <= reached and reached - direct == gained
+
+
 def test_fib_submodule_is_not_shadowed():
     import types
 

@@ -125,6 +125,7 @@ def test_exact_log_arithmetic():
     assert a + b == ExactLog(60)
     assert 3 * a == a * 3 == ExactLog(216)
     assert 0 * a == ExactLog(1)
+    assert 1 * a is a * 1 is a   # never mutated, so no copy is needed
     assert abs((a + b).log_value - math.log(60)) < 1e-15
     with pytest.raises(ValueError):
         a * -1
