@@ -11,9 +11,10 @@ and closed forms for μ_α, μ_α², μ_α³, λ_α and the kernel element Δ₂
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from itertools import filterfalse
-from typing import Any
+from functools import lru_cache, partial, reduce
+from itertools import filterfalse, repeat
+from operator import add, mul
+from typing import Any, NamedTuple
 
 from .fib import fib, fib_factorization
 from .numtheory import (
@@ -24,6 +25,7 @@ from .numtheory import (
     dirichlet_convolve,
     divisors,
     factorize,
+    grow_mu_sieve,
     mobius,
 )
 
@@ -147,48 +149,81 @@ def alpha_contract_iter(f: ArithFn, depth: int, n: int) -> Any:
 # --- closed forms ---
 
 
+class CaseTable(NamedTuple):
+    """A closed form f(n) = Σ c·μ(n/j) over the (j, c) pairs listed under
+    n mod modulus.
+
+    Each j listed under r divides both r and the modulus, so j | n wherever
+    the pair applies.  at(n) reads f at one n; values(N) reads f(1..N) in
+    slice passes over the μ sieve.
+    """
+
+    modulus: int
+    cases: tuple[tuple[tuple[int, int], ...], ...]   # indexed by residue
+
+    def at(self, n: int) -> int:
+        # n itself for j = 1, so that a Factorization supplies its factors
+        return sum(c * mobius(n // j if j > 1 else n)
+                   for j, c in self.cases[n % self.modulus])
+
+    def values(self, n_max: int) -> list[int]:
+        """[f(1), ..., f(n_max)], with μ read from the sieve grown to n_max."""
+        mu = grow_mu_sieve(n_max)
+        m = self.modulus
+        out = [0] * n_max
+        for r, pairs in enumerate(self.cases):
+            first = r or m   # the least n ≥ 1 with n ≡ r, at out[first - 1]
+            columns = []
+            for j, c in pairs:
+                # μ(n/j) for n = first, first + m, ... ≤ n_max
+                column = mu[first // j:n_max // j + 1:m // j]
+                columns.append(column if c == 1
+                               else map(mul, column, repeat(c)))
+            if columns:   # summed lazily, written in one pass
+                out[first - 1::m] = reduce(partial(map, add), columns)
+        return out
+
+
+def _case_table(modulus: int, cases: dict) -> CaseTable:
+    """The table listing cases[residues] under each of those residues."""
+    by_residue = {r: pairs for residues, pairs in cases.items()
+                  for r in residues}
+    return CaseTable(modulus, tuple(by_residue[r] for r in range(modulus)))
+
+
+MU_ALPHA_TABLE = _case_table(4, {
+    (1, 3): ((1, 1),), (2,): (), (0,): ((2, 1),)})
+MU_ALPHA2_TABLE = _case_table(6, {
+    (1, 5): ((1, 1),), (2, 4): ((1, 1), (2, 1)), (3,): ((1, 1), (3, 1)),
+    (0,): ((1, 1), (2, 1), (3, 1))})
+MU_ALPHA3_TABLE = _case_table(12, {
+    (1, 5, 7, 11): ((1, 1),), (2, 10): (), (3, 9): ((1, 1), (3, 1)),
+    (6,): ((3, 1),), (0, 4, 8): ((2, 1), (4, 1))})
+LAMBDA_ALPHA_TABLE = _case_table(12, {
+    (1, 3, 5, 7, 9, 11): ((1, 1),), (2, 4, 6, 8, 10): ((1, 1), (2, 1)),
+    (0,): ((2, 1), (12, 1))})
+DELTA23_TABLE = _case_table(4, {(1, 2, 3): (), (0,): ((4, -1),)})
+
+
 def closed_mu_alpha(n: int) -> int:
     """Contraction of μ: case table mod 4.  Multiplicative."""
-    r = n % 4
-    if r == 2:
-        return 0
-    if r == 0:
-        return mobius(n // 2)
-    return mobius(n)
+    return MU_ALPHA_TABLE.at(n)
 
 
 def closed_mu_alpha2(n: int) -> int:
     """Twice-contracted μ: μ(n) plus μ(n/2) and μ(n/3) where those divide."""
-    out = mobius(n)
-    if n % 2 == 0:
-        out += mobius(n // 2)
-    if n % 3 == 0:
-        out += mobius(n // 3)
-    return out
+    return MU_ALPHA2_TABLE.at(n)
 
 
 def closed_mu_alpha3(n: int) -> int:
     """Thrice-contracted μ: case table mod 12; a fixed point of contraction."""
-    r = n % 12
-    if r in (0, 4, 8):
-        return mobius(n // 2) + mobius(n // 4)
-    if r in (2, 10):
-        return 0
-    if r in (3, 9):
-        return mobius(n) + mobius(n // 3)
-    if r == 6:
-        return mobius(n // 3)
-    return mobius(n)
+    return MU_ALPHA3_TABLE.at(n)
 
 
 def closed_lambda_alpha(n: int) -> int:
     """Contraction of λ: case table mod 12, driven by the three square
     Fibonacci numbers F(1) = F(2) = 1 and F(12) = 144."""
-    if n % 2 == 1:
-        return mobius(n)
-    if n % 12 == 0:
-        return mobius(n // 2) + mobius(n // 12)
-    return mobius(n) + mobius(n // 2)
+    return LAMBDA_ALPHA_TABLE.at(n)
 
 
 def closed_delta23(n: int) -> int:
@@ -196,7 +231,7 @@ def closed_delta23(n: int) -> int:
 
     Lies in the kernel of the contraction operator.
     """
-    return -mobius(n // 4) if n % 4 == 0 else 0
+    return DELTA23_TABLE.at(n)
 
 
 CLOSED_FORMS: dict[tuple[str, int], ArithFn] = {

@@ -11,6 +11,9 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
+from functools import lru_cache
+from itertools import compress, repeat
+from operator import neg
 from typing import Any, Callable, Iterator, Optional, Union
 
 
@@ -282,33 +285,33 @@ def mangoldt_base(n: int) -> Optional[int]:
 _mu_values: list[int] = [0, 1]   # μ(0) unused, μ(1)=1
 
 
-def grow_mu_sieve(limit: int) -> None:
+def grow_mu_sieve(limit: int) -> list[int]:
     """Sieve μ up to at least limit; mobius then reads μ(n ≤ limit) from it.
 
     A growth at least doubles the sieve.  Callers that will ask for μ on all
-    of 1..N grow it to N first.
+    of 1..N grow it to N first.  Returns the sieve, μ(n) at index n; a growth
+    replaces it and never changes a list already returned.
     """
+    global _mu_values
     n = len(_mu_values) - 1
     if limit <= n:
-        return
+        return _mu_values
     limit = max(limit, 2 * n)
-    mu = [0] * (limit + 1)
-    mu[1] = 1
-    is_comp = bytearray(limit + 1)
-    primes: list[int] = []
-    for i in range(2, limit + 1):
-        if not is_comp[i]:
-            primes.append(i)
-            mu[i] = -1
-        for p in primes:
-            if i * p > limit:
-                break
-            is_comp[i * p] = 1
-            if i % p == 0:
-                mu[i * p] = 0
-                break
-            mu[i * p] = -mu[i]
-    _mu_values[:] = mu
+    # primes by Eratosthenes, then one negating slice pass per prime p over
+    # the multiples of p, and a zeroing one over those of p²
+    prime = bytearray([1]) * (limit + 1)
+    prime[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit) + 1):
+        if prime[p]:
+            prime[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+    mu = [1] * (limit + 1)
+    mu[0] = 0
+    for p in compress(range(limit + 1), prime):
+        mu[p::p] = map(neg, mu[p::p])
+        if p * p <= limit:
+            mu[p * p::p * p] = [0] * len(range(p * p, limit + 1, p * p))
+    _mu_values = mu
+    return mu
 
 
 def mertens(x: float) -> int:
@@ -316,8 +319,7 @@ def mertens(x: float) -> int:
     n = math.floor(x)
     if n < 1:
         return 0
-    grow_mu_sieve(n)
-    return sum(_mu_values[1:n + 1])
+    return sum(grow_mu_sieve(n)[1:n + 1])
 
 
 class ExactLog:
@@ -431,15 +433,17 @@ def dirichlet_convolve(f: ArithFn, g: ArithFn, n: int) -> Any:
                f.zero * g.zero)
 
 
+@lru_cache(maxsize=16)
 def zeta_partial(s: float, n_terms: int) -> tuple[float, float]:
     """(Σ_{n≤N} n^−s, tail bound N^(1−s)/(s−1)) for s > 1.
 
     The bound is the integral estimate Σ_{n>N} n^−s ≤ ∫_N^∞ t^−s dt.
+    Memoized: the series checks at one (s, N) share one sum.
     """
-    if s <= 1:
+    if not s > 1:   # NaN fails this too
         raise ValueError("zeta_partial requires s > 1")
     if n_terms < 1:
         raise ValueError("zeta_partial requires N >= 1")
-    value = math.fsum(k ** -s for k in range(1, n_terms + 1))
+    value = math.fsum(map(pow, range(1, n_terms + 1), repeat(-s)))
     tail = n_terms ** (1.0 - s) / (s - 1.0)
     return value, tail

@@ -11,11 +11,17 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from operator import mul
+from itertools import compress, repeat
+from operator import mul, truediv
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .contraction import (
     CLOSED_FORMS,
+    LAMBDA_ALPHA_TABLE,
+    MU_ALPHA2_TABLE,
+    MU_ALPHA3_TABLE,
+    MU_ALPHA_TABLE,
+    CaseTable,
     contributors,
     divisor_union_ranks,
     summatory_T,
@@ -42,7 +48,6 @@ from .numtheory import (
     divisors,
     euler_phi,
     factorize,
-    grow_mu_sieve,
     zeta_partial,
 )
 
@@ -412,11 +417,11 @@ def phi_recursive_fib(x_max: int) -> list[int]:
 # (1−2^−s)(1+2^−s) / ((1−2^−s)·ζ(s)) = (1+2^−s)/ζ(s), so ζ(s)·D(s) for the
 # once-contracted μ must approach 1 + 2^−s.
 
-EULER_SERIES: dict[str, tuple[ArithFn, tuple[int, ...]]] = {
-    "lambda": (CLOSED_FORMS[("lambda", 1)], (1, 2, 12)),
-    "mu": (CLOSED_FORMS[("mu", 1)], (1, 2)),
-    "mu2": (CLOSED_FORMS[("mu", 2)], (1, 2, 3)),
-    "mu3": (CLOSED_FORMS[("mu", 3)], (1, 2, 3, 4)),
+EULER_SERIES: dict[str, tuple[CaseTable, tuple[int, ...]]] = {
+    "lambda": (LAMBDA_ALPHA_TABLE, (1, 2, 12)),
+    "mu": (MU_ALPHA_TABLE, (1, 2)),
+    "mu2": (MU_ALPHA2_TABLE, (1, 2, 3)),
+    "mu3": (MU_ALPHA3_TABLE, (1, 2, 3, 4)),
 }
 
 
@@ -425,17 +430,21 @@ def euler_product_check(which: str, s: float, n_terms: int) -> VerificationRepor
 
     Tolerance is derived, never tuned: |poly|·tail(N) for the ζ truncation
     plus ζ(s)·3·tail(N) for the series truncation (each closed form is a sum
-    of at most three μ-values, each in −1..1), floored at 1e−6.
+    of at most three μ-values, each in −1..1), floored at 1e−6.  An s that is
+    not > 1 is refused before anything is sieved.
     """
     if which not in EULER_SERIES:
         raise ValueError(f"unknown series {which!r}; pick from {sorted(EULER_SERIES)}")
     if n_terms < 12:
         raise ValueError("need N >= 12 to see all polynomial terms")
-    closed, bases = EULER_SERIES[which]
-    grow_mu_sieve(n_terms)  # each closed form reads μ at n, n/2, n/3, ... ≤ N
+    table, bases = EULER_SERIES[which]
     zeta_n, tail = zeta_partial(s, n_terms)
-    evaluate = closed.fn  # skips ArithFn.__call__ in this N-term loop
-    series = math.fsum(evaluate(n) / n**s for n in range(1, n_terms + 1))
+    # f(n)/n^s as the same floats as evaluating it term by term; the terms
+    # with f(n) = 0 are left out, which changes nothing as fsum is exact
+    values = table.values(n_terms)
+    series = math.fsum(map(truediv, compress(values, values),
+                           map(pow, compress(range(1, n_terms + 1), values),
+                               repeat(s))))
     poly = math.fsum(b ** -s for b in bases)
     tolerance = max(abs(poly) * tail + (zeta_n + tail) * 3 * tail, 1e-6)
     residual = abs(zeta_n * series - poly)

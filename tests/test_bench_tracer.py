@@ -30,19 +30,24 @@ def test_traced_name_exists(short, name):
     assert callable(getattr(module, name, None))
 
 
-def test_tracer_counts_calls_through_a_swapped_arith_fn(tmp_path):
-    # series reads CLOSED_FORMS[("mu", 1)].fn, which the tracer replaces
-    # with object.__setattr__ on the frozen ArithFn
+def _traced_calls(tmp_path, *argv):
+    """(function, caller) -> calls of one traced CLI run, and its stdout."""
     stats, stdout = tmp_path / "stats.json", tmp_path / "stdout.txt"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     subprocess.run([sys.executable, str(LAYERTRACE), str(stats), str(stdout),
-                    "series", "--s", "3", "--n", "2000"],
-                   env=env, check=True, timeout=120)
+                    *argv], env=env, check=True, timeout=120)
     pairs = json.loads(stats.read_text())["pairs"]
-    calls = {(p["function"], p["caller"]): p["calls"] for p in pairs}
-    assert calls[("contraction.closed_mu_alpha",
-                  "verify.euler_product_check")] == 2000
+    return ({(p["function"], p["caller"]): p["calls"] for p in pairs},
+            stdout.read_text())
+
+
+def test_tracer_counts_calls_through_a_swapped_arith_fn(tmp_path):
+    # contract reads CLOSED_FORMS[("mu", 1)], whose fn the tracer replaces
+    # with object.__setattr__ on the frozen ArithFn
+    calls, _ = _traced_calls(tmp_path, "contract", "mu", "1", "40")
+    assert calls[("contraction.closed_mu_alpha", "cli.main")] == 40
+    calls, stdout = _traced_calls(tmp_path, "series", "--s", "3", "--n", "2000")
     assert calls[("verify.euler_product_check", "cli.main")] == 4
-    assert stdout.read_text().count("\n") == 5   # header and four rows
+    assert stdout.count("\n") == 5   # header and four rows

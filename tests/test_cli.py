@@ -288,6 +288,17 @@ def test_primitive_primes_calls_per_command(argv, calls, monkeypatch, capsys):
     assert len(seen) == calls
 
 
+@pytest.mark.parametrize("argv", [
+    ["series", "--s", "1"], ["series", "--s", "0.5"], ["series", "--s", "nan"],
+    ["verify", "euler-product", "--s", "nan"]])
+def test_series_refuses_s_not_above_1_before_sieving(argv, monkeypatch,
+                                                     capsys):
+    monkeypatch.setattr(numtheory, "_mu_values", [0, 1])
+    assert run_cli(argv + ["--n", "3000000"]) == 2
+    assert len(numtheory._mu_values) == 2
+    assert "requires s > 1" in capsys.readouterr().err
+
+
 def test_series_emission(tmp_path):
     out = tmp_path / "series.json"
     assert run_cli(["series", "--which", "all", "--s", "2", "--n", "2000",

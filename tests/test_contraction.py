@@ -4,6 +4,11 @@ import pytest
 
 from fibdirichlet import contraction
 from fibdirichlet.contraction import (
+    DELTA23_TABLE,
+    LAMBDA_ALPHA_TABLE,
+    MU_ALPHA2_TABLE,
+    MU_ALPHA3_TABLE,
+    MU_ALPHA_TABLE,
     _mu_iterate_fn,
     _mu_iterate_weights,
     alpha_contract,
@@ -154,6 +159,20 @@ def test_closed_forms_match_the_dilation_form():
         assert closed_mu_alpha3(n) == generated[3](n), n
         for k in (4, 5, 6):
             assert generated[k](n) == generated[3](n), (k, n)
+
+
+@pytest.mark.parametrize("n_max", [12, 13, 47, 5000, 50_000])
+def test_whole_array_reader_matches_the_scalar_closed_forms(n_max):
+    # most n_max are not multiples of the moduli 4, 6 and 12
+    for table, closed in ((MU_ALPHA_TABLE, closed_mu_alpha),
+                          (MU_ALPHA2_TABLE, closed_mu_alpha2),
+                          (MU_ALPHA3_TABLE, closed_mu_alpha3),
+                          (LAMBDA_ALPHA_TABLE, closed_lambda_alpha),
+                          (DELTA23_TABLE, closed_delta23)):
+        values = table.values(n_max)
+        assert len(values) == n_max
+        for n in range(1, n_max + 1):
+            assert values[n - 1] == closed(n), (table, n)
 
 
 def test_dilation_form_reads_mu_of_the_quotient():

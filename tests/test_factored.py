@@ -9,6 +9,7 @@ sympy where it is installed.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fibdirichlet import numtheory
 from fibdirichlet.fib import fib_factorization
 from fibdirichlet.numtheory import (
     MANGOLDT,
@@ -39,12 +40,17 @@ def test_carried_factors_match_a_fresh_factorization(n, data):
             assert fn(carried) == fn(fresh) == fn(int(carried))
 
 
-def test_sieve_mobius_matches_factorized_mobius():
-    grow_mu_sieve(20_000)
-    for n in range(1, 20_001):
-        exponents = [e for _, e in factorize(n).factors]
-        expected = 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
-        assert mobius(n) == expected, n
+def test_sieve_mobius_matches_factorized_mobius(monkeypatch):
+    # grown from the initial sieve in three steps, each prefix checked
+    monkeypatch.setattr(numtheory, "_mu_values", [0, 1])
+    for limit in (13, 1000, 20_000):
+        sieve = grow_mu_sieve(limit)
+        assert sieve is numtheory._mu_values and len(sieve) == limit + 1
+        for n in range(1, limit + 1):
+            exponents = [e for _, e in factorize(n).factors]
+            expected = (0 if any(e > 1 for e in exponents)
+                        else (-1) ** len(exponents))
+            assert sieve[n] == mobius(n) == expected, (limit, n)
 
 
 def test_carried_factors_match_sympy():

@@ -221,8 +221,9 @@ def test_zeta_partial():
     assert tail < 2e-4
     value, tail = zeta_partial(3, 100)
     assert abs(value - 1.2020569) < 1e-4
-    with pytest.raises(ValueError):
-        zeta_partial(1.0, 10)
+    for s in (1.0, 0.5, math.nan):
+        with pytest.raises(ValueError):
+            zeta_partial(s, 10)
 
 
 def test_factor_budget_error():

@@ -19,8 +19,10 @@ from fibdirichlet.numtheory import (
     ONE,
     PHI,
     factor_budget,
+    zeta_partial,
 )
 from fibdirichlet.verify import (
+    EULER_SERIES,
     PRIMITIVE_COUNT_BOUND,
     asymptotic_mangoldt_report,
     check_T_tables,
@@ -301,6 +303,17 @@ def test_euler_product_examples():
         euler_product_check("mu", 2, 5)
     with pytest.raises(ValueError):
         euler_product_check("nope", 2, 100)
+
+
+@pytest.mark.parametrize("s", [2, 3.0, 2.5])
+@pytest.mark.parametrize("n_terms", [12, 1001])
+def test_euler_series_equals_the_term_by_term_sum(s, n_terms):
+    # the slice-pass values against the closed forms read one n at a time
+    zeta_n, _ = zeta_partial(s, n_terms)
+    for which, (table, _) in EULER_SERIES.items():
+        series = math.fsum(table.at(n) / n**s for n in range(1, n_terms + 1))
+        report = euler_product_check(which, s, n_terms)
+        assert report.details[0]["zeta_N_times_D_N"] == zeta_n * series, which
 
 
 def test_check_T_tables():
