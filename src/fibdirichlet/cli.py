@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import math
 import os
 import sys
 from typing import Optional
@@ -94,6 +95,13 @@ def emit_rows(rows: list[dict], name: str, args: argparse.Namespace) -> None:
         sys.stdout.write(text)
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache", help="cache file path (FIBDIRICHLET_CACHE "
                                         "overrides the default, flag wins)")
@@ -142,7 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run identity checks")
     p.add_argument("check", choices=sorted(verify_mod.SUITE) + ["all"])
-    p.add_argument("--x", type=float, help="range or argument for the check")
+    p.add_argument("--x", type=_finite_float,
+                   help="range or argument for the check")
     p.add_argument("--s", type=float, help="Dirichlet series exponent")
     p.add_argument("--n", type=int, help="truncation length / range bound")
     p.add_argument("--which", choices=sorted(EULER_SERIES),
@@ -185,6 +194,8 @@ def cmd_contract(args: argparse.Namespace) -> int:
         n_max = DEFAULT_CONTRACT_N_MAX
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     f = NAMED_FUNCTIONS[args.fn]
     closed = CLOSED_FORMS.get((args.fn, depth))
     rows = []

@@ -65,7 +65,7 @@ def alpha_contract(f: ArithFn, n: int) -> Any:
     """
     if n < 1:
         raise ValueError("alpha_contract expects n >= 1")
-    return sum((f(m) for m in contributors(n)), f.zero)
+    return sum(map(f.fn, contributors(n)), f.zero)
 
 
 # --- iterated contractions of mu ---

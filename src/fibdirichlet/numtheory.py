@@ -220,12 +220,13 @@ def valuation(v: int, n: int) -> int:
 def divisors(f: Factorization) -> list[Factorization]:
     """All divisors of f in increasing order, ∏(eᵢ+1) of them, each carrying
     its factors.  Listed this way, the i-th from the end is f over the i-th."""
-    pairs: list[tuple[int, tuple[tuple[int, int], ...]]] = [(1, ())]
-    for p, e in f.factors:
-        pairs += [(d * p**k, factors + ((p, k),))
-                  for d, factors in pairs for k in range(1, e + 1)]
-    pairs.sort()
-    return [Factorization(d, factors) for d, factors in pairs]
+    out = [Factorization(1, ())]
+    for p, e in f.factors:   # primes ascending, so each d.factors is too
+        powers = [(p**k, ((p, k),)) for k in range(1, e + 1)]
+        out += [Factorization(d * q, d.factors + pk)
+                for d in out for q, pk in powers]
+    out.sort()
+    return out
 
 
 def _prime_factors(n: int) -> tuple[tuple[int, int], ...]:

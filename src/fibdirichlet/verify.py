@@ -373,8 +373,10 @@ def _phi_rank_sums(x: float) -> list[int]:
 
     φ is summed per rank once; each k then weights those ⌊x⌋ totals.
     """
+    # listed first: past the index cap it raises before x sizes by_rank
+    ranks = divisor_union_ranks(x)
     by_rank = [0] * (max(math.floor(x), 0) + 1)
-    for n, m in divisor_union_ranks(x).items():
+    for n, m in ranks.items():
         by_rank[m] += euler_phi(n)
     return [sum(by_rank[m] * (k // m) for m in range(1, k + 1))
             for k in range(len(by_rank))]
@@ -442,9 +444,12 @@ def euler_product_check(which: str, s: float, n_terms: int) -> VerificationRepor
     # f(n)/n^s as the same floats as evaluating it term by term; the terms
     # with f(n) = 0 are left out, which changes nothing as fsum is exact
     values = table.values(n_terms)
-    series = math.fsum(map(truediv, compress(values, values),
-                           map(pow, compress(range(1, n_terms + 1), values),
-                               repeat(s))))
+    try:
+        series = math.fsum(map(truediv, compress(values, values),
+                               map(pow, compress(range(1, n_terms + 1), values),
+                                   repeat(s))))
+    except OverflowError:
+        raise ValueError(f"n**s overflows a float at s={s}") from None
     poly = math.fsum(b ** -s for b in bases)
     tolerance = max(abs(poly) * tail + (zeta_n + tail) * 3 * tail, 1e-6)
     residual = abs(zeta_n * series - poly)

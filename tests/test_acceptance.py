@@ -45,7 +45,8 @@ def test_criterion_1_mu_alpha3_golden_sequence(tmp_path):
     started = time.monotonic()
     out = tmp_path / "mu3.csv"
     assert cli.main(["contract", "mu", "3", "24", "--out", str(out)]) == 0
-    rows = list(csv.DictReader(out.open()))
+    with out.open(newline="") as handle:
+        rows = list(csv.DictReader(handle))
     assert [int(r["direct"]) for r in rows] == GOLDEN_MU3_24
     elapsed = time.monotonic() - started
     assert elapsed < 10.0

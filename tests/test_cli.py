@@ -26,6 +26,11 @@ def run_cli(args):
     return cli.main(args)
 
 
+def read_csv(path):
+    with path.open(newline="") as handle:
+        return list(csv.DictReader(handle))
+
+
 def test_scalar_commands(capsys):
     assert run_cli(["fib", "12"]) == 0
     assert run_cli(["alpha", "2"]) == 0
@@ -91,7 +96,7 @@ def test_every_factorization_of_a_command_is_charged_to_the_budget(
 def test_contract_golden_sequence(tmp_path):
     out = tmp_path / "mu3.csv"
     assert run_cli(["contract", "mu", "3", "24", "--out", str(out)]) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = read_csv(out)
     got = [int(r["direct"]) for r in rows]
     assert got == [1, 0, 0, 0, -1, -1, -1, -1, -1, 0, -1, 0,
                    -1, 0, 0, 0, -1, 1, -1, 0, 0, 0, -1, 1]
@@ -101,7 +106,7 @@ def test_contract_golden_sequence(tmp_path):
 def test_contract_lambda_row(tmp_path):
     out = tmp_path / "la.csv"
     assert run_cli(["contract", "lambda", "1", "12", "--out", str(out)]) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = read_csv(out)
     assert int(rows[11]["direct"]) == 2
     assert int(rows[1]["direct"]) == 0  # the empty contraction at n=2
 
@@ -115,7 +120,7 @@ def test_contract_empty_sum_row(capsys):
 def test_contract_without_closed_form(tmp_path):
     out = tmp_path / "phi.csv"
     assert run_cli(["contract", "phi", "1", "6", "--out", str(out)]) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = read_csv(out)
     assert rows[0]["closed_form"] == "" and rows[0]["match"] == ""
 
 
@@ -137,7 +142,7 @@ def test_contract_flag_form_matches_positional(tmp_path):
 def test_contract_marks_budget_rows(tmp_path):
     out = tmp_path / "deep.csv"
     assert run_cli(["contract", "one", "2", "40", "--out", str(out)]) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = read_csv(out)
     assert any(r["direct"] == "budget-exceeded" for r in rows)
     assert all(r["match"] == "" for r in rows)  # no closed form at this depth
 
@@ -147,7 +152,7 @@ def test_contract_mismatch_exits_1(monkeypatch, tmp_path, capsys):
                         ArithFn("mu_alpha_wrong", lambda n: 7))
     out = tmp_path / "bad.csv"
     assert run_cli(["contract", "mu", "1", "6", "--out", str(out)]) == 1
-    rows = list(csv.DictReader(out.open()))
+    rows = read_csv(out)
     assert [r["match"] for r in rows] == ["no"] * 6
     assert "FAILED" in capsys.readouterr().err
 
@@ -163,8 +168,18 @@ def test_contract_budget_rows_exit_0(monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "alpha_contract_iter", capped)
     out = tmp_path / "capped.csv"
     assert run_cli(["contract", "mu", "1", "6", "--out", str(out)]) == 0
-    matches = [r["match"] for r in csv.DictReader(out.open())]
+    matches = [r["match"] for r in read_csv(out)]
     assert matches == ["yes"] * 3 + [""] * 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["contract", "mu", "1", "0"], ["contract", "mu", "1", "-3"],
+    ["contract", "mu", "--n-max", "0"], ["contract", "mu", "--depth", "0"]])
+def test_contract_refuses_depth_or_n_max_below_1(argv, capsys):
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and ">= 1" in captured.err
 
 
 def test_verify_all_passes(capsys):
@@ -201,6 +216,24 @@ def test_verify_budget_exhaustion_exits_3(capsys):
     assert "budget" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("x", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("check", ["theorem1", "pi-alpha", "phi-identity",
+                                   "logprod"])
+def test_verify_refuses_a_non_finite_x(check, x, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", check, f"--x={x}"])
+    assert exc.value.code == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check", ["theorem1", "pi-alpha", "phi-identity"])
+def test_verify_a_huge_finite_x_exits_3_at_once(check, capsys):
+    start = time.perf_counter()
+    assert run_cli(["verify", check, "--x", "1e300"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "budget" in capsys.readouterr().err
+
+
 def test_verify_all_honours_the_budget(capsys):
     assert run_cli(["verify", "theorem1", "--budget", "10"]) == 3
     assert run_cli(["verify", "all", "--budget", "10"]) == 3
@@ -226,7 +259,7 @@ def test_verify_report_file(tmp_path):
 def test_report_asymptotics(tmp_path):
     out = tmp_path / "asym.csv"
     assert run_cli(["report-asymptotics", "--x", "1,5", "--out", str(out)]) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = read_csv(out)
     by_key = {(r["kind"], r["x"]): r for r in rows}
     assert float(by_key[("log_lcm", "1")]["exact"]) == 0.0
     assert abs(float(by_key[("log_lcm", "5")]["exact"]) - 3.401197381662) < 1e-9
@@ -237,7 +270,7 @@ def test_report_asymptotics_marks_budget_rows(tmp_path):
     out = tmp_path / "asym.csv"
     assert run_cli(["report-asymptotics", "--x", "5,200",
                     "--out", str(out)]) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = read_csv(out)
     ep200 = next(r for r in rows if r["kind"] == "ep_log_sum" and r["x"] == "200")
     assert ep200["exact"] == "budget-exceeded"
     lcm200 = next(r for r in rows if r["kind"] == "log_lcm" and r["x"] == "200")
@@ -297,6 +330,15 @@ def test_series_refuses_s_not_above_1_before_sieving(argv, monkeypatch,
     assert run_cli(argv + ["--n", "3000000"]) == 2
     assert len(numtheory._mu_values) == 2
     assert "requires s > 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["series"], ["verify", "euler-product"]])
+def test_series_overflowing_n_to_the_s_exits_2(argv, capsys):
+    # 12**400 is past the largest float; s = 400 itself is a valid exponent
+    assert run_cli(argv + ["--s", "400", "--n", "12"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n**s overflows a float at s=400.0\n"
 
 
 def test_series_emission(tmp_path):

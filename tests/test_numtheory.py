@@ -79,9 +79,22 @@ def test_divisors_examples():
     assert len(d144) == 15 and d144[-1] == 144
 
 
+def assert_divisor_list(fac, divs):
+    """divs lists fac's divisors ascending, each carrying its own factors,
+    so that the i-th from the end is fac over the i-th."""
+    exponents = dict(fac.factors)
+    assert all(a < b for a, b in zip(divs, divs[1:]))
+    for d in divs:
+        primes = [p for p, _ in d.factors]
+        assert primes == sorted(set(primes))
+        assert math.prod(p**e for p, e in d.factors) == d
+        assert all(e <= exponents.get(p, 0) for p, e in d.factors)
+    assert all(d * c == fac for d, c in zip(divs, reversed(divs)))
+
+
 def test_factorization_and_divisor_sums_to_10000():
-    # one pass over n <= 10^4: reconstruction, divisor count, and the
-    # classical divisor-sum identities for mu, phi and lambda
+    # one pass over n <= 10^4: reconstruction, divisor count and order, and
+    # the classical divisor-sum identities for mu, phi and lambda
     for n in range(1, 10_001):
         fac = factorize(n)
         prod = 1
@@ -93,10 +106,22 @@ def test_factorization_and_divisor_sums_to_10000():
         assert prod == n
         divs = divisors(fac)
         assert len(divs) == count
+        assert_divisor_list(fac, divs)
         assert sum(mobius(d) for d in divs) == (1 if n == 1 else 0)
         assert sum(euler_phi(d) for d in divs) == n
         is_square = math.isqrt(n) ** 2 == n
         assert sum(liouville(d) for d in divs) == (1 if is_square else 0)
+
+
+def test_divisor_lists_of_fibonacci_and_high_exponent_values():
+    from fibdirichlet.fib import fib_factorization
+
+    facs = [fib_factorization(k) for k in range(1, 121)]
+    facs += [factorize(2**20 * 3**5 * 7), factorize(720720**2)]
+    for fac in facs:
+        divs = divisors(fac)
+        assert len(divs) == divisor_count(fac)
+        assert_divisor_list(fac, divs)
 
 
 def test_factors_strictly_increasing():
