@@ -3,9 +3,13 @@
 The contraction of an arithmetic function f sends n to the sum of f over all
 m whose rank of apparition is exactly n.  By duality those m are precisely
 the divisors of F(n) that divide no earlier Fibonacci number, which makes the
-sum finite and exactly computable.  This module also provides the iterated
-contractions of μ, the floor-weighted (T) and plain (S) summatory functions,
-and closed forms for μ_α, μ_α², μ_α³, λ_α and the kernel element Δ₂₃.
+sum finite and exactly computable.
+
+The μ-family is held one way, as a Dilation {j: c_j} with
+f(n) = Σ_{j|n} c_j·μ(n/j), on which contraction is the pull-back c ↦ c∘F:
+μ_α, μ_α² and μ_α³ are [n = 1] pulled back, λ_α is c = 1_{1,2,12} and the
+kernel element Δ₂₃ is c = −1_{4}.  The module also provides the
+floor-weighted (T) and plain (S) summatory functions.
 """
 
 from __future__ import annotations
@@ -14,9 +18,9 @@ import math
 from functools import lru_cache, partial, reduce
 from itertools import filterfalse, repeat
 from operator import add, mul
-from typing import Any, NamedTuple
+from typing import Any
 
-from .fib import fib, fib_factorization
+from .fib import fib_factorization
 from .numtheory import (
     ArithFn,
     MU,
@@ -68,50 +72,41 @@ def alpha_contract(f: ArithFn, n: int) -> Any:
     return sum(map(f.fn, contributors(n)), f.zero)
 
 
-# --- iterated contractions of mu ---
-#
-# Contracting h(n) = Σ c_j·μ(n/j)·[j|n] again gives a function of the same
-# shape: by duality Σ_{k|n} h_α(k) = Σ_{d|F(n)} h(d), and Σ_{d|v, j|d} μ(d/j)
-# collapses to [v = j], so only dilations j that are Fibonacci values survive,
-# each replaced by its Fibonacci index.  Everything used here is classical;
-# no case table is assumed.
+# --- the μ-family as dilation forms ---
 
 
-def _fib_indexes_of(value: int) -> tuple[int, ...]:
-    if value == 1:
-        return (1, 2)
-    j = 3
-    while fib(j) < value:
-        j += 1
-    return (j,) if fib(j) == value else ()
+class Dilation:
+    """f(n) = Σ_{j|n} c_j·μ(n/j) for a finite map {j: c_j}, so that 1*f = c.
 
+    By duality Σ_{k|n} f_α(k) = Σ_{d|F(n)} f(d) = c(F(n)): contraction is the
+    pull-back c ↦ c∘F, and it keeps this shape.
+    """
 
-@lru_cache(maxsize=None)
-def _mu_iterate_weights(depth: int) -> tuple[tuple[int, int], ...]:
-    """Dilation weights of the depth-fold contraction of μ, as (dilate, coeff)."""
-    combo = {1: 1}
-    for _ in range(depth):
-        nxt: dict[int, int] = {}
-        for m, c in combo.items():
-            for j in _fib_indexes_of(m):
-                nxt[j] = nxt.get(j, 0) + c
-        combo = nxt
-    return tuple(sorted(combo.items()))
+    __slots__ = ("weights", "_terms")
 
+    def __init__(self, weights: dict[int, int]) -> None:
+        self.weights = {j: c for j, c in sorted(weights.items()) if c}
+        # each dilate with its exponents, so μ(n/j) is read from n's
+        self._terms = [(j, dict(factorize(j).factors), c)
+                       for j, c in self.weights.items()]
 
-@lru_cache(maxsize=None)
-def _mu_iterate_fn(depth: int) -> ArithFn:
-    # built once per depth, so the dilates are factored once; μ(n/m) is read
-    # from n's exponents less those of m, so no quotient is built
-    weights = [(m, dict(factorize(m).factors), c)
-               for m, c in _mu_iterate_weights(depth)]
+    def pull_back(self) -> Dilation:
+        """The form of f's contraction: c(F(k)) at each k with F(k) ≤ max j."""
+        pulled, k, value, after = {}, 1, 1, 1
+        top = max(self.weights, default=0)
+        while value <= top:
+            pulled[k] = self.weights.get(value, 0)
+            k, value, after = k + 1, after, value + after
+        return Dilation(pulled)
 
-    def evaluate(n: int) -> int:
+    def at(self, n: int) -> int:
+        """f(n); a plain int n is factored once, and no quotient is built."""
         factors = _prime_factors(n)
         total = 0
-        for m, dilate, c in weights:
+        for m, dilate, c in self._terms:
             if n % m:
                 continue
+            # μ(n/m) from n's exponents less m's: squarefree test and sign
             sign = c
             for p, e in factors:
                 e -= dilate.get(p, 0)
@@ -123,107 +118,111 @@ def _mu_iterate_fn(depth: int) -> ArithFn:
                 total += sign
         return total
 
-    return ArithFn(f"mu_iter{depth}", evaluate)
+    def values(self, n_max: int) -> list[int]:
+        """[f(1), ..., f(n_max)], walking n by its class mod M = lcm(j)².
+
+        On a class, n/k ≡ first/k (mod M/k), so two facts hold on all of
+        it at once: μ(n/j) = μ(k/j)·μ(n/k) for j | k with k/j prime to
+        first/k, which folds c_j into c_k, and μ(n/j) = 0 where
+        gcd(first/j, M/j) is not squarefree.  Each remaining μ(n/j) is one
+        strided slice of the μ sieve.
+        """
+        mu = grow_mu_sieve(n_max)
+        m = math.lcm(*self.weights) ** 2
+        out = [0] * n_max
+        for first in range(1, min(m, n_max) + 1):   # out[first - 1::m]
+            coeffs = {j: c for j, c in self.weights.items() if first % j == 0}
+            for j in list(coeffs):
+                k = next((k for k in coeffs if k > j and k % j == 0
+                          and math.gcd(k // j, first // k) == 1), None)
+                if k is not None:
+                    coeffs[k] += mobius(k // j) * coeffs.pop(j)
+            columns = []
+            for j, c in coeffs.items():
+                if c and mobius(math.gcd(first // j, m // j)):
+                    column = mu[first // j:n_max // j + 1:m // j]
+                    columns.append(column if c == 1
+                                   else map(mul, column, repeat(c)))
+            if columns:   # summed lazily, written in one pass
+                out[first - 1::m] = reduce(partial(map, add), columns)
+        return out
+
+    def polynomial(self, s: float) -> float:
+        """Σ c_j·j^−s, which ζ(s)·Σ f(n)/n^s equals."""
+        return math.fsum(c * j ** -s for j, c in self.weights.items())
+
+
+@lru_cache(maxsize=None)
+def mu_iterate(depth: int) -> Dilation:
+    """μ contracted depth times: [n = 1] pulled back until fixed (depth 3)."""
+    form = Dilation({1: 1})
+    for _ in range(depth):
+        pulled = form.pull_back()
+        if pulled.weights == form.weights:
+            break
+        form = pulled
+    return form
+
+
+@lru_cache(maxsize=None)
+def _mu_iterate_fn(depth: int) -> ArithFn:
+    # one per depth, not one per n: an ArithFn built for each n raised the
+    # peak RSS of `contract mu 3 120` (allocator placement, not held data)
+    return ArithFn(f"mu_iter{depth}", mu_iterate(depth).at)
 
 
 def alpha_contract_iter(f: ArithFn, depth: int, n: int) -> Any:
     """depth-fold contraction of f at n.
 
-    For μ the inner iterate is evaluated through its exact dilation form, so
-    arbitrarily large contributors stay cheap.  For other functions the inner
-    levels recurse literally and raise the budget error once an intermediate
-    Fibonacci number is unfactorable.
+    For μ the inner iterate is read from its dilation form, so arbitrarily
+    large contributors stay cheap.  For other f the contributors are expanded
+    level by level, equal m merged with their multiplicities, and f_α is
+    summed once per distinct m; an unfactorable F(m) raises the budget error.
     """
     if depth < 1:
         raise ValueError("alpha_contract_iter expects depth >= 1")
     if depth == 1:
         return alpha_contract(f, n)
     if f is MU:
-        inner = _mu_iterate_fn(depth - 1)
-    else:
-        inner = ArithFn(f"{f.name}_iter{depth - 1}",
-                        lambda m: alpha_contract_iter(f, depth - 1, m), f.zero)
-    return alpha_contract(inner, n)
+        return alpha_contract(_mu_iterate_fn(depth - 1), n)
+    level = {n: 1}
+    for _ in range(depth - 1):
+        below: dict[int, int] = {}
+        for m, k in level.items():
+            for d in contributors(m):
+                below[d] = below.get(d, 0) + k
+        level = below
+    return sum((alpha_contract(f, m) * k for m, k in level.items()), f.zero)
 
 
 # --- closed forms ---
 
-
-class CaseTable(NamedTuple):
-    """A closed form f(n) = Σ c·μ(n/j) over the (j, c) pairs listed under
-    n mod modulus.
-
-    Each j listed under r divides both r and the modulus, so j | n wherever
-    the pair applies.  at(n) reads f at one n; values(N) reads f(1..N) in
-    slice passes over the μ sieve.
-    """
-
-    modulus: int
-    cases: tuple[tuple[tuple[int, int], ...], ...]   # indexed by residue
-
-    def at(self, n: int) -> int:
-        # n itself for j = 1, so that a Factorization supplies its factors
-        return sum(c * mobius(n // j if j > 1 else n)
-                   for j, c in self.cases[n % self.modulus])
-
-    def values(self, n_max: int) -> list[int]:
-        """[f(1), ..., f(n_max)], with μ read from the sieve grown to n_max."""
-        mu = grow_mu_sieve(n_max)
-        m = self.modulus
-        out = [0] * n_max
-        for r, pairs in enumerate(self.cases):
-            first = r or m   # the least n ≥ 1 with n ≡ r, at out[first - 1]
-            columns = []
-            for j, c in pairs:
-                # μ(n/j) for n = first, first + m, ... ≤ n_max
-                column = mu[first // j:n_max // j + 1:m // j]
-                columns.append(column if c == 1
-                               else map(mul, column, repeat(c)))
-            if columns:   # summed lazily, written in one pass
-                out[first - 1::m] = reduce(partial(map, add), columns)
-        return out
-
-
-def _case_table(modulus: int, cases: dict) -> CaseTable:
-    """The table listing cases[residues] under each of those residues."""
-    by_residue = {r: pairs for residues, pairs in cases.items()
-                  for r in residues}
-    return CaseTable(modulus, tuple(by_residue[r] for r in range(modulus)))
-
-
-MU_ALPHA_TABLE = _case_table(4, {
-    (1, 3): ((1, 1),), (2,): (), (0,): ((2, 1),)})
-MU_ALPHA2_TABLE = _case_table(6, {
-    (1, 5): ((1, 1),), (2, 4): ((1, 1), (2, 1)), (3,): ((1, 1), (3, 1)),
-    (0,): ((1, 1), (2, 1), (3, 1))})
-MU_ALPHA3_TABLE = _case_table(12, {
-    (1, 5, 7, 11): ((1, 1),), (2, 10): (), (3, 9): ((1, 1), (3, 1)),
-    (6,): ((3, 1),), (0, 4, 8): ((2, 1), (4, 1))})
-LAMBDA_ALPHA_TABLE = _case_table(12, {
-    (1, 3, 5, 7, 9, 11): ((1, 1),), (2, 4, 6, 8, 10): ((1, 1), (2, 1)),
-    (0,): ((2, 1), (12, 1))})
-DELTA23_TABLE = _case_table(4, {(1, 2, 3): (), (0,): ((4, -1),)})
+MU_ALPHA, MU_ALPHA2, MU_ALPHA3 = map(mu_iterate, (1, 2, 3))
+# 1*λ is the indicator of the squares, the only square Fibonacci numbers
+# being 1 and 144 (Cohn, 1964)
+LAMBDA_ALPHA = Dilation({1: 1, 2: 1, 12: 1})
+DELTA23 = Dilation({4: -1})   # μ_α² − μ_α³
 
 
 def closed_mu_alpha(n: int) -> int:
-    """Contraction of μ: case table mod 4.  Multiplicative."""
-    return MU_ALPHA_TABLE.at(n)
+    """Contraction of μ: c = 1_{1,2}.  Multiplicative."""
+    return MU_ALPHA.at(n)
 
 
 def closed_mu_alpha2(n: int) -> int:
     """Twice-contracted μ: μ(n) plus μ(n/2) and μ(n/3) where those divide."""
-    return MU_ALPHA2_TABLE.at(n)
+    return MU_ALPHA2.at(n)
 
 
 def closed_mu_alpha3(n: int) -> int:
-    """Thrice-contracted μ: case table mod 12; a fixed point of contraction."""
-    return MU_ALPHA3_TABLE.at(n)
+    """Thrice-contracted μ: c = 1_{1,2,3,4}; a fixed point of contraction."""
+    return MU_ALPHA3.at(n)
 
 
 def closed_lambda_alpha(n: int) -> int:
-    """Contraction of λ: case table mod 12, driven by the three square
+    """Contraction of λ: c = 1_{1,2,12}, driven by the three square
     Fibonacci numbers F(1) = F(2) = 1 and F(12) = 144."""
-    return LAMBDA_ALPHA_TABLE.at(n)
+    return LAMBDA_ALPHA.at(n)
 
 
 def closed_delta23(n: int) -> int:
@@ -231,7 +230,7 @@ def closed_delta23(n: int) -> int:
 
     Lies in the kernel of the contraction operator.
     """
-    return DELTA23_TABLE.at(n)
+    return DELTA23.at(n)
 
 
 CLOSED_FORMS: dict[tuple[str, int], ArithFn] = {

@@ -17,11 +17,11 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .contraction import (
     CLOSED_FORMS,
-    LAMBDA_ALPHA_TABLE,
-    MU_ALPHA2_TABLE,
-    MU_ALPHA3_TABLE,
-    MU_ALPHA_TABLE,
-    CaseTable,
+    LAMBDA_ALPHA,
+    MU_ALPHA,
+    MU_ALPHA2,
+    MU_ALPHA3,
+    Dilation,
     contributors,
     divisor_union_ranks,
     summatory_T,
@@ -244,6 +244,22 @@ def check_corollary_completely_mult(f: ArithFn, g: ArithFn, n_max: int
 # --- the exact log-product closed form and its tail constant ---
 
 
+def logprod_walk(x: float) -> Iterator[tuple[ExactLog, float, float]]:
+    """logprod_closed_form(n) for n = 1..⌊x⌋, from one running product."""
+    r = CONSTANTS.golden_ratio
+    prod = 1
+    a, b = 1, 1
+    terms = []   # constant_c(n)'s terms
+    for n in range(1, math.floor(x) + 1):
+        prod *= a
+        a, b = b, a + b
+        terms.append(_tail_term(n))
+        lhs = ExactLog(prod)
+        rhs = (math.log(r) / 2 * n * n + math.log(r / 5) / 2 * n
+               + math.fsum(terms))
+        yield lhs, rhs, abs(lhs.log_value - rhs)
+
+
 def logprod_closed_form(x: float) -> tuple[ExactLog, float, float]:
     """Exact log of ∏_{n≤x} F(n) against its golden-ratio closed form.
 
@@ -251,27 +267,22 @@ def logprod_closed_form(x: float) -> tuple[ExactLog, float, float]:
     (log r / 2)·⌊x⌋² + (log(r/5) / 2)·⌊x⌋ + Σ_{n≤x} log(1 − (−1)ⁿ/r²ⁿ)
     with r the golden ratio.  Returns (lhs, rhs, |difference|).
     """
-    n_max = math.floor(x)
-    prod = 1
-    a, b = 1, 1
-    for _ in range(max(n_max, 0)):
-        prod *= a
-        a, b = b, a + b
-    lhs = ExactLog(prod)
-    r = CONSTANTS.golden_ratio
-    rhs = (math.log(r) / 2 * n_max * n_max + math.log(r / 5) / 2 * n_max
-           + constant_c(n_max))
-    return lhs, rhs, abs(lhs.log_value - rhs)
+    if x < 1:
+        raise ValueError("logprod_closed_form expects x >= 1")
+    for row in logprod_walk(x):
+        pass
+    return row
 
 
 def constant_c(n_terms: int) -> float:
     """Partial sum Σ_{n≤N} log(1 − (−1)ⁿ/r²ⁿ); converges geometrically."""
     if n_terms < 1:
         raise ValueError("constant_c expects N >= 1")
-    r = CONSTANTS.golden_ratio
-    return math.fsum(
-        math.log1p(-((-1) ** n) * r ** (-2 * n)) for n in range(1, n_terms + 1)
-    )
+    return math.fsum(map(_tail_term, range(1, n_terms + 1)))
+
+
+def _tail_term(n: int) -> float:
+    return math.log1p(-((-1) ** n) * CONSTANTS.golden_ratio ** (-2 * n))
 
 
 # --- asymptotics: reported with ratios, not asserted as limits ---
@@ -417,13 +428,10 @@ def phi_recursive_fib(x_max: int) -> list[int]:
 # Each stated Euler product divided by ∏_p (1−p^−s) = 1/ζ(s) is a finite
 # polynomial in p^−s: e.g. (1−4^−s)·∏_{p>2}(1−p^−s) equals
 # (1−2^−s)(1+2^−s) / ((1−2^−s)·ζ(s)) = (1+2^−s)/ζ(s), so ζ(s)·D(s) for the
-# once-contracted μ must approach 1 + 2^−s.
+# once-contracted μ must approach 1 + 2^−s, its form's Σ c_j·j^−s.
 
-EULER_SERIES: dict[str, tuple[CaseTable, tuple[int, ...]]] = {
-    "lambda": (LAMBDA_ALPHA_TABLE, (1, 2, 12)),
-    "mu": (MU_ALPHA_TABLE, (1, 2)),
-    "mu2": (MU_ALPHA2_TABLE, (1, 2, 3)),
-    "mu3": (MU_ALPHA3_TABLE, (1, 2, 3, 4)),
+EULER_SERIES: dict[str, Dilation] = {
+    "lambda": LAMBDA_ALPHA, "mu": MU_ALPHA, "mu2": MU_ALPHA2, "mu3": MU_ALPHA3,
 }
 
 
@@ -431,26 +439,26 @@ def euler_product_check(which: str, s: float, n_terms: int) -> VerificationRepor
     """Check ζ_N(s)·Σ_{n≤N} f(n)/n^s against the finite polynomial side.
 
     Tolerance is derived, never tuned: |poly|·tail(N) for the ζ truncation
-    plus ζ(s)·3·tail(N) for the series truncation (each closed form is a sum
-    of at most three μ-values, each in −1..1), floored at 1e−6.  An s that is
-    not > 1 is refused before anything is sieved.
+    plus ζ(s)·3·tail(N) for the series truncation (|f(n)| ≤ 3, as at most
+    three of a form's μ(n/j) are nonzero at any n), floored at 1e−6.  An s
+    that is not > 1 is refused before anything is sieved.
     """
     if which not in EULER_SERIES:
         raise ValueError(f"unknown series {which!r}; pick from {sorted(EULER_SERIES)}")
     if n_terms < 12:
         raise ValueError("need N >= 12 to see all polynomial terms")
-    table, bases = EULER_SERIES[which]
+    form = EULER_SERIES[which]
     zeta_n, tail = zeta_partial(s, n_terms)
     # f(n)/n^s as the same floats as evaluating it term by term; the terms
     # with f(n) = 0 are left out, which changes nothing as fsum is exact
-    values = table.values(n_terms)
+    values = form.values(n_terms)
     try:
         series = math.fsum(map(truediv, compress(values, values),
                                map(pow, compress(range(1, n_terms + 1), values),
                                    repeat(s))))
     except OverflowError:
         raise ValueError(f"n**s overflows a float at s={s}") from None
-    poly = math.fsum(b ** -s for b in bases)
+    poly = form.polynomial(s)
     tolerance = max(abs(poly) * tail + (zeta_n + tail) * 3 * tail, 1e-6)
     residual = abs(zeta_n * series - poly)
     details = [{"zeta_N_times_D_N": zeta_n * series, "polynomial": poly,
@@ -512,8 +520,7 @@ def _suite_corollary(n_max: int = 20) -> list[VerificationReport]:
 def _suite_logprod(x: float = 40.0, tolerance: float = 1e-8) -> list[VerificationReport]:
     details = []
     worst = 0.0
-    for n in range(1, math.floor(x) + 1):
-        _, _, residual = logprod_closed_form(n)
+    for n, (_, _, residual) in enumerate(logprod_walk(x), 1):
         worst = max(worst, residual)
         details.append({"x": n, "residual": residual})
     return [VerificationReport("logprod", f"x<={math.floor(x)}",

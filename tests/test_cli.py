@@ -147,6 +147,20 @@ def test_contract_marks_budget_rows(tmp_path):
     assert all(r["match"] == "" for r in rows)  # no closed form at this depth
 
 
+@pytest.mark.parametrize("argv, stdout", [
+    # the 1 → 1 and 5 → 5 chains far past the recursion limit; the bytes
+    # are those that depth 300 printed when the levels still recursed
+    (["phi", "400", "5"], "n,direct,closed_form,match\n"
+                          "1,1,,\n2,0,,\n3,0,,\n4,0,,\n5,4,,\n"),
+    (["one", "1500", "2"], "n,direct,closed_form,match\n1,1,,\n2,0,,\n"),
+    (["mu", "5000", "5"], "n,direct,closed_form,match\n"
+                          "1,1,,\n2,0,,\n3,0,,\n4,0,,\n5,-1,,\n"),
+])
+def test_deep_contractions_exit_0(argv, stdout, capsys):
+    assert run_cli(["contract", *argv]) == 0
+    assert capsys.readouterr().out == stdout
+
+
 def test_contract_mismatch_exits_1(monkeypatch, tmp_path, capsys):
     monkeypatch.setitem(cli.CLOSED_FORMS, ("mu", 1),
                         ArithFn("mu_alpha_wrong", lambda n: 7))

@@ -1,16 +1,16 @@
 import math
+from itertools import product
 
 import pytest
 
 from fibdirichlet import contraction
 from fibdirichlet.contraction import (
-    DELTA23_TABLE,
-    LAMBDA_ALPHA_TABLE,
-    MU_ALPHA2_TABLE,
-    MU_ALPHA3_TABLE,
-    MU_ALPHA_TABLE,
-    _mu_iterate_fn,
-    _mu_iterate_weights,
+    DELTA23,
+    LAMBDA_ALPHA,
+    MU_ALPHA,
+    MU_ALPHA2,
+    MU_ALPHA3,
+    Dilation,
     alpha_contract,
     alpha_contract_iter,
     closed_delta23,
@@ -20,6 +20,7 @@ from fibdirichlet.contraction import (
     closed_mu_alpha3,
     contributors,
     divisor_union_ranks,
+    mu_iterate,
     summatory_S,
     summatory_T,
 )
@@ -37,6 +38,30 @@ from fibdirichlet.numtheory import (
     mobius,
 )
 from fibdirichlet.fib import fib, lcm_fib
+
+# The paper's closed forms as residue case tables: f(n) = Σ c·μ(n/j) over the
+# (j, c) pairs listed under n mod the modulus.  The derived forms are checked
+# against them; λ_α's rests on the squares among the Fibonacci numbers being
+# F(1) = F(2) = 1 and F(12) = 144 (Cohn, 1964).
+PAPER_CASE_TABLES = {
+    "mu_alpha": (closed_mu_alpha, 4, {
+        (1, 3): ((1, 1),), (2,): (), (0,): ((2, 1),)}),
+    "mu_alpha2": (closed_mu_alpha2, 6, {
+        (1, 5): ((1, 1),), (2, 4): ((1, 1), (2, 1)), (3,): ((1, 1), (3, 1)),
+        (0,): ((1, 1), (2, 1), (3, 1))}),
+    "mu_alpha3": (closed_mu_alpha3, 12, {
+        (1, 5, 7, 11): ((1, 1),), (2, 10): (), (3, 9): ((1, 1), (3, 1)),
+        (6,): ((3, 1),), (0, 4, 8): ((2, 1), (4, 1))}),
+    "lambda_alpha": (closed_lambda_alpha, 12, {
+        (1, 3, 5, 7, 9, 11): ((1, 1),), (2, 4, 6, 8, 10): ((1, 1), (2, 1)),
+        (0,): ((2, 1), (12, 1))}),
+    "delta23": (closed_delta23, 4, {(1, 2, 3): (), (0,): ((4, -1),)}),
+}
+
+
+def case_table_value(modulus, cases, n):
+    pairs = next(p for residues, p in cases.items() if n % modulus in residues)
+    return sum(c * mobius(n // j) for j, c in pairs)
 
 
 def invert_T_to_S(T: dict[int, int], x: float) -> int:
@@ -150,56 +175,114 @@ def test_deeper_iterates_hit_the_fixed_point():
 
 
 def test_closed_forms_match_the_dilation_form():
-    # the paper's case tables against the iterates generated from the
-    # Fibonacci values among the dilations, at every depth up to 6
-    generated = {k: _mu_iterate_fn(k) for k in range(1, 7)}
-    for n in range(1, 5001):
-        assert closed_mu_alpha(n) == generated[1](n), n
-        assert closed_mu_alpha2(n) == generated[2](n), n
-        assert closed_mu_alpha3(n) == generated[3](n), n
-        for k in (4, 5, 6):
-            assert generated[k](n) == generated[3](n), (k, n)
+    # the paper's case tables against the forms derived by pull-back, and
+    # the iterates at depths 4 to 6 against depth 3
+    for name, (closed, modulus, cases) in PAPER_CASE_TABLES.items():
+        for n in range(1, 5001):
+            assert closed(n) == case_table_value(modulus, cases, n), (name, n)
+    assert MU_ALPHA is mu_iterate(1) and MU_ALPHA3 is mu_iterate(3)
+    # the loop stops at the fixed point, so depth 5000 costs three pull-backs
+    for k in (4, 5, 6, 5000):
+        assert mu_iterate(k).weights == MU_ALPHA3.weights
+
+
+def test_derived_forms_and_their_polynomials():
+    assert MU_ALPHA.weights == {1: 1, 2: 1}
+    assert MU_ALPHA2.weights == {1: 1, 2: 1, 3: 1}
+    assert MU_ALPHA3.weights == {1: 1, 2: 1, 3: 1, 4: 1}
+    # ζ(s)·D(s) of the paper's Euler products
+    for s in (2.0, 3.0, 2.5):
+        assert MU_ALPHA.polynomial(s) == 1 + 2 ** -s
+    assert abs(MU_ALPHA3.polynomial(2) - 205 / 144) < 1e-15
+    assert abs(LAMBDA_ALPHA.polynomial(2) - (1 + 1 / 4 + 1 / 144)) < 1e-15
+    assert DELTA23.polynomial(2) == -1 / 16
 
 
 @pytest.mark.parametrize("n_max", [12, 13, 47, 5000, 50_000])
 def test_whole_array_reader_matches_the_scalar_closed_forms(n_max):
-    # most n_max are not multiples of the moduli 4, 6 and 12
-    for table, closed in ((MU_ALPHA_TABLE, closed_mu_alpha),
-                          (MU_ALPHA2_TABLE, closed_mu_alpha2),
-                          (MU_ALPHA3_TABLE, closed_mu_alpha3),
-                          (LAMBDA_ALPHA_TABLE, closed_lambda_alpha),
-                          (DELTA23_TABLE, closed_delta23)):
-        values = table.values(n_max)
+    # most n_max are not multiples of the class moduli 4, 36, 144 and 5184;
+    # the last form has coefficients other than 1 and chains 1 | 2 | 4 | 8
+    # along which the reader folds columns
+    extra = Dilation({1: 2, 2: -1, 4: 3, 6: 1, 8: 1, 9: -2})
+    for form, closed in ((MU_ALPHA, closed_mu_alpha),
+                         (MU_ALPHA2, closed_mu_alpha2),
+                         (MU_ALPHA3, closed_mu_alpha3),
+                         (LAMBDA_ALPHA, closed_lambda_alpha),
+                         (DELTA23, closed_delta23),
+                         (extra, extra.at)):
+        values = form.values(n_max)
         assert len(values) == n_max
         for n in range(1, n_max + 1):
-            assert values[n - 1] == closed(n), (table, n)
+            assert values[n - 1] == closed(n), (form.weights, n)
 
 
 def test_dilation_form_reads_mu_of_the_quotient():
     # on carried factors, against Σ c·μ(d/m) over plain-int quotients
     for k in range(1, 5):
-        iterate = _mu_iterate_fn(k)
-        weights = _mu_iterate_weights(k)
+        iterate = mu_iterate(k)
         for n in range(1, 61):
             for d in divisors(fib_factorization(n)):
                 literal = sum(c * mobius(int(d) // m)
-                              for m, c in weights if d % m == 0)
-                assert iterate(d) == literal, (k, n, d)
+                              for m, c in iterate.weights.items()
+                              if d % m == 0)
+                assert iterate.at(d) == literal, (k, n, d)
 
 
 def test_mu_iterate_is_built_once_per_depth(monkeypatch):
-    assert _mu_iterate_fn(2) is _mu_iterate_fn(2)
+    assert mu_iterate(2) is mu_iterate(2)
     calls = []
     original = contraction.factorize
     monkeypatch.setattr(contraction, "factorize",
                         lambda n: calls.append(n) or original(n))
-    _mu_iterate_fn.cache_clear()
+    mu_iterate.cache_clear()
+    contraction._mu_iterate_fn.cache_clear()
     alpha_contract_iter(MU, 3, 10)
     first = len(calls)
     alpha_contract_iter(MU, 3, 12)
     # the second call factors only its index, for contributors; the dilates
     # of the depth-2 iterate were factored by the first
     assert calls[first:] == [12]
+
+
+FIBONACCI_VALUES = {1, 2, 3, 5, 8}   # those up to 8
+
+
+def test_fixed_points_and_kernel_of_the_pull_back():
+    # every c on 1..8 with values in {−1, 0, 1}, pulled back exactly.  The
+    # components of k ↦ F(k) are {1, 2, 3, 4}, {5} and one infinite chain
+    # through each k ≥ 6, so a finitely supported c is fixed iff it is
+    # constant on {1, 2, 3, 4} and 0 from 6 on; it is killed iff it is 0 on
+    # the Fibonacci values.
+    support = range(1, 9)
+    for values in product((-1, 0, 1), repeat=len(support)):
+        c = dict(zip(support, values))
+        form = Dilation(c)
+        pulled = form.pull_back().weights
+        fixed = (c[1] == c[2] == c[3] == c[4]
+                 and not any(c[k] for k in support if k >= 6))
+        assert (pulled == form.weights) == fixed, c
+        assert (pulled == {}) == (not any(c[v] for v in FIBONACCI_VALUES)), c
+    assert Dilation({}).pull_back().weights == {}
+    assert DELTA23.pull_back().weights == {}
+    assert MU_ALPHA3.pull_back().weights == MU_ALPHA3.weights
+
+
+def test_fixed_points_and_kernel_on_the_literal_path():
+    # μ(n/5)·[5 | n] is the fixed point besides μ_α³; Δ₂₃ = −1_{4} and
+    # 1_{6} lie in the kernel
+    for c, fixed in (({5: 1}, True), ({4: -1}, False), ({6: 1}, False)):
+        form = Dilation(c)
+        f = ArithFn(f"dilation{c}", form.at)
+        for n in range(1, 121):
+            assert alpha_contract(f, n) == (form.at(n) if fixed else 0), (c, n)
+
+
+def test_level_by_level_contraction_equals_the_nested_sum():
+    # F(144) is past the index cap from n = 12 on
+    for f in (ONE, PHI):
+        for n in range(1, 12):
+            assert alpha_contract_iter(f, 2, n) == sum(
+                alpha_contract(f, m) for m in contributors(n)), (f.name, n)
 
 
 def test_generic_deep_iteration_exceeds_budget():

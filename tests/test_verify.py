@@ -201,6 +201,21 @@ def test_logprod_closed_form():
     assert lhs.integer_value == 240 and residual <= 1e-9
     _, _, residual = logprod_closed_form(40)
     assert residual <= 1e-8
+    with pytest.raises(ValueError):
+        logprod_closed_form(0.5)
+
+
+def test_logprod_suite_reads_one_walk():
+    # each residual against F(1)·…·F(x) multiplied out afresh for that x
+    r = CONSTANTS.golden_ratio
+    (report,) = run_suite("logprod", x=60)
+    assert [row["x"] for row in report.details] == list(range(1, 61))
+    for row in report.details:
+        x = row["x"]
+        lhs = math.log(math.prod(fib(n) for n in range(1, x + 1)))
+        rhs = (math.log(r) / 2 * x * x + math.log(r / 5) / 2 * x
+               + constant_c(x))
+        assert row["residual"] == abs(lhs - rhs), x
 
 
 def test_constant_c():
@@ -308,10 +323,11 @@ def test_euler_product_examples():
 @pytest.mark.parametrize("s", [2, 3.0, 2.5])
 @pytest.mark.parametrize("n_terms", [12, 1001])
 def test_euler_series_equals_the_term_by_term_sum(s, n_terms):
-    # the slice-pass values against the closed forms read one n at a time
+    # the slice-pass values of the derived forms against the same forms
+    # read one n at a time
     zeta_n, _ = zeta_partial(s, n_terms)
-    for which, (table, _) in EULER_SERIES.items():
-        series = math.fsum(table.at(n) / n**s for n in range(1, n_terms + 1))
+    for which, form in EULER_SERIES.items():
+        series = math.fsum(form.at(n) / n**s for n in range(1, n_terms + 1))
         report = euler_product_check(which, s, n_terms)
         assert report.details[0]["zeta_N_times_D_N"] == zeta_n * series, which
 
