@@ -237,9 +237,13 @@ _CHECK_OVERRIDES: dict[str, dict[str, tuple[str, type]]] = {
 
 def cmd_verify(args: argparse.Namespace) -> int:
     overrides: dict = {}
-    for flag, (kwarg, cast) in _CHECK_OVERRIDES.get(args.check, {}).items():
+    accepted = _CHECK_OVERRIDES.get(args.check, {})
+    for flag in ("x", "s", "n", "which"):
         value = getattr(args, flag)
+        if value is not None and flag not in accepted:
+            raise ValueError(f"verify {args.check} takes no --{flag}")
         if value is not None:
+            kwarg, cast = accepted[flag]
             overrides[kwarg] = cast(value)
     reports = run_suite(args.check, **overrides)
     rows = []

@@ -18,7 +18,7 @@ import math
 from functools import lru_cache, partial, reduce
 from itertools import filterfalse, repeat
 from operator import add, mul
-from typing import Any
+from typing import Any, Sequence
 
 from .fib import fib_factorization
 from .numtheory import (
@@ -118,18 +118,21 @@ class Dilation:
                 total += sign
         return total
 
-    def values(self, n_max: int) -> list[int]:
-        """[f(1), ..., f(n_max)], walking n by its class mod M = lcm(j)².
+    def values(self, n_max: int) -> Sequence[int]:
+        """f(1..n_max) in a signed-byte view, walking n by its class mod M.
 
-        On a class, n/k ≡ first/k (mod M/k), so two facts hold on all of
-        it at once: μ(n/j) = μ(k/j)·μ(n/k) for j | k with k/j prime to
-        first/k, which folds c_j into c_k, and μ(n/j) = 0 where
+        With M = lcm(j)², n/k ≡ first/k (mod M/k) on a class, so two facts
+        hold on all of it at once: μ(n/j) = μ(k/j)·μ(n/k) for j | k with
+        k/j prime to first/k, which folds c_j into c_k, and μ(n/j) = 0 where
         gcd(first/j, M/j) is not squarefree.  Each remaining μ(n/j) is one
-        strided slice of the μ sieve.
+        strided slice of the μ sieve; a lone one with c_j = 1 is copied.
         """
+        if sum(map(abs, self.weights.values())) > 127:
+            raise ValueError(f"{self.weights} may leave a signed byte")
+        from array import array   # imported here, as in verify.divisor_tables
         mu = grow_mu_sieve(n_max)
         m = math.lcm(*self.weights) ** 2
-        out = [0] * n_max
+        out = memoryview(bytearray(n_max)).cast("b")
         for first in range(1, min(m, n_max) + 1):   # out[first - 1::m]
             coeffs = {j: c for j, c in self.weights.items() if first % j == 0}
             for j in list(coeffs):
@@ -144,7 +147,9 @@ class Dilation:
                     columns.append(column if c == 1
                                    else map(mul, column, repeat(c)))
             if columns:   # summed lazily, written in one pass
-                out[first - 1::m] = reduce(partial(map, add), columns)
+                column = reduce(partial(map, add), columns)
+                out[first - 1::m] = (column if isinstance(column, memoryview)
+                                     else array("b", column))
         return out
 
     def polynomial(self, s: float) -> float:

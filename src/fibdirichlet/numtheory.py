@@ -13,8 +13,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import lru_cache
 from itertools import compress, repeat
-from operator import neg
-from typing import Any, Callable, Iterator, Optional, Union
+from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 
 class BudgetExceededError(Exception):
@@ -283,36 +282,36 @@ def mangoldt_base(n: int) -> Optional[int]:
 
 # --- the μ sieve behind mobius and mertens, grown on demand ---
 
-_mu_values: list[int] = [0, 1]   # μ(0) unused, μ(1)=1
+_mu_values: Sequence[int] = [0, 1]   # μ(0) unused, μ(1)=1
+_NEGATE = bytes.maketrans(b"\x01\xff", b"\xff\x01")   # μ as bytes: 1 ↔ −1
 
 
-def grow_mu_sieve(limit: int) -> list[int]:
+def grow_mu_sieve(limit: int) -> Sequence[int]:
     """Sieve μ up to at least limit; mobius then reads μ(n ≤ limit) from it.
 
     A growth at least doubles the sieve.  Callers that will ask for μ on all
-    of 1..N grow it to N first.  Returns the sieve, μ(n) at index n; a growth
-    replaces it and never changes a list already returned.
+    of 1..N grow it to N first.  Returns the sieve, μ(n) at index n, as a
+    signed-byte view; a growth replaces it and never changes a view returned.
     """
     global _mu_values
     n = len(_mu_values) - 1
     if limit <= n:
         return _mu_values
     limit = max(limit, 2 * n)
-    # primes by Eratosthenes, then one negating slice pass per prime p over
-    # the multiples of p, and a zeroing one over those of p²
+    # primes by Eratosthenes, zeroing μ on the multiples of each p² on the
+    # way; then μ is negated on the multiples of each prime in one translate
     prime = bytearray([1]) * (limit + 1)
     prime[:2] = b"\0\0"
+    mu = bytearray([1]) * (limit + 1)
+    mu[0] = 0
     for p in range(2, math.isqrt(limit) + 1):
         if prime[p]:
             prime[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
-    mu = [1] * (limit + 1)
-    mu[0] = 0
+            mu[p * p::p * p] = bytes(len(range(p * p, limit + 1, p * p)))
     for p in compress(range(limit + 1), prime):
-        mu[p::p] = map(neg, mu[p::p])
-        if p * p <= limit:
-            mu[p * p::p * p] = [0] * len(range(p * p, limit + 1, p * p))
-    _mu_values = mu
-    return mu
+        mu[p::p] = mu[p::p].translate(_NEGATE)   # 0 stays 0
+    _mu_values = memoryview(mu).cast("b")
+    return _mu_values
 
 
 def mertens(x: float) -> int:

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from itertools import compress, repeat
+from contextlib import suppress
+from functools import lru_cache
+from itertools import repeat
 from operator import mul, truediv
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -36,6 +38,7 @@ from .fib import (
 )
 from .numtheory import (
     ArithFn,
+    BudgetExceededError,
     ExactLog,
     Factorization,
     LIOUVILLE,
@@ -246,6 +249,8 @@ def check_corollary_completely_mult(f: ArithFn, g: ArithFn, n_max: int
 
 def logprod_walk(x: float) -> Iterator[tuple[ExactLog, float, float]]:
     """logprod_closed_form(n) for n = 1..⌊x⌋, from one running product."""
+    if x >= LOGPROD_X_MAX + 1:   # at the first read, whatever the budget
+        raise BudgetExceededError(f"logprod is blind past x={LOGPROD_X_MAX}")
     r = CONSTANTS.golden_ratio
     prod = 1
     a, b = 1, 1
@@ -435,6 +440,16 @@ EULER_SERIES: dict[str, Dilation] = {
 }
 
 
+@lru_cache(maxsize=1)
+def _power_table(s: float, n_terms: int) -> Sequence[float]:
+    """n**s, 8 bytes each, for n = 1..N up to the first n**s to overflow."""
+    from array import array   # imported here, as in divisor_tables
+    table = array("d")
+    with suppress(OverflowError):   # extend keeps the powers taken before
+        table.extend(map(pow, range(1, n_terms + 1), repeat(s)))
+    return table
+
+
 def euler_product_check(which: str, s: float, n_terms: int) -> VerificationReport:
     """Check ζ_N(s)·Σ_{n≤N} f(n)/n^s against the finite polynomial side.
 
@@ -449,15 +464,13 @@ def euler_product_check(which: str, s: float, n_terms: int) -> VerificationRepor
         raise ValueError("need N >= 12 to see all polynomial terms")
     form = EULER_SERIES[which]
     zeta_n, tail = zeta_partial(s, n_terms)
-    # f(n)/n^s as the same floats as evaluating it term by term; the terms
-    # with f(n) = 0 are left out, which changes nothing as fsum is exact
     values = form.values(n_terms)
-    try:
-        series = math.fsum(map(truediv, compress(values, values),
-                               map(pow, compress(range(1, n_terms + 1), values),
-                                   repeat(s))))
-    except OverflowError:
-        raise ValueError(f"n**s overflows a float at s={s}") from None
+    powers = _power_table(s, n_terms)
+    if any(values[len(powers):]):
+        raise ValueError(f"n**s overflows a float at s={s}")
+    # f(n)/n^s as the same floats as evaluating it term by term; a term
+    # with f(n) = 0 adds 0.0, which changes nothing as fsum is exact
+    series = math.fsum(map(truediv, values, powers))
     poly = form.polynomial(s)
     tolerance = max(abs(poly) * tail + (zeta_n + tail) * 3 * tail, 1e-6)
     residual = abs(zeta_n * series - poly)
@@ -489,6 +502,9 @@ def check_T_tables(depth: int, x: float) -> VerificationReport:
 # --- suite runners with default desk-scale parameters ---
 
 STATED_TAIL_CONSTANT = 0.2043618834  # the published decimal for the tail sum
+# logprod's float log of ∏_{n≤X} F(n) is about (log r / 2)·X² = 0.2406·X²; its
+# ulp passes 1e-9, a tenth of the 1e-8 tolerance, once it reaches 2²³
+LOGPROD_X_MAX = math.isqrt(int(2**23 / (math.log(CONSTANTS.golden_ratio) / 2)))
 RATIO_WINDOW_LCM = (0.9, 1.1)
 RATIO_WINDOW_EP = (0.8, 1.2)
 
@@ -605,8 +621,9 @@ def _suite_euler_product(s: Optional[float] = None, n_terms: int = 10_000,
                          which: Optional[str] = None) -> list[VerificationReport]:
     s_values = [s] if s is not None else [2.0, 3.0]
     names = [which] if which is not None else sorted(EULER_SERIES)
-    return [euler_product_check(name, sv, n_terms)
-            for name in names for sv in s_values]
+    by_s = [[euler_product_check(name, sv, n_terms) for name in names]
+            for sv in s_values]   # s by s, one power table each
+    return [report for row in zip(*by_s) for report in row]
 
 
 def _suite_t_tables() -> list[VerificationReport]:

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import time
+from functools import lru_cache
 
 import pytest
 
@@ -248,6 +249,30 @@ def test_verify_a_huge_finite_x_exits_3_at_once(check, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["asymptotic-mangoldt", "--x", "1e6"], "--x"),
+    (["constant-c", "--x", "1e9"], "--x"),
+    (["t-tables", "--x", "5"], "--x"),
+    (["euler-product", "--x", "3"], "--x"),
+    (["phi-recursion", "--n", "5"], "--n"),
+    (["theorem1", "--s", "2"], "--s"),
+    (["logprod", "--which", "mu"], "--which"),
+    (["all", "--n", "100"], "--n")])
+def test_verify_refuses_a_flag_its_check_does_not_take(argv, flag, capsys):
+    assert run_cli(["verify"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: verify {argv[0]} takes no {flag}\n"
+
+
+@pytest.mark.parametrize("x", ["1e6", "1e300"])
+def test_verify_logprod_past_its_bound_exits_3_at_once(x, capsys):
+    start = time.perf_counter()
+    assert run_cli(["verify", "logprod", "--x", x]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "logprod is blind past x=5904" in capsys.readouterr().err
+
+
 def test_verify_all_honours_the_budget(capsys):
     assert run_cli(["verify", "theorem1", "--budget", "10"]) == 3
     assert run_cli(["verify", "all", "--budget", "10"]) == 3
@@ -353,6 +378,27 @@ def test_series_overflowing_n_to_the_s_exits_2(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: n**s overflows a float at s=400.0\n"
+
+
+@pytest.mark.parametrize("argv", [["series"], ["verify", "euler-product"]])
+def test_series_past_the_last_finite_n_to_the_s_exits_0(argv, capsys):
+    # 16**258.9 overflows, but f(16) = 0 in all four forms, so it is never
+    # needed; 15**258.9 is the last power taken
+    assert run_cli(argv + ["--s", "258.9", "--n", "16"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv, builds", [
+    (["series", "--s", "3", "--n", "2000"], [(3.0, 2000)]),
+    (["verify", "euler-product", "--n", "2000"], [(2.0, 2000), (3.0, 2000)])])
+def test_each_power_table_is_built_once(argv, builds, monkeypatch, capsys):
+    # the memo keeps one table, so the suite runs s by s
+    built = []
+    build = verify._power_table.__wrapped__
+    monkeypatch.setattr(verify, "_power_table", lru_cache(maxsize=1)(
+        lambda s, n: built.append((s, n)) or build(s, n)))
+    assert run_cli(argv) == 0
+    assert built == builds
 
 
 def test_series_emission(tmp_path):

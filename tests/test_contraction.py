@@ -216,6 +216,14 @@ def test_whole_array_reader_matches_the_scalar_closed_forms(n_max):
             assert values[n - 1] == closed(n), (form.weights, n)
 
 
+def test_whole_array_reader_refuses_values_past_a_signed_byte():
+    # Σ|c_j| = 127 still fits a signed byte at every n; 128 may not
+    fits = Dilation({1: 100, 2: -27})
+    assert list(fits.values(50)) == [fits.at(n) for n in range(1, 51)]
+    with pytest.raises(ValueError, match="signed byte"):
+        Dilation({1: 100, 2: -28}).values(50)
+
+
 def test_dilation_form_reads_mu_of_the_quotient():
     # on carried factors, against Σ c·μ(d/m) over plain-int quotients
     for k in range(1, 5):

@@ -41,9 +41,10 @@ def test_carried_factors_match_a_fresh_factorization(n, data):
 
 
 def test_sieve_mobius_matches_factorized_mobius(monkeypatch):
-    # grown from the initial sieve in three steps, each prefix checked
+    # grown from the initial sieve in four steps, each prefix checked; the
+    # byte sieve reads back as the ints -1, 0 and 1
     monkeypatch.setattr(numtheory, "_mu_values", [0, 1])
-    for limit in (13, 1000, 20_000):
+    for limit in (13, 1000, 20_000, 200_000):
         sieve = grow_mu_sieve(limit)
         assert sieve is numtheory._mu_values and len(sieve) == limit + 1
         for n in range(1, limit + 1):

@@ -49,12 +49,22 @@ STDOUT_DIGESTS = {
         "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
     ("alpha", "1000000007", "--budget", "100000"):
         "495a9edb94e6c81fb2d6748203cc06228ef9791d89b9f8549a61d91573ea1cf2",
+    # taken before the series read n**s from one shared table: a non-integer
+    # s, and an s at which 16**s overflows but f(16) = 0 in every form
+    ("series", "--s", "2.5", "--n", "20000"):
+        "64b24b1ee5653ff7fc4648366c0347ed64507c53cca45f4378abbf53db510a5c",
+    ("series", "--s", "258.9", "--n", "16"):
+        "fb781202d3af14c41c491a7c4952bab612f48640eb7cfa592c78852b56538b83",
 }
 
 # The report file of the theorem1 suite, whose rows include the Λ residual.
 THEOREM1_REPORT_DIGEST = (
     "25b2b609f235472796cce8671237b6164afae354ea1afa5acfff9240e4a01bde")
 
+# The report file of the euler-product suite, taken with the last digests
+# above; it pins the suite's name-major order and its residuals.
+EULER_PRODUCT_REPORT_DIGEST = (
+    "e02037ba0453354960be66c6e13b239e3d8b9aeded2a37105e5b01b9bd151748")
 
 # The cache file written by `contract mu 3 40 --cache FILE` from an empty memo.
 CACHE_FILE_DIGEST = (
@@ -88,6 +98,13 @@ def test_theorem1_report_file_is_golden(tmp_path, capsys):
     out = tmp_path / "r.csv"
     assert cli.main(["verify", "theorem1", "--x", "40", "--out", str(out)]) == 0
     assert _sha256(out.read_bytes()) == THEOREM1_REPORT_DIGEST
+
+
+def test_euler_product_report_file_is_golden(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert cli.main(["verify", "euler-product", "--n", "20000",
+                     "--out", str(out)]) == 0
+    assert _sha256(out.read_bytes()) == EULER_PRODUCT_REPORT_DIGEST
 
 
 def test_cache_file_is_golden(tmp_path, capsys, monkeypatch):

@@ -320,16 +320,31 @@ def test_euler_product_examples():
         euler_product_check("nope", 2, 100)
 
 
-@pytest.mark.parametrize("s", [2, 3.0, 2.5])
+@pytest.mark.parametrize("s", [
+    2, 3.0, 2.5, pytest.param((2.5, 3.0, 2.5), id="2.5-3.0-2.5")])
 @pytest.mark.parametrize("n_terms", [12, 1001])
 def test_euler_series_equals_the_term_by_term_sum(s, n_terms):
     # the slice-pass values of the derived forms against the same forms
-    # read one n at a time
-    zeta_n, _ = zeta_partial(s, n_terms)
-    for which, form in EULER_SERIES.items():
-        series = math.fsum(form.at(n) / n**s for n in range(1, n_terms + 1))
-        report = euler_product_check(which, s, n_terms)
-        assert report.details[0]["zeta_N_times_D_N"] == zeta_n * series, which
+    # read one n at a time; alternating s at one N replaces the one
+    # memoized power table each time
+    for sv in s if isinstance(s, tuple) else (s,):
+        zeta_n, _ = zeta_partial(sv, n_terms)
+        for which, form in EULER_SERIES.items():
+            series = math.fsum(form.at(n) / n**sv
+                               for n in range(1, n_terms + 1))
+            report = euler_product_check(which, sv, n_terms)
+            assert (report.details[0]["zeta_N_times_D_N"]
+                    == zeta_n * series), (which, sv)
+
+
+def test_logprod_bound_is_where_the_ulp_passes_a_tenth_of_the_tolerance():
+    # the float log of the product is about (log r / 2)·x²
+    half_log_r = math.log(CONSTANTS.golden_ratio) / 2
+    assert verify.LOGPROD_X_MAX == 5904
+    assert math.ulp(half_log_r * 5904**2) <= 1e-9 < math.ulp(half_log_r
+                                                            * 5905**2)
+    with pytest.raises(BudgetExceededError, match="x=5904"):
+        logprod_closed_form(5905)
 
 
 def test_check_T_tables():
