@@ -32,7 +32,7 @@ from .numtheory import (
 from .verify import (
     EULER_SERIES,
     asymptotic_mangoldt_report,
-    euler_product_check,
+    euler_product_checks,
     growth_sample,
     pi_alpha_row,
     primitive_totals_at,
@@ -177,7 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_scalar(args: argparse.Namespace) -> int:
     if args.command == "fib":
-        print(fib(args.n))
+        # str() refuses an int of over 4300 digits (Python 3.10.7 and 3.11
+        # on); Decimal reads the int's digits, not its string
+        from decimal import Decimal
+        print(Decimal(fib(args.n)))
     elif args.command == "alpha":
         print(rank(args.n))
     else:
@@ -300,8 +303,7 @@ def cmd_report_asymptotics(args: argparse.Namespace) -> int:
 def cmd_series(args: argparse.Namespace) -> int:
     names = sorted(EULER_SERIES) if args.which == "all" else [args.which]
     rows = []
-    for name in names:
-        rep = euler_product_check(name, args.s, args.n)
+    for name, rep in zip(names, euler_product_checks(names, args.s, args.n)):
         detail = rep.details[0]
         rows.append({
             "which": name, "s": args.s, "N": args.n,
@@ -320,6 +322,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.budget < 1:
         parser.error(f"--budget must be at least 1, got {args.budget}")
+    if args.precision < 0:
+        parser.error(f"--precision must be at least 0, got {args.precision}")
     cache_path = args.cache or os.environ.get(ENV_CACHE)
     # each call starts from an empty memo, so the cache file it writes holds
     # what this call loaded or factored, as a fresh process would write it

@@ -15,7 +15,7 @@ floor-weighted (T) and plain (S) summatory functions.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, partial, reduce
+from functools import partial, reduce
 from itertools import filterfalse, repeat
 from operator import add, mul
 from typing import Any, Sequence
@@ -157,23 +157,19 @@ class Dilation:
         return math.fsum(c * j ** -s for j, c in self.weights.items())
 
 
-@lru_cache(maxsize=None)
-def mu_iterate(depth: int) -> Dilation:
-    """μ contracted depth times: [n = 1] pulled back until fixed (depth 3)."""
-    form = Dilation({1: 1})
-    for _ in range(depth):
-        pulled = form.pull_back()
-        if pulled.weights == form.weights:
-            break
-        form = pulled
-    return form
+def _mu_forms() -> tuple[Dilation, ...]:
+    """μ contracted once, twice, …: [n = 1] pulled back while that changes
+    the form, up to the fixed point that every deeper contraction equals."""
+    forms = [Dilation({1: 1}).pull_back()]
+    while (pulled := forms[-1].pull_back()).weights != forms[-1].weights:
+        forms.append(pulled)
+    return tuple(forms)
 
 
-@lru_cache(maxsize=None)
-def _mu_iterate_fn(depth: int) -> ArithFn:
-    # one per depth, not one per n: an ArithFn built for each n raised the
-    # peak RSS of `contract mu 3 120` (allocator placement, not held data)
-    return ArithFn(f"mu_iter{depth}", mu_iterate(depth).at)
+MU_ALPHA, MU_ALPHA2, MU_ALPHA3 = _MU_FORMS = _mu_forms()   # fixed at depth 3
+# one per depth (not per n), over the bound .at: no frame per contributor
+MU_ITERATES = tuple(ArithFn(f"mu_iter{depth}", form.at)
+                    for depth, form in enumerate(_MU_FORMS, 1))
 
 
 def alpha_contract_iter(f: ArithFn, depth: int, n: int) -> Any:
@@ -188,8 +184,8 @@ def alpha_contract_iter(f: ArithFn, depth: int, n: int) -> Any:
         raise ValueError("alpha_contract_iter expects depth >= 1")
     if depth == 1:
         return alpha_contract(f, n)
-    if f is MU:
-        return alpha_contract(_mu_iterate_fn(depth - 1), n)
+    if f is MU:   # the (depth − 1)-fold iterate; past the fixed point, the last
+        return alpha_contract(MU_ITERATES[:depth - 1][-1], n)
     level = {n: 1}
     for _ in range(depth - 1):
         below: dict[int, int] = {}
@@ -202,7 +198,6 @@ def alpha_contract_iter(f: ArithFn, depth: int, n: int) -> Any:
 
 # --- closed forms ---
 
-MU_ALPHA, MU_ALPHA2, MU_ALPHA3 = map(mu_iterate, (1, 2, 3))
 # 1*λ is the indicator of the squares, the only square Fibonacci numbers
 # being 1 and 144 (Cohn, 1964)
 LAMBDA_ALPHA = Dilation({1: 1, 2: 1, 12: 1})

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from functools import lru_cache
 from itertools import compress, repeat
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
@@ -433,12 +432,11 @@ def dirichlet_convolve(f: ArithFn, g: ArithFn, n: int) -> Any:
                f.zero * g.zero)
 
 
-@lru_cache(maxsize=16)
 def zeta_partial(s: float, n_terms: int) -> tuple[float, float]:
     """(Σ_{n≤N} n^−s, tail bound N^(1−s)/(s−1)) for s > 1.
 
     The bound is the integral estimate Σ_{n>N} n^−s ≤ ∫_N^∞ t^−s dt.
-    Memoized: the series checks at one (s, N) share one sum.
+    Not memoized: verify.series_table sums it once per (s, N).
     """
     if not s > 1:   # NaN fails this too
         raise ValueError("zeta_partial requires s > 1")

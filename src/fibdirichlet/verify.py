@@ -12,17 +12,16 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from contextlib import suppress
-from functools import lru_cache
 from itertools import repeat
 from operator import mul, truediv
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .contraction import (
-    CLOSED_FORMS,
     LAMBDA_ALPHA,
     MU_ALPHA,
     MU_ALPHA2,
     MU_ALPHA3,
+    MU_ITERATES,
     Dilation,
     contributors,
     divisor_union_ranks,
@@ -51,6 +50,7 @@ from .numtheory import (
     divisors,
     euler_phi,
     factorize,
+    grow_mu_sieve,
     zeta_partial,
 )
 
@@ -169,8 +169,10 @@ def check_theorem1(f: ArithFn, g: ArithFn, x: float,
     passes its own.  f and g are evaluated once per listed divisor.  Exact
     equality is required; residual is an exact integer difference, taken on
     the held integers when the values are ExactLogs.  Fails at once when
-    F(⌊x⌋) is beyond the budget's scale.
+    F(⌊x⌋) is beyond the budget's scale, and x < 1 is refused.
     """
+    if x < 1:
+        raise ValueError(f"theorem1 expects x >= 1, got {x}")
     params = f"f={f.name}, g={g.name}, x={x}"
     n_max = math.floor(x)
     require_factorable(n_max)
@@ -206,7 +208,10 @@ def check_corollary_completely_mult(f: ArithFn, g: ArithFn, n_max: int
     g must be completely multiplicative and nonzero up to F(N); the quotient
     contraction is evaluated by the divisor-sum definition in exact rationals.
     With g = 1 this is precisely the specialization (1*f)(F(n)) = (1*f_α)(n).
+    N < 1 is refused.
     """
+    if n_max < 1:
+        raise ValueError(f"corollary-mult expects N >= 1, got {n_max}")
     # imported here, so that commands which never run this check do not load
     # fractions with its decimal and numbers modules
     from fractions import Fraction
@@ -249,6 +254,8 @@ def check_corollary_completely_mult(f: ArithFn, g: ArithFn, n_max: int
 
 def logprod_walk(x: float) -> Iterator[tuple[ExactLog, float, float]]:
     """logprod_closed_form(n) for n = 1..⌊x⌋, from one running product."""
+    if x < 1:
+        raise ValueError(f"logprod expects x >= 1, got {x}")
     if x >= LOGPROD_X_MAX + 1:   # at the first read, whatever the budget
         raise BudgetExceededError(f"logprod is blind past x={LOGPROD_X_MAX}")
     r = CONSTANTS.golden_ratio
@@ -272,8 +279,6 @@ def logprod_closed_form(x: float) -> tuple[ExactLog, float, float]:
     (log r / 2)·⌊x⌋² + (log(r/5) / 2)·⌊x⌋ + Σ_{n≤x} log(1 − (−1)ⁿ/r²ⁿ)
     with r the golden ratio.  Returns (lhs, rhs, |difference|).
     """
-    if x < 1:
-        raise ValueError("logprod_closed_form expects x >= 1")
     for row in logprod_walk(x):
         pass
     return row
@@ -388,10 +393,13 @@ def _phi_rank_sums(x: float) -> list[int]:
     """[Σ_{rank(n)≤k} φ(n)·⌊k/rank(n)⌋ for k = 0..⌊x⌋] from one rank map.
 
     φ is summed per rank once; each k then weights those ⌊x⌋ totals.
+    x < 1 is refused.
     """
+    if x < 1:
+        raise ValueError(f"phi-identity expects x >= 1, got {x}")
     # listed first: past the index cap it raises before x sizes by_rank
     ranks = divisor_union_ranks(x)
-    by_rank = [0] * (max(math.floor(x), 0) + 1)
+    by_rank = [0] * (math.floor(x) + 1)
     for n, m in ranks.items():
         by_rank[m] += euler_phi(n)
     return [sum(by_rank[m] * (k // m) for m in range(1, k + 1))
@@ -440,32 +448,35 @@ EULER_SERIES: dict[str, Dilation] = {
 }
 
 
-@lru_cache(maxsize=1)
-def _power_table(s: float, n_terms: int) -> Sequence[float]:
-    """n**s, 8 bytes each, for n = 1..N up to the first n**s to overflow."""
+def series_table(s: float, n_terms: int) -> tuple:
+    """(ζ_N(s), its tail bound, n**s for n ≤ N short of a float overflow) for
+    the checks at (s, N).  N < 12, then s not > 1, is refused before the μ
+    sieve is grown to N, and the sieve is grown before the powers are listed."""
     from array import array   # imported here, as in divisor_tables
-    table = array("d")
+    if n_terms < 12:
+        raise ValueError("need N >= 12 to see all polynomial terms")
+    zeta_n, tail = zeta_partial(s, n_terms)
+    grow_mu_sieve(n_terms)   # first, so that its transient arrays are gone
+    powers = array("d")
     with suppress(OverflowError):   # extend keeps the powers taken before
-        table.extend(map(pow, range(1, n_terms + 1), repeat(s)))
-    return table
+        powers.extend(map(pow, range(1, n_terms + 1), repeat(s)))
+    return zeta_n, tail, powers
 
 
-def euler_product_check(which: str, s: float, n_terms: int) -> VerificationReport:
+def euler_product_check(which: str, s: float, n_terms: int,
+                        table: Optional[tuple] = None) -> VerificationReport:
     """Check ζ_N(s)·Σ_{n≤N} f(n)/n^s against the finite polynomial side.
 
     Tolerance is derived, never tuned: |poly|·tail(N) for the ζ truncation
     plus ζ(s)·3·tail(N) for the series truncation (|f(n)| ≤ 3, as at most
-    three of a form's μ(n/j) are nonzero at any n), floored at 1e−6.  An s
-    that is not > 1 is refused before anything is sieved.
+    three of a form's μ(n/j) are nonzero at any n), floored at 1e−6.  ζ_N(s)
+    and n**s come from series_table(s, N) unless a caller passes them.
     """
     if which not in EULER_SERIES:
         raise ValueError(f"unknown series {which!r}; pick from {sorted(EULER_SERIES)}")
-    if n_terms < 12:
-        raise ValueError("need N >= 12 to see all polynomial terms")
+    zeta_n, tail, powers = table or series_table(s, n_terms)
     form = EULER_SERIES[which]
-    zeta_n, tail = zeta_partial(s, n_terms)
     values = form.values(n_terms)
-    powers = _power_table(s, n_terms)
     if any(values[len(powers):]):
         raise ValueError(f"n**s overflows a float at s={s}")
     # f(n)/n^s as the same floats as evaluating it term by term; a term
@@ -482,17 +493,22 @@ def euler_product_check(which: str, s: float, n_terms: int) -> VerificationRepor
     )
 
 
-# --- step tables of the floor-weighted summatory function ---
+def euler_product_checks(names: Sequence[str], s: float, n_terms: int
+                         ) -> list[VerificationReport]:
+    """euler_product_check of each name at (s, N) on one series_table."""
+    table = series_table(s, n_terms)
+    return [euler_product_check(name, s, n_terms, table) for name in names]
 
-_T_TABLE_SOURCES = {1: MU, 2: CLOSED_FORMS[("mu", 1)], 3: CLOSED_FORMS[("mu", 2)]}
+
+# --- step tables of the floor-weighted summatory function ---
 
 
 def check_T_tables(depth: int, x: float) -> VerificationReport:
     """The floor-weighted summatory function of the (depth−1)-contracted μ
     is the step function min(⌊x⌋, depth+1)."""
-    if depth not in _T_TABLE_SOURCES:
+    if depth not in (1, 2, 3):
         raise ValueError("depth must be 1, 2 or 3")
-    value = summatory_T(_T_TABLE_SOURCES[depth], x)
+    value = summatory_T((MU, *MU_ITERATES)[depth - 1], x)
     expected = min(math.floor(x), depth + 1)
     details = [{"value": value, "expected": expected}]
     return VerificationReport("t-tables", f"depth={depth}, x={x}",
@@ -502,26 +518,28 @@ def check_T_tables(depth: int, x: float) -> VerificationReport:
 # --- suite runners with default desk-scale parameters ---
 
 STATED_TAIL_CONSTANT = 0.2043618834  # the published decimal for the tail sum
+LOGPROD_TOLERANCE = 1e-8
 # logprod's float log of ∏_{n≤X} F(n) is about (log r / 2)·X² = 0.2406·X²; its
-# ulp passes 1e-9, a tenth of the 1e-8 tolerance, once it reaches 2²³
+# ulp passes 1e-9, a tenth of the tolerance, once it reaches 2²³
 LOGPROD_X_MAX = math.isqrt(int(2**23 / (math.log(CONSTANTS.golden_ratio) / 2)))
+THEOREM1_RANDOM_PAIRS = 20
 RATIO_WINDOW_LCM = (0.9, 1.1)
 RATIO_WINDOW_EP = (0.8, 1.2)
 
 
-def _suite_theorem1(x: float = 25.0, random_pairs: int = 20) -> list[VerificationReport]:
+def _suite_theorem1(x: float = 25.0) -> list[VerificationReport]:
     tables = divisor_tables(math.floor(x))
     reports = [check_theorem1(f, ONE, x, tables)
                for f in (MU, PHI, LIOUVILLE, MANGOLDT)]
     details = []
     worst = 0
-    for seed in range(random_pairs):
+    for seed in range(THEOREM1_RANDOM_PAIRS):
         rep = check_theorem1(small_integer_fn(seed), small_integer_fn(1000 + seed),
                              x, tables)
         worst = max(worst, rep.residual)
         details.append({"seed": seed, "passed": rep.passed})
     reports.append(VerificationReport(
-        "theorem1-random", f"pairs={random_pairs}, x={x}",
+        "theorem1-random", f"pairs={THEOREM1_RANDOM_PAIRS}, x={x}",
         worst == 0, worst, details))
     return reports
 
@@ -533,14 +551,14 @@ def _suite_corollary(n_max: int = 20) -> list[VerificationReport]:
             for f, g in pairs]
 
 
-def _suite_logprod(x: float = 40.0, tolerance: float = 1e-8) -> list[VerificationReport]:
+def _suite_logprod(x: float = 40.0) -> list[VerificationReport]:
     details = []
     worst = 0.0
     for n, (_, _, residual) in enumerate(logprod_walk(x), 1):
         worst = max(worst, residual)
         details.append({"x": n, "residual": residual})
     return [VerificationReport("logprod", f"x<={math.floor(x)}",
-                               worst <= tolerance, worst, details)]
+                               worst <= LOGPROD_TOLERANCE, worst, details)]
 
 
 def _suite_constant_c() -> list[VerificationReport]:
@@ -621,8 +639,7 @@ def _suite_euler_product(s: Optional[float] = None, n_terms: int = 10_000,
                          which: Optional[str] = None) -> list[VerificationReport]:
     s_values = [s] if s is not None else [2.0, 3.0]
     names = [which] if which is not None else sorted(EULER_SERIES)
-    by_s = [[euler_product_check(name, sv, n_terms) for name in names]
-            for sv in s_values]   # s by s, one power table each
+    by_s = [euler_product_checks(names, sv, n_terms) for sv in s_values]
     return [report for row in zip(*by_s) for report in row]
 
 

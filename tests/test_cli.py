@@ -4,7 +4,7 @@ import math
 import subprocess
 import sys
 import time
-from functools import lru_cache
+import weakref
 
 import pytest
 
@@ -41,6 +41,19 @@ def test_scalar_commands(capsys):
     assert out == ["144", "3", "15", "2"]
 
 
+def test_fib_prints_past_the_int_string_limit(capsys):
+    # str() of an int refuses more than 4300 digits by default; the limit
+    # is the same after the command as before it
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert run_cli(["fib", "21000"]) == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    digits = capsys.readouterr().out.strip()
+    golden = (1 + math.sqrt(5)) / 2
+    assert len(digits) == math.floor(21000 * math.log10(golden)
+                                     - math.log10(math.sqrt(5))) + 1
+    assert int(digits[-12:]) == fib_module.fib_mod(21000, 10**12)
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run_cli(["no-such-command"])
@@ -74,6 +87,19 @@ def test_budget_below_1_is_a_usage_error(command, units, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--budget must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("precision", ["-1", "-12"])
+@pytest.mark.parametrize("command", [["series", "--n", "100"],
+                                     ["report-asymptotics", "--x", "5"],
+                                     ["contract", "mu", "1", "6"]])
+def test_negative_precision_is_a_usage_error(command, precision, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command + ["--precision", precision])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--precision must be at least 0, got {precision}" in captured.err
 
 
 def test_every_factorization_of_a_command_is_charged_to_the_budget(
@@ -210,6 +236,7 @@ def test_verify_all_passes(capsys):
 def test_verify_named_checks(capsys):
     assert run_cli(["verify", "theorem1", "--x", "20"]) == 0
     assert run_cli(["verify", "phi-identity", "--x", "30"]) == 0
+    assert run_cli(["verify", "phi-recursion", "--x", "0"]) == 0   # base case
     assert run_cli(["verify", "euler-product", "--which", "lambda",
                     "--s", "2", "--n", "10000"]) == 0
     assert "PASS" in capsys.readouterr().out
@@ -239,6 +266,20 @@ def test_verify_refuses_a_non_finite_x(check, x, capsys):
         run_cli(["verify", check, f"--x={x}"])
     assert exc.value.code == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["theorem1", "--x", "0"], ["theorem1", "--x", "-3"],
+    ["theorem1", "--x", "0.5"], ["logprod", "--x", "0"],
+    ["phi-identity", "--x", "0"], ["corollary-mult", "--n", "0"],
+    ["corollary-mult", "--n", "-4"]])
+def test_verify_refuses_an_empty_range(argv, capsys):
+    # nothing to check is not a pass
+    assert run_cli(["verify"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {argv[0]} expects")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("check", ["theorem1", "pi-alpha", "phi-identity"])
@@ -392,13 +433,39 @@ def test_series_past_the_last_finite_n_to_the_s_exits_0(argv, capsys):
     (["series", "--s", "3", "--n", "2000"], [(3.0, 2000)]),
     (["verify", "euler-product", "--n", "2000"], [(2.0, 2000), (3.0, 2000)])])
 def test_each_power_table_is_built_once(argv, builds, monkeypatch, capsys):
-    # the memo keeps one table, so the suite runs s by s
-    built = []
-    build = verify._power_table.__wrapped__
-    monkeypatch.setattr(verify, "_power_table", lru_cache(maxsize=1)(
-        lambda s, n: built.append((s, n)) or build(s, n)))
+    # one table and one ζ_N(s) per (s, N), shared by the four series
+    built, summed = [], []
+    build, zeta = verify.series_table, verify.zeta_partial
+
+    def counting_build(s, n):
+        built.append((s, n))
+        return build(s, n)
+
+    def counting_zeta(s, n):
+        summed.append((s, n))
+        return zeta(s, n)
+
+    monkeypatch.setattr(verify, "series_table", counting_build)
+    monkeypatch.setattr(verify, "zeta_partial", counting_zeta)
     assert run_cli(argv) == 0
-    assert built == builds
+    assert built == summed == builds
+
+
+def test_verify_euler_product_holds_one_power_table_at_a_time(monkeypatch,
+                                                              capsys):
+    refs, seen = [], []
+    build = verify.series_table
+
+    def tracking_build(s, n):
+        # the tables still alive as this one is built
+        seen.append(sum(ref() is not None for ref in refs))
+        table = build(s, n)
+        refs.append(weakref.ref(table[-1]))   # the n**s array
+        return table
+
+    monkeypatch.setattr(verify, "series_table", tracking_build)
+    assert run_cli(["verify", "euler-product", "--n", "2000"]) == 0
+    assert seen == [0, 0]
 
 
 def test_series_emission(tmp_path):

@@ -10,6 +10,7 @@ from fibdirichlet.contraction import (
     MU_ALPHA,
     MU_ALPHA2,
     MU_ALPHA3,
+    MU_ITERATES,
     Dilation,
     alpha_contract,
     alpha_contract_iter,
@@ -20,7 +21,6 @@ from fibdirichlet.contraction import (
     closed_mu_alpha3,
     contributors,
     divisor_union_ranks,
-    mu_iterate,
     summatory_S,
     summatory_T,
 )
@@ -180,10 +180,15 @@ def test_closed_forms_match_the_dilation_form():
     for name, (closed, modulus, cases) in PAPER_CASE_TABLES.items():
         for n in range(1, 5001):
             assert closed(n) == case_table_value(modulus, cases, n), (name, n)
-    assert MU_ALPHA is mu_iterate(1) and MU_ALPHA3 is mu_iterate(3)
-    # the loop stops at the fixed point, so depth 5000 costs three pull-backs
+    # each form is the pull-back of the one before, up to the fixed point
+    forms = (Dilation({1: 1}), MU_ALPHA, MU_ALPHA2, MU_ALPHA3, MU_ALPHA3)
+    for form, pulled in zip(forms, forms[1:]):
+        assert form.pull_back().weights == pulled.weights
+    assert len(MU_ITERATES) == 3
+    # past the fixed point, as deep as 5000, the iterate read is μ_α³
     for k in (4, 5, 6, 5000):
-        assert mu_iterate(k).weights == MU_ALPHA3.weights
+        for n in range(1, 61):
+            assert alpha_contract_iter(MU, k, n) == closed_mu_alpha3(n), (k, n)
 
 
 def test_derived_forms_and_their_polynomials():
@@ -226,30 +231,25 @@ def test_whole_array_reader_refuses_values_past_a_signed_byte():
 
 def test_dilation_form_reads_mu_of_the_quotient():
     # on carried factors, against Σ c·μ(d/m) over plain-int quotients
-    for k in range(1, 5):
-        iterate = mu_iterate(k)
+    for iterate in (MU_ALPHA, MU_ALPHA2, MU_ALPHA3):
         for n in range(1, 61):
             for d in divisors(fib_factorization(n)):
                 literal = sum(c * mobius(int(d) // m)
                               for m, c in iterate.weights.items()
                               if d % m == 0)
-                assert iterate.at(d) == literal, (k, n, d)
+                assert iterate.at(d) == literal, (iterate.weights, n, d)
 
 
 def test_mu_iterate_is_built_once_per_depth(monkeypatch):
-    assert mu_iterate(2) is mu_iterate(2)
+    # the iterates are derived at import, so every call, the first included,
+    # factors only its index, for contributors, and no dilate
     calls = []
     original = contraction.factorize
     monkeypatch.setattr(contraction, "factorize",
                         lambda n: calls.append(n) or original(n))
-    mu_iterate.cache_clear()
-    contraction._mu_iterate_fn.cache_clear()
     alpha_contract_iter(MU, 3, 10)
-    first = len(calls)
     alpha_contract_iter(MU, 3, 12)
-    # the second call factors only its index, for contributors; the dilates
-    # of the depth-2 iterate were factored by the first
-    assert calls[first:] == [12]
+    assert calls == [10, 12]
 
 
 FIBONACCI_VALUES = {1, 2, 3, 5, 8}   # those up to 8

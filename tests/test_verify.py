@@ -325,8 +325,7 @@ def test_euler_product_examples():
 @pytest.mark.parametrize("n_terms", [12, 1001])
 def test_euler_series_equals_the_term_by_term_sum(s, n_terms):
     # the slice-pass values of the derived forms against the same forms
-    # read one n at a time; alternating s at one N replaces the one
-    # memoized power table each time
+    # read one n at a time; alternating s at one N builds a table each time
     for sv in s if isinstance(s, tuple) else (s,):
         zeta_n, _ = zeta_partial(sv, n_terms)
         for which, form in EULER_SERIES.items():
