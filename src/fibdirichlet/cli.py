@@ -247,6 +247,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise ValueError(f"verify {args.check} takes no --{flag}")
         if value is not None:
             kwarg, cast = accepted[flag]
+            if cast is int and value != int(value):   # not truncated
+                raise ValueError(f"{args.check} expects an integral "
+                                 f"--{flag}, got {value}")
             overrides[kwarg] = cast(value)
     reports = run_suite(args.check, **overrides)
     rows = []

@@ -16,17 +16,19 @@ from __future__ import annotations
 
 import math
 from functools import partial, reduce
-from itertools import filterfalse, repeat
+from itertools import repeat
 from operator import add, mul
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from .fib import fib_factorization
 from .numtheory import (
     ArithFn,
+    Factorization,
     MU,
     ONE,
     _prime_factors,
     dirichlet_convolve,
+    divisor_stream,
     divisors,
     factorize,
     grow_mu_sieve,
@@ -47,29 +49,36 @@ def divisor_union_ranks(x: float) -> dict[int, int]:
     return ranks
 
 
-def contributors(n: int) -> list[int]:
-    """Divisors of F(n) whose rank of apparition is exactly n, ascending.
+def _rank_stream(n: int) -> Iterator[Factorization]:
+    """The divisors of F(n) whose rank of apparition is exactly n, streamed.
 
     By duality d | F(n) has rank n iff d divides no F(n/q) for a prime
-    q | n, so the divisors of those F(n/q) are listed and left out; no
-    Fibonacci residue is computed per divisor.  F(n) is factored first, so
-    an n beyond the index cap raises before any F(n/q) enters the memo.
+    q | n, that is iff F(n/q) % d is nonzero for each such q: one C-level
+    filter per q, and no divisor of an F(n/q) is listed.  F(n) is factored
+    first, so an n beyond the index cap raises before any F(n/q) enters the
+    memo, and every F(n/q) is factored before the first divisor is made.
     """
-    fib_n = fib_factorization(n)
-    excluded = {d for q, _ in factorize(n).factors
-                for d in divisors(fib_factorization(n // q))}
-    return list(filterfalse(excluded.__contains__, divisors(fib_n)))
+    stream = divisor_stream(fib_factorization(n))
+    for q, _ in factorize(n).factors:
+        stream = filter(fib_factorization(n // q).__mod__, stream)
+    return stream
+
+
+def contributors(n: int) -> list[int]:
+    """Divisors of F(n) whose rank of apparition is exactly n, ascending,
+    held in one list; alpha_contract sums the same divisors without one."""
+    return sorted(_rank_stream(n))
 
 
 def alpha_contract(f: ArithFn, n: int) -> Any:
     """Contraction of f at n: Σ f(m) over m with rank(m) = n.
 
-    Empty sums are f.zero — in particular at n = 2, where F(2) = 1 has no
-    divisor of rank 2.
+    The m are streamed, never held in a list.  Empty sums are f.zero — in
+    particular at n = 2, where F(2) = 1 has no divisor of rank 2.
     """
     if n < 1:
         raise ValueError("alpha_contract expects n >= 1")
-    return sum(map(f.fn, contributors(n)), f.zero)
+    return sum(map(f.fn, _rank_stream(n)), f.zero)
 
 
 # --- the μ-family as dilation forms ---

@@ -215,16 +215,40 @@ def valuation(v: int, n: int) -> int:
     return e
 
 
-def divisors(f: Factorization) -> list[Factorization]:
-    """All divisors of f in increasing order, ∏(eᵢ+1) of them, each carrying
-    its factors.  Listed this way, the i-th from the end is f over the i-th."""
+def _divisor_list(factors: tuple[tuple[int, int], ...]) -> list[Factorization]:
+    """The divisors of ∏ p**e over factors, unordered, each with its factors."""
     out = [Factorization(1, ())]
-    for p, e in f.factors:   # primes ascending, so each d.factors is too
+    for p, e in factors:   # primes ascending, so each d.factors is too
         powers = [(p**k, ((p, k),)) for k in range(1, e + 1)]
         out += [Factorization(d * q, d.factors + pk)
                 for d in out for q, pk in powers]
+    return out
+
+
+def divisors(f: Factorization) -> list[Factorization]:
+    """All divisors of f in increasing order, ∏(eᵢ+1) of them, each carrying
+    its factors, held in one list.  Listed this way, the i-th from the end
+    is f over the i-th."""
+    out = _divisor_list(f.factors)
     out.sort()
     return out
+
+
+def divisor_stream(f: Factorization) -> Iterator[Factorization]:
+    """The divisors of f, each carrying its factors, in no fixed order.
+
+    Only the divisors of f's smaller primes, taken until their count reaches
+    the square root of d(f), and those of the rest are listed; each divisor
+    is made from one of either when the stream reaches it, and none is held.
+    """
+    factors, total = f.factors, divisor_count(f)
+    count, split = 1, 0
+    while count * count < total:
+        count *= factors[split][1] + 1
+        split += 1
+    low, high = _divisor_list(factors[:split]), _divisor_list(factors[split:])
+    return (Factorization(a * b, a.factors + b.factors)
+            for a in low for b in high)
 
 
 def _prime_factors(n: int) -> tuple[tuple[int, int], ...]:

@@ -272,14 +272,35 @@ def test_verify_refuses_a_non_finite_x(check, x, capsys):
     ["theorem1", "--x", "0"], ["theorem1", "--x", "-3"],
     ["theorem1", "--x", "0.5"], ["logprod", "--x", "0"],
     ["phi-identity", "--x", "0"], ["corollary-mult", "--n", "0"],
-    ["corollary-mult", "--n", "-4"]])
+    ["corollary-mult", "--n", "-4"],
+    # these count to x, so truncating it would check a range not asked for
+    ["pi-alpha", "--x", "2.9"], ["phi-recursion", "--x", "2.5"],
+    ["ep-sum", "--x", "0.5"], ["ep-sum", "--x", "60.25"]])
 def test_verify_refuses_an_empty_range(argv, capsys):
     # nothing to check is not a pass
     assert run_cli(["verify"] + argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {argv[0]} expects")
+    assert f"got {argv[2]}" in captured.err
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["pi-alpha", "--x", "1e2"], "PASS pi-alpha [x<=100]\n"),
+    (["phi-recursion", "--x", "3.0"], "PASS phi-recursion [x_max=3]\n")])
+def test_verify_takes_an_integral_x_in_any_spelling(argv, line, capsys):
+    assert run_cli(["verify"] + argv) == 0
+    assert capsys.readouterr().out == line
+
+
+@pytest.mark.parametrize("n", ["121", "1000"])
+def test_verify_corollary_mult_past_the_cap_exits_3_at_once(n, monkeypatch,
+                                                             capsys):
+    monkeypatch.setattr(fib_module, "_FIB_FACTORS", {})
+    assert run_cli(["verify", "corollary-mult", "--n", n]) == 3
+    assert f"F({n})" in capsys.readouterr().err
+    assert fib_module._FIB_FACTORS == {}
 
 
 @pytest.mark.parametrize("check", ["theorem1", "pi-alpha", "phi-identity"])

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from itertools import product
 
 import pytest
 
 from fibdirichlet import contraction
+from fibdirichlet.cli import CONTRACTIBLE
 from fibdirichlet.contraction import (
     DELTA23,
     LAMBDA_ALPHA,
@@ -31,6 +33,7 @@ from fibdirichlet.numtheory import (
     LIOUVILLE,
     MANGOLDT,
     MU,
+    NAMED_FUNCTIONS,
     ONE,
     PHI,
     divisors,
@@ -283,6 +286,28 @@ def test_fixed_points_and_kernel_on_the_literal_path():
         f = ArithFn(f"dilation{c}", form.at)
         for n in range(1, 121):
             assert alpha_contract(f, n) == (form.at(n) if fixed else 0), (c, n)
+
+
+def test_streamed_contraction_equals_the_sum_over_contributors():
+    fns = [NAMED_FUNCTIONS[name] for name in CONTRACTIBLE] + list(MU_ITERATES)
+    for n in range(1, 121):
+        listed = contributors(n)
+        for f in fns:
+            assert alpha_contract(f, n) == sum(map(f.fn, listed), f.zero), (
+                f.name, n)
+
+
+def test_contraction_holds_no_list_of_contributors():
+    # F(120) has 36,864 divisors, about 12.6 MB as a list of Factorizations
+    f = MU_ITERATES[1]
+    expected = alpha_contract(f, 120)   # the memo is warm from here on
+    tracemalloc.start()
+    try:
+        assert alpha_contract(f, 120) == expected
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_level_by_level_contraction_equals_the_nested_sum():

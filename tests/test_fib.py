@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fibdirichlet import fib as fib_module
-from fibdirichlet.contraction import contributors
+from fibdirichlet.contraction import alpha_contract, contributors
 from fibdirichlet.fib import (
     CONSTANTS,
     divisor_has_rank,
@@ -20,6 +20,7 @@ from fibdirichlet.fib import (
     rank_prime_power,
 )
 from fibdirichlet.numtheory import (
+    MU,
     BudgetExceededError,
     ExactLog,
     Factorization,
@@ -187,6 +188,8 @@ def test_contributors_past_the_cap_raise_before_memoizing(monkeypatch):
     monkeypatch.setattr(fib_module, "_FIB_FACTORS", {})
     with pytest.raises(BudgetExceededError):
         contributors(130)
+    with pytest.raises(BudgetExceededError):
+        alpha_contract(MU, 130)   # the same stream, summed with no list
     assert fib_module._FIB_FACTORS == {}
 
 

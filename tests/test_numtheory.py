@@ -17,6 +17,7 @@ from fibdirichlet.numtheory import (
     MR_DETERMINISTIC_BOUND,
     dirichlet_convolve,
     divisor_count,
+    divisor_stream,
     divisors,
     euler_phi,
     factor_budget,
@@ -122,6 +123,9 @@ def test_divisor_lists_of_fibonacci_and_high_exponent_values():
         divs = divisors(fac)
         assert len(divs) == divisor_count(fac)
         assert_divisor_list(fac, divs)
+        streamed = sorted(divisor_stream(fac))   # the same, in no fixed order
+        assert streamed == divs
+        assert [d.factors for d in streamed] == [d.factors for d in divs]
 
 
 def test_factors_strictly_increasing():
