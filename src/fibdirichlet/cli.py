@@ -16,6 +16,7 @@ import io
 import math
 import os
 import sys
+from contextlib import suppress
 from typing import Optional
 
 from . import cache as cache_io
@@ -273,9 +274,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _sample_point(text: str) -> int:
+    """An integral --x point, read exactly by int(), else by float()."""
+    with suppress(ValueError):
+        return int(text)
+    with suppress(ValueError, OverflowError):   # int() refuses nan and inf
+        if float(text) == int(float(text)):
+            return int(float(text))
+    raise ValueError(f"report-asymptotics expects integral --x points, "
+                     f"got {text.strip()}")
+
+
 def cmd_report_asymptotics(args: argparse.Namespace) -> int:
     if args.x:
-        xs = [int(part) for part in args.x.split(",") if part.strip()]
+        xs = [_sample_point(part) for part in args.x.split(",") if part.strip()]
     else:
         xs = list(DEFAULT_ASYMPTOTIC_XS)
     rows = [{"kind": "log_lcm", **sample.row()}

@@ -138,7 +138,7 @@ class Dilation:
         """
         if sum(map(abs, self.weights.values())) > 127:
             raise ValueError(f"{self.weights} may leave a signed byte")
-        from array import array   # imported here, as in verify.divisor_tables
+        from array import array   # imported here, as in verify.series_table
         mu = grow_mu_sieve(n_max)
         m = math.lcm(*self.weights) ** 2
         out = memoryview(bytearray(n_max)).cast("b")

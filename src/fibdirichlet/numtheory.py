@@ -265,14 +265,18 @@ def mobius(n: int) -> int:
     if 0 < n < len(_mu_values):
         return _mu_values[n]
     fac = _prime_factors(n)
-    if any(e > 1 for _, e in fac):
-        return 0
+    for _, e in fac:
+        if e > 1:
+            return 0
     return -1 if len(fac) % 2 else 1
 
 
 def liouville(n: int) -> int:
     """λ(n) = (−1)^Ω(n) with Ω counting prime factors with multiplicity."""
-    return -1 if sum(e for _, e in _prime_factors(n)) % 2 else 1
+    omega = 0
+    for _, e in _prime_factors(n):
+        omega += e
+    return -1 if omega % 2 else 1
 
 
 def euler_phi(n: int) -> int:

@@ -10,10 +10,10 @@ as limits.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from contextlib import suppress
 from itertools import repeat
-from operator import mul, truediv
+from operator import itemgetter, mul, truediv
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .contraction import (
@@ -86,9 +86,10 @@ class AsymptoticSample(NamedTuple):
 
 def small_integer_fn(seed: int, name: Optional[str] = None) -> ArithFn:
     """A deterministic pseudo-random arithmetic function with values in −3..3."""
+    offset = seed * 40503
 
     def evaluate(n: int) -> int:
-        return ((n * 2654435761 + seed * 40503) >> 7) % 7 - 3
+        return ((n * 2654435761 + offset) >> 7) % 7 - 3
 
     return ArithFn(name or f"seed{seed}", evaluate)
 
@@ -97,64 +98,66 @@ def small_integer_fn(seed: int, name: Optional[str] = None) -> ArithFn:
 
 
 class DivisorTables(NamedTuple):
-    """The divisors of F(1..n_max), listed once, with index tables over them.
+    """The divisors of F(1..n_max), each held once, with readers over them.
 
-    ``divisors`` holds the divisors of F(1), then those of F(2), and so on,
-    each F(k)'s ascending from ``starts[k - 1]`` to ``starts[k]``, so the
-    entry as far from the end of its run as d is from the start is F(k)/d.
-    The distinct n are the ones with rank(n) ≤ n_max, first listed under
-    F(rank(n)).  Taking them in order of appearance, ``slots`` holds the
-    position of F(k)/n for each multiple k of rank(n) up to n_max, and
-    ``owners`` holds, slot for slot, the position where n is first listed.
-    So each pair (k, d | F(k)) is one slot, and ``owners`` is a run of equal
-    positions per n.
+    ``values`` holds each n with rank(n) ≤ n_max once, in the order that the
+    divisors of F(1), then of F(2), and so on, first list them; n's position
+    there is its id.  ``readers`` holds three (left, right) pairs of
+    itemgetters over ids, each pair picking one side's terms, slot for slot,
+    from a list of f's values and one of g's on ``values``: the direct pairs
+    (d, F(k)/d) for each d | F(k), k ≤ n_max; the rank-weighted pairs
+    (n, F(k)/n) for each n and each multiple k of rank(n) up to n_max; and
+    these swapped.  So each pair (k, d | F(k)) is one slot of every side.
     """
 
     n_max: int
-    divisors: list[Factorization]
-    starts: Sequence[int]
-    owners: Sequence[int]
-    slots: Sequence[int]
+    values: list[Factorization]
+    readers: tuple[tuple[Callable, Callable], ...]
 
 
-def divisor_tables(n_max: int) -> DivisorTables:
-    """List the divisors of F(1..n_max) once and index them for theorem 1.
+def _gather(ids: list[int]) -> Callable:
+    """itemgetter over ids; a lone id reads a slice, not the bare item."""
+    return (itemgetter(*ids) if len(ids) > 1
+            else itemgetter(slice(ids[0], ids[0] + 1)))
 
-    Fails at once when F(n_max) is beyond the budget's scale.  The rank of n
-    is the first index whose Fibonacci number n divides; a listed n missing
-    from F(k) for a multiple k of that rank raises RuntimeError.
+
+def divisor_tables(x: float) -> DivisorTables:
+    """List the divisors of F(1..⌊x⌋) once and index them for theorem 1.
+
+    x < 1 is refused, and an F(⌊x⌋) beyond the budget's scale fails, before
+    anything is factored.  The rank of n is the first index whose Fibonacci
+    number n divides; F(k)/n is found by bisection in F(k)'s ascending
+    divisors, and a listed n missing from F(k) for a multiple k of that rank
+    raises RuntimeError.  Each id is one int object wherever it is held.
     """
-    # imported here, so that commands which never build these tables do not
-    # load the array extension module (about 0.2 MB of peak RSS)
-    from array import array
-
+    if x < 1:
+        raise ValueError(f"theorem1 expects x >= 1, got {x}")
+    n_max = math.floor(x)
     require_factorable(n_max)
-    flat: list[Factorization] = []
-    starts = array("l", [0])
-    firsts = array("l")
-    seen: set[int] = set()
+    ids: dict[int, int] = {}
+    runs = []   # (F(k)'s first new id, the ids of its divisors ascending)
     for k in range(1, n_max + 1):
-        for d in divisors(fib_factorization(k)):
-            if d not in seen:
-                seen.add(d)
-                firsts.append(len(flat))
-            flat.append(d)
-        starts.append(len(flat))
-    del seen
-    owners = array("l")
-    slots = array("l")
-    for position in firsts:
-        n = flat[position]
-        m = bisect_right(starts, position)  # the run holding n is F(m)'s
-        for k in range(m, n_max + 1, m):
-            lo, hi = starts[k - 1], starts[k]
-            i = bisect_left(flat, n, lo, hi)
-            if i == hi or flat[i] != n:
-                raise RuntimeError(f"{n} has rank {m} but does not divide "
-                                   f"F({k})")
-            owners.append(position)
-            slots.append(lo + hi - 1 - i)
-    return DivisorTables(n_max, flat, starts, owners, slots)
+        runs.append((len(ids), [ids.setdefault(d, len(ids))
+                                for d in divisors(fib_factorization(k))]))
+    values = list(ids)
+    del ids
+    direct = _gather([i for _, run in runs for i in run])
+    mirror = _gather([i for _, run in runs for i in reversed(run)])
+    owners, slots = [], []
+    for m, (first, run) in enumerate(runs, 1):
+        for n_id in [i for i in run if i >= first]:   # rank(n) = m
+            n = values[n_id]
+            for k in range(m, n_max + 1, m):
+                row = runs[k - 1][1]
+                i = bisect_left(row, n, key=values.__getitem__)
+                if i == len(row) or row[i] != n_id:
+                    raise RuntimeError(f"{n} has rank {m} but does not "
+                                       f"divide F({k})")
+                owners.append(n_id)
+                slots.append(row[~i])
+    weighted = _gather(owners), _gather(slots)
+    return DivisorTables(n_max, values,
+                         ((direct, mirror), weighted, weighted[::-1]))
 
 
 def check_theorem1(f: ArithFn, g: ArithFn, x: float,
@@ -163,35 +166,26 @@ def check_theorem1(f: ArithFn, g: ArithFn, x: float,
 
     Direct side: Σ_{n≤x} (f*g)(F(n)) by literal divisor sums.  The other two
     sides enumerate all n with rank(n) ≤ x (the divisor union of the first
-    ⌊x⌋ Fibonacci numbers) and sum f(n)·g(F(k)/n), then g(n)·f(F(k)/n),
-    over the multiples k of rank(n) up to x, each in one pass over the
-    slots of the divisor tables of F(1..⌊x⌋), built here unless a suite
-    passes its own.  f and g are evaluated once per listed divisor.  Exact
-    equality is required; residual is an exact integer difference, taken on
-    the held integers when the values are ExactLogs.  Fails at once when
-    F(⌊x⌋) is beyond the budget's scale, and x < 1 is refused.
+    ⌊x⌋ Fibonacci numbers) and sum f(n)·g(F(k)/n), then f(F(k)/n)·g(n),
+    over the multiples k of rank(n) up to x.  Each side is one pass over
+    the slots its readers gather from the divisor tables of F(1..⌊x⌋),
+    built here unless a suite passes its own, and f and g are evaluated
+    once per distinct divisor.  Exact equality is required; residual is an
+    exact integer difference, taken on the held integers when the values
+    are ExactLogs.  Building the tables refuses x < 1 and fails at once
+    when F(⌊x⌋) is beyond the budget's scale.
     """
-    if x < 1:
-        raise ValueError(f"theorem1 expects x >= 1, got {x}")
     params = f"f={f.name}, g={g.name}, x={x}"
-    n_max = math.floor(x)
-    require_factorable(n_max)
     if tables is None:
-        tables = divisor_tables(n_max)
-    elif tables.n_max != n_max:
+        tables = divisor_tables(x)
+    elif tables.n_max != math.floor(x):
         raise ValueError(f"the tables list F(1..{tables.n_max}), "
-                         f"not F(1..{n_max})")
-    fv = list(map(f.fn, tables.divisors))
-    gv = list(map(g.fn, tables.divisors))
-    direct = zero = f.zero * g.zero
-    starts = tables.starts
-    for lo, hi in zip(starts, starts[1:]):
-        direct = sum(map(mul, fv[lo:hi], reversed(gv[lo:hi])), direct)
-    owners, slots = tables.owners, tables.slots
-    weighted = sum(map(mul, map(fv.__getitem__, owners),
-                       map(gv.__getitem__, slots)), zero)
-    swapped = sum(map(mul, map(gv.__getitem__, owners),
-                      map(fv.__getitem__, slots)), zero)
+                         f"not F(1..{math.floor(x)})")
+    fv = list(map(f.fn, tables.values))
+    gv = list(map(g.fn, tables.values))
+    zero = f.zero * g.zero
+    direct, weighted, swapped = [sum(map(mul, a(fv), b(gv)), zero)
+                                 for a, b in tables.readers]
     sides = [v.integer_value if isinstance(v, ExactLog) else v
              for v in (direct, weighted, swapped)]
     residual = max(abs(sides[0] - sides[1]), abs(sides[0] - sides[2]))
@@ -453,7 +447,7 @@ def series_table(s: float, n_terms: int) -> tuple:
     """(ζ_N(s), its tail bound, n**s for n ≤ N short of a float overflow) for
     the checks at (s, N).  N < 12, then s not > 1, is refused before the μ
     sieve is grown to N, and the sieve is grown before the powers are listed."""
-    from array import array   # imported here, as in divisor_tables
+    from array import array   # here, as loading it adds 0.2 MB of peak RSS
     if n_terms < 12:
         raise ValueError("need N >= 12 to see all polynomial terms")
     zeta_n, tail = zeta_partial(s, n_terms)
@@ -529,7 +523,7 @@ RATIO_WINDOW_EP = (0.8, 1.2)
 
 
 def _suite_theorem1(x: float = 25.0) -> list[VerificationReport]:
-    tables = divisor_tables(math.floor(x))
+    tables = divisor_tables(x)
     reports = [check_theorem1(f, ONE, x, tables)
                for f in (MU, PHI, LIOUVILLE, MANGOLDT)]
     details = []

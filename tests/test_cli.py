@@ -286,6 +286,18 @@ def test_verify_refuses_an_empty_range(argv, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("x", ["0.5", "0", "-3"])
+def test_verify_theorem1_refuses_x_below_1_before_any_table(x, monkeypatch,
+                                                            capsys):
+    listed = []
+    for name in ("divisors", "fib_factorization"):
+        monkeypatch.setattr(verify, name, lambda *a: listed.append(a))
+    assert run_cli(["verify", "theorem1", "--x", x]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and listed == []
+    assert captured.err == f"error: theorem1 expects x >= 1, got {float(x)}\n"
+
+
 @pytest.mark.parametrize("argv, line", [
     (["pi-alpha", "--x", "1e2"], "PASS pi-alpha [x<=100]\n"),
     (["phi-recursion", "--x", "3.0"], "PASS phi-recursion [x_max=3]\n")])
@@ -384,6 +396,26 @@ def test_report_asymptotics_rejects_x_below_1(xs, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "x >= 1" in captured.err
+
+
+@pytest.mark.parametrize("spelling", ["1e1,60", "10.0, 6e1", " 10,060"])
+def test_report_asymptotics_takes_an_integral_x_in_any_spelling(spelling,
+                                                                capsys):
+    assert run_cli(["report-asymptotics", "--x", spelling]) == 0
+    out = capsys.readouterr().out
+    assert run_cli(["report-asymptotics", "--x", "10,60"]) == 0
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("point", ["2.5", "1e-1", "inf", "-inf", "nan",
+                                   "1e400", "ten"])
+def test_report_asymptotics_refuses_a_fractional_or_non_finite_x(point,
+                                                                 capsys):
+    assert run_cli(["report-asymptotics", "--x", f"5,{point}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: report-asymptotics expects integral "
+                            f"--x points, got {point}\n")
 
 
 def test_report_rows_equal_the_standalone_sums(tmp_path):

@@ -93,7 +93,7 @@ def test_theorem1_sides_match_literal_oracle():
               for seed in (0, 7, 19)]
     tables = verify.divisor_tables(40)
     for f, g in pairs:
-        for x in (12.5, 40):
+        for x in (1, 1.9, 12.5, 40):   # F(1) = 1 alone is one listing
             oracle = sum((dirichlet_convolve(f, g, fib(n))
                           for n in range(1, math.floor(x) + 1)),
                          f.zero * g.zero)
@@ -105,35 +105,72 @@ def test_theorem1_sides_match_literal_oracle():
         check_theorem1(MU, ONE, 39, tables=tables)
 
 
+def theorem1_pairs(tables):
+    """The (left, right) id pairs of each reader pair: direct, weighted,
+    swapped."""
+    ids = list(range(len(tables.values)))
+    return [list(zip(left(ids), right(ids))) for left, right in tables.readers]
+
+
 def test_theorem1_suite_rank_map_matches_rank():
-    from bisect import bisect_right
     n_max = 80
     tables = verify.divisor_tables(n_max)
-    flat, starts = tables.divisors, tables.starts
-    runs = [(position, [s for _, s in run]) for position, run
-            in groupby(zip(tables.owners, tables.slots), itemgetter(0))]
+    values = tables.values
+    ranks = divisor_union_ranks(n_max)
+    assert values == list(ranks) and len(set(values)) == len(values)
+    assert all(ranks[a] <= ranks[b] for a, b in zip(values, values[1:]))
+    _, weighted, _ = theorem1_pairs(tables)
+    runs = [(n_id, [s for _, s in run]) for n_id, run
+            in groupby(weighted, itemgetter(0))]
     assert len(runs) == 4243
-    for position, row in runs:
-        n = flat[position]
+    for n_id, row in runs:
+        n = values[n_id]
         m = fib_module.rank(n)
-        assert bisect_right(starts, position) == m, n
-        assert [bisect_right(starts, s) for s in row] == \
-            list(range(m, n_max + 1, m)), n
-        assert all(flat[s] * n == fib(bisect_right(starts, s)) for s in row)
+        assert ranks[n] == m, n
+        assert [n * values[s] for s in row] == \
+            [fib(k) for k in range(m, n_max + 1, m)], n
 
 
 @pytest.mark.parametrize("n_max", [40, 100])
 def test_theorem1_slots_list_every_divisor_pair_once(n_max):
     tables = verify.divisor_tables(n_max)
-    flat, owners = tables.divisors, tables.owners
-    assert sorted(tables.slots) == list(range(len(flat)))
-    assert len(owners) == len(tables.slots)
-    assert all(a <= b for a, b in zip(owners, owners[1:]))
-    first: dict[int, int] = {}
-    for position, n in enumerate(flat):
-        first.setdefault(n, position)
-    assert [position for position, _ in groupby(owners)] == \
-        sorted(first.values())
+    values = tables.values
+    direct, weighted, swapped = theorem1_pairs(tables)
+    listed = [(k, d) for k in range(1, n_max + 1)
+              for d in numtheory.divisors(fib_module.fib_factorization(k))]
+    assert [(k, values[a], values[b]) for (k, _), (a, b)
+            in zip(listed, direct)] == \
+        [(k, d, fib(k) // d) for k, d in listed]
+    assert len(direct) == len(listed)
+    assert sorted(weighted) == sorted(direct)
+    assert swapped == [(b, a) for a, b in weighted]
+    owners = [a for a, _ in weighted]
+    assert [n_id for n_id, _ in groupby(owners)] == list(range(len(values)))
+
+
+def test_theorem1_evaluates_each_function_once_per_distinct_divisor():
+    calls = {"f": 0, "g": 0}
+
+    def counted(name, fn):
+        def evaluate(n):
+            calls[name] += 1
+            return fn(n)
+        return numtheory.ArithFn(name, evaluate)
+
+    for x in (1, 2, 30, 60.5):
+        calls.update(f=0, g=0)
+        report = check_theorem1(counted("f", small_integer_fn(3)),
+                                counted("g", MU), x)
+        assert report.passed
+        assert calls == dict.fromkeys("fg", len(divisor_union_ranks(x))), x
+
+
+def test_small_integer_fn_is_the_literal_formula():
+    for seed in range(4):
+        f = small_integer_fn(seed)
+        assert [f(n) for n in range(1, 1001)] == \
+            [((n * 2654435761 + seed * 40503) >> 7) % 7 - 3
+             for n in range(1, 1001)], seed
 
 
 def test_theorem1_suite_lists_divisors_once(monkeypatch):
