@@ -162,7 +162,7 @@ def apply_records(records: Iterable[CacheRecord]) -> None:
 def collect_records() -> list[CacheRecord]:
     """Every Fibonacci index in the memo as a cache record.
 
-    alpha and e are computed here from the factors of n by the lcm law.
+    alpha and e are computed here from the factors of n, by `rank`.
     """
     records = []
     for n, fac in sorted(known_fib_factorizations().items()):

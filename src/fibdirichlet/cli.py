@@ -103,12 +103,15 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, rows: bool = True) -> None:
+    """--cache and --budget, and the emission flags where rows are written."""
     parser.add_argument("--cache", help="cache file path (FIBDIRICHLET_CACHE "
                                         "overrides the default, flag wins)")
     parser.add_argument("--budget", type=int, default=DEFAULT_FACTOR_BUDGET,
                         help=f"factorization work budget "
                              f"(default {DEFAULT_FACTOR_BUDGET})")
+    if not rows:
+        return
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="emission format (default csv)")
     parser.add_argument("--out", help="write emission to this file")
@@ -126,25 +129,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fib", help="print the n-th Fibonacci number")
     p.add_argument("n", type=int)
-    _add_common(p)
+    _add_common(p, rows=False)
 
     p = sub.add_parser("alpha", help="print the rank of apparition of n")
     p.add_argument("n", type=int)
-    _add_common(p)
+    _add_common(p, rows=False)
 
     p = sub.add_parser("entry-exponent",
                        help="print the largest m with n^m dividing F(rank(n))")
     p.add_argument("n", type=int)
-    _add_common(p)
+    _add_common(p, rows=False)
 
     p = sub.add_parser("contract",
                        help="tabulate an iterated contraction against its "
                             "closed form")
     p.add_argument("fn", choices=CONTRACTIBLE)
-    p.add_argument("depth_pos", type=int, nargs="?", metavar="depth")
-    p.add_argument("n_max_pos", type=int, nargs="?", metavar="n_max")
-    p.add_argument("--depth", type=int, help="contraction depth (default 1)")
-    p.add_argument("--n-max", type=int, dest="n_max",
+    p.add_argument("depth", type=int, nargs="?", default=1,
+                   help="contraction depth (default 1)")
+    p.add_argument("n_max", type=int, nargs="?", default=DEFAULT_CONTRACT_N_MAX,
                    help=f"largest index to tabulate "
                         f"(default {DEFAULT_CONTRACT_N_MAX})")
     _add_common(p)
@@ -190,12 +192,7 @@ def cmd_scalar(args: argparse.Namespace) -> int:
 
 
 def cmd_contract(args: argparse.Namespace) -> int:
-    depth = args.depth if args.depth is not None else args.depth_pos
-    n_max = args.n_max if args.n_max is not None else args.n_max_pos
-    if depth is None:
-        depth = 1
-    if n_max is None:
-        n_max = DEFAULT_CONTRACT_N_MAX
+    depth, n_max = args.depth, args.n_max
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if n_max < 1:
@@ -337,7 +334,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.budget < 1:
         parser.error(f"--budget must be at least 1, got {args.budget}")
-    if args.precision < 0:
+    if "precision" in args and args.precision < 0:
         parser.error(f"--precision must be at least 0, got {args.precision}")
     cache_path = args.cache or os.environ.get(ENV_CACHE)
     # each call starts from an empty memo, so the cache file it writes holds

@@ -1,10 +1,11 @@
 """Exact Fibonacci arithmetic and the rank of apparition.
 
 Fast-doubling Fibonacci values, modular Fibonacci, the rank of apparition
-(least index m with n | F(m)) by the lcm law over the prime powers of n,
-entry exponents, the memo of factored F(n), each factored through the
-memoized F(n/q) so that Pollard rho sees only its primitive part, primitive
-prime extraction, exact Fibonacci lcms, and the golden-ratio constants.
+(least index m with n | F(m)) by one walk down from the multiple of it that
+Lucas's law gives, entry exponents, the memo of factored F(n), each factored
+through the memoized F(n/q) so that Pollard rho sees only its primitive
+part, primitive prime extraction, exact Fibonacci lcms, and the golden-ratio
+constants.
 """
 
 from __future__ import annotations
@@ -72,61 +73,41 @@ def _rank_within(m: int, multiple: Factorization) -> Factorization:
     return Factorization(r, tuple(kept))
 
 
-def _power_ranks(p: int, k: int, r: Factorization) -> list[Factorization]:
-    """[rank(p), rank(p^2), …, rank(p^k)] for a prime p with rank(p) = r.
-
-    For odd p the rank stays r while p^j divides F(r) and then gains a
-    factor p per step; one residue F(r) mod p^k gives how far that is.
-    p = 2 is exceptional: 3, 6, then 3·2^(j−2).
-    """
-    if p == 2:
-        extra = [0] + [max(1, j - 2) for j in range(2, k + 1)]
-    else:
-        residue = fib_mod(r, p**k)
-        e = k if residue == 0 else valuation(residue, p)
-        extra = [max(0, j - e) for j in range(1, k + 1)]
-    out = []
-    for a in extra:
-        exponents = dict(r.factors)
-        if a:
-            exponents[p] = exponents.get(p, 0) + a
-        out.append(Factorization(r * p**a, tuple(sorted(exponents.items()))))
-    return out
-
-
 def rank_prime_power(p: int, k: int) -> Factorization:
-    """rank(p^k) for a prime p, carrying its factors.
-
-    rank(p) divides p − (5|p) (Lucas; Wall, "Fibonacci series modulo m",
-    1960): it is p − 1 when p ≡ ±1 (mod 5), p + 1 when p ≡ ±2, and 5 for
-    p = 5, so rank(p) comes from factoring that multiple and walking down.
-    """
+    """rank(p^k) for a prime p, carrying its factors."""
     if k < 1:
         raise ValueError("rank_prime_power expects k >= 1")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    multiple = p - 1 if p % 5 in (1, 4) else p + 1 if p % 5 else p
-    return _power_ranks(p, k, _rank_within(p, factorize(multiple)))[-1]
+    return rank(Factorization(p**k, ((p, k),)))
 
 
 def rank(n: int) -> Factorization:
     """Rank of apparition: least m ≥ 1 with n | F(m), carrying its factors.
 
-    The lcm of rank(p^k) over the prime powers p^k ‖ n.  Duality: n | F(m)
-    if and only if rank(n) | m.  The answer is checked against the
-    definition before it is returned; factoring n or the p ∓ 1 beyond the
-    budget raises BudgetExceededError.
+    rank(p^k) divides p^(k−1)·(p − (5|p)), where p − (5|p) is p − 1 when
+    p ≡ ±1 (mod 5), p + 1 when p ≡ ±2, and 5 for p = 5 (Lucas; Wall,
+    "Fibonacci series modulo m", 1960).  So rank(n) divides the lcm M of
+    those multiples over p^k ‖ n, and one walk down from M finds it.  The
+    answer is checked against the definition before it is returned;
+    factoring n or the p ∓ 1 beyond the budget raises BudgetExceededError.
+    A Factorization n is not factored again.
     """
     if n < 1:
         raise ValueError("rank expects n >= 1")
     exponents: dict[int, int] = {}
-    for p, k in factorize(n).factors:
-        for q, e in rank_prime_power(p, k).factors:
+    for p, k in (n if isinstance(n, Factorization) else factorize(n)).factors:
+        local = dict(factorize(p - 1 if p % 5 in (1, 4) else
+                               p + 1 if p % 5 else p).factors)
+        if k > 1:
+            local[p] = local.get(p, 0) + k - 1
+        for q, e in local.items():
             exponents[q] = max(exponents.get(q, 0), e)
-    r = Factorization(math.prod(q**e for q, e in exponents.items()),
-                      tuple(sorted(exponents.items())))
+    multiple = Factorization(math.prod(q**e for q, e in exponents.items()),
+                             tuple(sorted(exponents.items())))
+    r = _rank_within(n, multiple)
     if (n > 1 and fib_mod(r, n)) or not divisor_has_rank(n, r):
-        raise RuntimeError(f"the lcm law gave {r}, which is not the rank "
+        raise RuntimeError(f"the walk gave {r}, which is not the rank "
                            f"of apparition of {n}")
     return r
 

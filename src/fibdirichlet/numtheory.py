@@ -298,8 +298,8 @@ def divisor_count(n: int) -> int:
 def mangoldt_base(n: int) -> Optional[int]:
     """The prime p when n = p^k (k ≥ 1), else None.
 
-    Λ(n) is then log p; MANGOLDT holds it as ExactLog(p), and ExactLog(1)
-    where Λ(n) = 0.
+    Λ(n) is then log p; MANGOLDT holds it as ExactLog(p), and one shared
+    ExactLog(1) where Λ(n) = 0.
     """
     fac = _prime_factors(n)
     if len(fac) == 1:
@@ -441,8 +441,9 @@ PHI = ArithFn("phi", euler_phi)
 ONE = ArithFn("one", lambda n: 1)
 DIVISOR_COUNT = ArithFn("divisor_count", divisor_count)
 IDENTITY = ArithFn("id", lambda n: n)
-MANGOLDT = ArithFn("mangoldt", lambda n: ExactLog(mangoldt_base(n) or 1),
-                   zero=ExactLog(1))
+_LOG_ONE = ExactLog(1)   # Λ(n) = 0, one object: an ExactLog is never mutated
+MANGOLDT = ArithFn("mangoldt", lambda n: ExactLog(p) if (p := mangoldt_base(n))
+                   else _LOG_ONE, zero=_LOG_ONE)
 
 NAMED_FUNCTIONS: dict[str, ArithFn] = {
     f.name: f for f in (MU, LIOUVILLE, PHI, ONE, DIVISOR_COUNT, IDENTITY, MANGOLDT)

@@ -7,8 +7,8 @@ def _rank_scan(n):
     """Rank of apparition by scanning Fibonacci residues mod n.
 
     The scan is bounded by 6n, the classical Pisano-period bound; the
-    library computes the rank by the lcm law instead, and is tested
-    against this definition-level oracle.
+    library computes the rank by one walk down from a multiple of it
+    instead, and is tested against this definition-level oracle.
     """
     a, b = 1 % n, 1 % n  # F(1), F(2)
     for k in range(1, 6 * n + 1):

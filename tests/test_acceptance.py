@@ -154,12 +154,13 @@ def test_criterion_10_lemma_conformance(rank_scan):
     for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
         for k in (1, 2, 3):
             assert rank_prime_power(p, k) == rank_scan(p**k), (p, k)
-    for k in range(1, 13):
-        assert rank_prime_power(2, k) == rank_scan(2**k), k
+    for p, k_max in ((2, 16), (3, 8), (5, 6)):
+        for k in range(1, k_max + 1):
+            assert rank_prime_power(p, k) == rank_scan(p**k), (p, k)
     fibs = [fib(m) for m in range(201)]
     for n in range(1, 501):
         r = rank(n)
         for m in range(1, 201):
             assert (fibs[m] % n == 0) == (m % r == 0), (n, m)
-    _announce(10, "prime-power rank shortcut agrees with scanning; duality "
+    _announce(10, "prime-power ranks agree with scanning; duality "
                   "holds for n<=500, m<=200")

@@ -1,10 +1,12 @@
 import csv
 import json
 import math
+import shlex
 import subprocess
 import sys
 import time
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +43,32 @@ def test_scalar_commands(capsys):
     assert out == ["144", "3", "15", "2"]
 
 
+def readme_cli_examples():
+    """(argv, comment) for each `fibdirichlet …` line of README's CLI block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        assert argv[0] == "fibdirichlet", line
+        examples.append((argv[1:], comment.strip()))
+    return examples
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)   # --out files land here
+    monkeypatch.delenv(cli.ENV_CACHE, raising=False)
+    printed = {}
+    for argv, comment in readme_cli_examples():
+        assert run_cli(argv) == 0, argv
+        printed[argv[0]] = capsys.readouterr().out, comment
+    for command, value in (("fib", "144"), ("alpha", "3"),
+                           ("entry-exponent", "2")):
+        out, comment = printed[command]
+        assert out == value + "\n" and comment.split()[0] == value, command
+
+
 def test_fib_prints_past_the_int_string_limit(capsys):
     # str() of an int refuses more than 4300 digits by default; the limit
     # is the same after the command as before it
@@ -52,6 +80,20 @@ def test_fib_prints_past_the_int_string_limit(capsys):
     assert len(digits) == math.floor(21000 * math.log10(golden)
                                      - math.log10(math.sqrt(5))) + 1
     assert int(digits[-12:]) == fib_module.fib_mod(21000, 10**12)
+
+
+@pytest.mark.parametrize("command", ["fib 5", "alpha 7", "entry-exponent 12"])
+@pytest.mark.parametrize("flag", ["--out", "--format", "--precision"])
+def test_scalar_commands_take_no_emission_flags(command, flag, tmp_path,
+                                                monkeypatch, capsys):
+    # they print one value and write no rows, so --out would write nothing
+    monkeypatch.chdir(tmp_path)
+    value = {"--out": "f", "--format": "json", "--precision": "3"}[flag]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command.split() + [flag, value])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_usage_error_exit_code():
@@ -158,14 +200,6 @@ def test_contract_is_byte_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_contract_flag_form_matches_positional(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    run_cli(["contract", "mu", "2", "15", "--out", str(a)])
-    run_cli(["contract", "mu", "--depth", "2", "--n-max", "15",
-             "--out", str(b)])
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_contract_marks_budget_rows(tmp_path):
     out = tmp_path / "deep.csv"
     assert run_cli(["contract", "one", "2", "40", "--out", str(out)]) == 0
@@ -215,7 +249,7 @@ def test_contract_budget_rows_exit_0(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["contract", "mu", "1", "0"], ["contract", "mu", "1", "-3"],
-    ["contract", "mu", "--n-max", "0"], ["contract", "mu", "--depth", "0"]])
+    ["contract", "mu", "0"], ["contract", "mu", "0", "10"]])
 def test_contract_refuses_depth_or_n_max_below_1(argv, capsys):
     assert run_cli(argv) == 2
     captured = capsys.readouterr()

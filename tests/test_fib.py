@@ -96,16 +96,25 @@ def test_rank_prime_power_examples():
     assert rank_prime_power(2, 1) == 3
     assert rank_prime_power(3, 2) == 12  # 9 | F(12) = 144
     assert rank_prime_power(5, 3) == 125
+    # p^3 is past the default budget of factorize; its factors are given
+    p = 10**9 + 7
+    assert rank_prime_power(p, 3) == (p + 1) * p**2
     with pytest.raises(ValueError):
         rank_prime_power(6, 1)
 
 
 def test_rank_checks_its_answer(monkeypatch):
-    # a wrong prime-power rank must not get past the definition check
-    monkeypatch.setattr(fib_module, "rank_prime_power",
-                        lambda p, k: Factorization(16, ((2, 4),)))
+    # a wrong walk must not get past the definition check
+    monkeypatch.setattr(fib_module, "_rank_within",
+                        lambda m, multiple: Factorization(16, ((2, 4),)))
     with pytest.raises(RuntimeError, match="not the rank"):
         rank(7)   # the true rank is 8, and 7 | F(16) but also 7 | F(8)
+
+
+def test_rank_is_the_lcm_of_its_prime_power_ranks(rank_scan):
+    for n in range(1, 3001):
+        prime_power_ranks = [rank_scan(p**k) for p, k in factorize(n).factors]
+        assert rank(n) == math.lcm(*prime_power_ranks), n
 
 
 def test_rank_honours_the_budget():

@@ -187,6 +187,12 @@ def test_mangoldt_values():
     assert MU.zero == 0
 
 
+def test_mangoldt_shares_its_zero():
+    # Λ(n) = 0 is the zero itself, not a new ExactLog(1) per divisor
+    assert MANGOLDT(6) is MANGOLDT.zero
+    assert MANGOLDT(1) is MANGOLDT.zero
+
+
 def test_mertens_examples():
     assert mertens(1) == 1
     assert mertens(4) == -1
