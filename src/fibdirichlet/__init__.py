@@ -53,19 +53,14 @@ from .contraction import (
     summatory_T,
 )
 from .verify import (
-    AsymptoticSample,
     VerificationReport,
     asymptotic_mangoldt_report,
     check_T_tables,
     check_corollary_completely_mult,
-    check_phi_identity,
     check_theorem1,
     constant_c,
-    ep_weighted_sum,
     euler_product_check,
-    logprod_closed_form,
     phi_recursive_fib,
-    pi_alpha,
     pi_alpha_bound_report,
     run_suite,
 )

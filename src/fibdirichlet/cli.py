@@ -2,7 +2,7 @@
 
 Commands: fib, alpha, entry-exponent, contract, verify, report-asymptotics,
 series.  Exit codes: 0 success, 1 check failure, 2 usage or cache error,
-3 factorization budget exhausted.
+3 factorization budget exhausted, 141 stdout closed by its reader.
 
 Cache path precedence: --cache flag, then the FIBDIRICHLET_CACHE environment
 variable, then no cache.  All emissions are byte-deterministic for a given
@@ -46,6 +46,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_BROKEN_PIPE = 128 + 13   # SIGPIPE, as a shell reports `yes | head -1`
 
 CONTRACTIBLE = ("mu", "lambda", "phi", "one", "divisor_count")
 DEFAULT_ASYMPTOTIC_XS = (5, 12, 30, 60, 200)
@@ -287,7 +288,7 @@ def cmd_report_asymptotics(args: argparse.Namespace) -> int:
         xs = [_sample_point(part) for part in args.x.split(",") if part.strip()]
     else:
         xs = list(DEFAULT_ASYMPTOTIC_XS)
-    rows = [{"kind": "log_lcm", **sample.row()}
+    rows = [{"kind": "log_lcm", **sample}
             for sample in asymptotic_mangoldt_report(xs)]
     totals = {}
     try:
@@ -300,8 +301,7 @@ def cmd_report_asymptotics(args: argparse.Namespace) -> int:
     for x in xs:
         count, product = totals.get(x, (0, 1))
         pi = pi_alpha_row(x, count)
-        rows += [{"kind": "ep_log_sum",
-                  **growth_sample(x, ExactLog(product)).row()},
+        rows += [{"kind": "ep_log_sum", **growth_sample(x, ExactLog(product))},
                  {"kind": "pi_alpha_scaled", "x": x, "exact": pi["scaled"],
                   "predicted": pi["bound"], "ratio": pi["scaled"] / pi["bound"]}]
         if x not in totals:
@@ -367,6 +367,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader has gone; what is still buffered goes to devnull, so
+        # the flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
     if cache_path:
         cache_io.save_cache_file(cache_path, cache_io.collect_records())

@@ -186,8 +186,10 @@ def alpha_contract_iter(f: ArithFn, depth: int, n: int) -> Any:
 
     For μ the inner iterate is read from its dilation form, so arbitrarily
     large contributors stay cheap.  For other f the contributors are expanded
-    level by level, equal m merged with their multiplicities, and f_α is
-    summed once per distinct m; an unfactorable F(m) raises the budget error.
+    level by level, each level one list, and f_α is summed over the last.
+    Each m has one rank, so no m is listed twice in a level, and a loop, not
+    a recursion, walks the 1 → 1 and 5 → 5 chains to any depth.  An
+    unfactorable F(m) raises the budget error.
     """
     if depth < 1:
         raise ValueError("alpha_contract_iter expects depth >= 1")
@@ -195,14 +197,10 @@ def alpha_contract_iter(f: ArithFn, depth: int, n: int) -> Any:
         return alpha_contract(f, n)
     if f is MU:   # the (depth − 1)-fold iterate; past the fixed point, the last
         return alpha_contract(MU_ITERATES[:depth - 1][-1], n)
-    level = {n: 1}
+    level = [n]
     for _ in range(depth - 1):
-        below: dict[int, int] = {}
-        for m, k in level.items():
-            for d in contributors(m):
-                below[d] = below.get(d, 0) + k
-        level = below
-    return sum((alpha_contract(f, m) * k for m, k in level.items()), f.zero)
+        level = [d for m in level for d in contributors(m)]
+    return sum((alpha_contract(f, m) for m in level), f.zero)
 
 
 # --- closed forms ---

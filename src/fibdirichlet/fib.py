@@ -41,7 +41,9 @@ def fib(n: int) -> int:
 
 
 def fib_mod(n: int, m: int) -> int:
-    """F(n) mod m by doubling; m ≥ 2."""
+    """F(n) mod m by doubling; n ≥ 0 and m ≥ 2."""
+    if n < 0:
+        raise ValueError("fib_mod expects n >= 0")
     if m < 2:
         raise ValueError("fib_mod expects modulus >= 2")
     a, b = 0, 1

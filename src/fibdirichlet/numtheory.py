@@ -402,8 +402,8 @@ class ArithFn:
     """A named, deterministic, exact arithmetic function.
 
     ``zero`` is the additive zero of its values, where every sum of them
-    starts: 0 for the integer-valued functions, ExactLog(1) for Λ.  Frozen:
-    equal, hashed and shown by (name, fn, zero).
+    starts: 0 for the integer-valued functions, ExactLog(1) for Λ.  Frozen,
+    and shown by (name, fn, zero).
     """
 
     __slots__ = ("name", "fn", "zero")
@@ -422,14 +422,6 @@ class ArithFn:
 
     def __call__(self, n: int) -> Any:
         return self.fn(n)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.fn, self.zero) == (other.name, other.fn, other.zero)
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.fn, self.zero))
 
     def __repr__(self) -> str:
         return f"ArithFn(name={self.name!r}, fn={self.fn!r}, zero={self.zero!r})"

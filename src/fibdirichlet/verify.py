@@ -23,7 +23,7 @@ from .contraction import (
     MU_ALPHA3,
     MU_ITERATES,
     Dilation,
-    contributors,
+    alpha_contract,
     divisor_union_ranks,
     summatory_T,
 )
@@ -66,22 +66,6 @@ class VerificationReport:
         self.passed = passed
         self.residual = residual
         self.details = [] if details is None else details
-
-
-class AsymptoticSample(NamedTuple):
-    """One exact-vs-predicted comparison point."""
-
-    x: int
-    exact_value: ExactLog
-    predicted: float
-    ratio: float
-
-    def exact_as_float(self) -> float:
-        return self.exact_value.log_value
-
-    def row(self) -> dict:
-        return {"x": self.x, "exact": self.exact_as_float(),
-                "predicted": self.predicted, "ratio": self.ratio}
 
 
 def small_integer_fn(seed: int, name: Optional[str] = None) -> ArithFn:
@@ -200,7 +184,7 @@ def check_corollary_completely_mult(f: ArithFn, g: ArithFn, n_max: int
     """Verify (f*g)(F(n)) = g(F(n)) · Σ_{k|n} (f/g)-contraction(k) for n ≤ N.
 
     g must be completely multiplicative and nonzero up to F(N); the quotient
-    contraction is evaluated by the divisor-sum definition in exact rationals.
+    contraction is alpha_contract of f/g, in exact rationals, once per k ≤ N.
     With g = 1 this is precisely the specialization (1*f)(F(n)) = (1*f_α)(n).
     N < 1 is refused, and an F(N) beyond the budget's scale fails at once.
     """
@@ -211,29 +195,22 @@ def check_corollary_completely_mult(f: ArithFn, g: ArithFn, n_max: int
     # fractions with its decimal and numbers modules
     from fractions import Fraction
 
+    def quotient(m: int) -> Fraction:
+        if (gm := g(m)) == 0:
+            raise ZeroDivisionError(
+                f"{g.name}({m}) = 0; the quotient contraction is undefined")
+        return Fraction(f(m), gm)
+
+    f_over_g = ArithFn(f"{f.name}/{g.name}", quotient, Fraction(0))
+    contracted = [alpha_contract(f_over_g, k) for k in range(1, n_max + 1)]
     params = f"f={f.name}, g={g.name}, N={n_max}"
     details = []
     worst = Fraction(0)
-    quotient_cache: dict[int, Fraction] = {}
-
-    def quotient_contraction(k: int) -> Fraction:
-        if k not in quotient_cache:
-            total = Fraction(0)
-            for m in contributors(k):
-                gm = g(m)
-                if gm == 0:
-                    raise ZeroDivisionError(
-                        f"{g.name}({m}) = 0; the quotient contraction is undefined"
-                    )
-                total += Fraction(f(m), gm)
-            quotient_cache[k] = total
-        return quotient_cache[k]
-
     for n in range(1, n_max + 1):
         an = fib_factorization(n)
         lhs = Fraction(dirichlet_convolve(f, g, an))
         rhs = Fraction(g(an)) * sum(
-            (quotient_contraction(k) for k in range(1, n + 1) if n % k == 0),
+            (contracted[k - 1] for k in range(1, n + 1) if n % k == 0),
             Fraction(0),
         )
         diff = abs(lhs - rhs)
@@ -248,7 +225,9 @@ def check_corollary_completely_mult(f: ArithFn, g: ArithFn, n_max: int
 
 
 def logprod_walk(x: float) -> Iterator[tuple[ExactLog, float, float]]:
-    """logprod_closed_form(n) for n = 1..⌊x⌋, from one running product."""
+    """(exact log of ∏_{n≤k} F(n), its closed form, |difference|) for
+    k = 1..⌊x⌋, from one running product; the closed form is (log r / 2)·k²
+    + (log(r/5) / 2)·k + Σ_{n≤k} log(1 − (−1)ⁿ/r²ⁿ), r the golden ratio."""
     if x < 1:
         raise ValueError(f"logprod expects x >= 1, got {x}")
     if x >= LOGPROD_X_MAX + 1:   # at the first read, whatever the budget
@@ -267,18 +246,6 @@ def logprod_walk(x: float) -> Iterator[tuple[ExactLog, float, float]]:
         yield lhs, rhs, abs(lhs.log_value - rhs)
 
 
-def logprod_closed_form(x: float) -> tuple[ExactLog, float, float]:
-    """Exact log of ∏_{n≤x} F(n) against its golden-ratio closed form.
-
-    Left side: big-integer product, converted once.  Right side:
-    (log r / 2)·⌊x⌋² + (log(r/5) / 2)·⌊x⌋ + Σ_{n≤x} log(1 − (−1)ⁿ/r²ⁿ)
-    with r the golden ratio.  Returns (lhs, rhs, |difference|).
-    """
-    for row in logprod_walk(x):
-        pass
-    return row
-
-
 def constant_c(n_terms: int) -> float:
     """Partial sum Σ_{n≤N} log(1 − (−1)ⁿ/r²ⁿ); converges geometrically."""
     if n_terms < 1:
@@ -293,14 +260,16 @@ def _tail_term(n: int) -> float:
 # --- asymptotics: reported with ratios, not asserted as limits ---
 
 
-def growth_sample(x: int, exact: ExactLog) -> AsymptoticSample:
-    """exact against the quadratic growth CONSTANTS.lcm_growth_constant·x²."""
+def growth_sample(x: int, exact: ExactLog) -> dict:
+    """The row (x, exact, predicted, ratio) of exact's log against the
+    quadratic growth CONSTANTS.lcm_growth_constant·x²."""
     predicted = CONSTANTS.lcm_growth_constant * x * x
-    ratio = exact.log_value / predicted if predicted > 0 else 0.0
-    return AsymptoticSample(x, exact, predicted, ratio)
+    log = exact.log_value
+    return {"x": x, "exact": log, "predicted": predicted,
+            "ratio": log / predicted if predicted > 0 else 0.0}
 
 
-def asymptotic_mangoldt_report(x_values: Sequence[int]) -> list[AsymptoticSample]:
+def asymptotic_mangoldt_report(x_values: Sequence[int]) -> list[dict]:
     """log lcm(F(1)..F(x)) against its predicted quadratic growth."""
     return [growth_sample(x, ExactLog(lcm_fib(x)) if x >= 1 else ExactLog(1))
             for x in x_values]
@@ -343,19 +312,6 @@ def primitive_totals_at(x_values: Sequence[int]
             yield x, count, product
 
 
-def ep_weighted_sum(x: int) -> ExactLog:
-    """Σ entry_exponent(p)·log p over primes with rank(p) ≤ x, held exactly
-    as the log of ∏ p^(e_p)."""
-    [(_, _, product)] = primitive_totals_at([x])
-    return ExactLog(product)
-
-
-def pi_alpha(x: int) -> int:
-    """Number of distinct primes whose rank of apparition is ≤ x."""
-    [(_, count, _)] = primitive_totals_at([x])
-    return count
-
-
 PRIMITIVE_COUNT_BOUND = CONSTANTS.lcm_growth_constant / 2  # 3·log r / (2π²)
 
 
@@ -379,11 +335,6 @@ def pi_alpha_bound_report(x_values: Sequence[int]) -> list[dict]:
 # --- the totient representation of Fibonacci numbers ---
 
 
-def check_phi_identity(x: float) -> VerificationReport:
-    """Verify Σ_{rank(n)≤x} φ(n)·⌊x/rank(n)⌋ = Σ_{n≤x} F(n) = F(⌊x⌋+2) − 1."""
-    return _phi_identity_report(x, _phi_rank_sums(x)[-1])
-
-
 def _phi_rank_sums(x: float) -> list[int]:
     """[Σ_{rank(n)≤k} φ(n)·⌊k/rank(n)⌋ for k = 0..⌊x⌋] from one rank map.
 
@@ -399,16 +350,6 @@ def _phi_rank_sums(x: float) -> list[int]:
         by_rank[m] += euler_phi(n)
     return [sum(by_rank[m] * (k // m) for m in range(1, k + 1))
             for k in range(len(by_rank))]
-
-
-def _phi_identity_report(x: float, rank_sum: int) -> VerificationReport:
-    n_max = math.floor(x)
-    fib_sum = sum(fib(n) for n in range(1, n_max + 1))
-    closed = fib(n_max + 2) - 1
-    residual = max(abs(rank_sum - fib_sum), abs(fib_sum - closed))
-    details = [{"rank_sum": rank_sum, "fib_sum": fib_sum, "closed": closed}]
-    return VerificationReport("phi-identity", f"x={x}", residual == 0,
-                              residual, details)
 
 
 def phi_recursive_fib(x_max: int) -> list[int]:
@@ -573,25 +514,24 @@ def _suite_constant_c() -> list[VerificationReport]:
 def _suite_asymptotic_mangoldt() -> list[VerificationReport]:
     samples = asymptotic_mangoldt_report([5, 50, 200])
     lo, hi = RATIO_WINDOW_LCM
-    at50 = samples[1].ratio
-    at200 = samples[2].ratio
+    at50, at200 = samples[1]["ratio"], samples[2]["ratio"]
     passed = lo <= at200 <= hi and abs(at200 - 1) < abs(at50 - 1)
-    details = [s.row() for s in samples]
     return [VerificationReport("asymptotic-mangoldt",
                                f"window {lo}..{hi} at x=200, improving from x=50",
-                               passed, abs(at200 - 1), details)]
+                               passed, abs(at200 - 1), samples)]
 
 
 def _suite_ep_sum(x: int = 60) -> list[VerificationReport]:
-    sample = growth_sample(x, ep_weighted_sum(x))
+    # Σ entry_exponent(p)·log p over rank(p) ≤ x, held as ∏ p^(e_p)
+    [(_, _, product)] = primitive_totals_at([x])
+    sample = growth_sample(x, ExactLog(product))
     lo, hi = RATIO_WINDOW_EP
-    details = [sample.row()]
     return [VerificationReport("ep-sum", f"x={x}, window {lo}..{hi}",
-                               lo <= sample.ratio <= hi,
-                               abs(sample.ratio - 1), details)]
+                               lo <= sample["ratio"] <= hi,
+                               abs(sample["ratio"] - 1), [sample])]
 
 
-def _suite_pi_alpha(x: int = 60) -> list[VerificationReport]:
+def _suite_pi_alpha_counts(x: int = 60) -> list[VerificationReport]:
     counts = [count for count, _ in primitive_prime_totals(x)]
     monotone = all(a <= b for a, b in zip(counts, counts[1:]))
     anchors = counts[4] == 3 and counts[11] == 8 if x >= 12 else True
@@ -610,13 +550,16 @@ def _suite_pi_alpha_bound() -> list[VerificationReport]:
 
 
 def _suite_phi_identity(x: float = 30.0) -> list[VerificationReport]:
-    worst = 0
+    """Σ_{rank(n)≤k} φ(n)·⌊k/rank(n)⌋ = Σ_{n≤k} F(n) = F(k+2) − 1, k ≤ x."""
+    worst = fib_sum = 0   # Σ F(n) is kept running
     details = []
     rank_sums = _phi_rank_sums(x)  # lists F(1..⌊x⌋)'s divisors once
     for n in range(1, math.floor(x) + 1):
-        rep = _phi_identity_report(n, rank_sums[n])
-        worst = max(worst, rep.residual)
-        details.append({"x": n, "passed": rep.passed})
+        fib_sum += fib(n)
+        residual = max(abs(rank_sums[n] - fib_sum),
+                       abs(fib_sum - (fib(n + 2) - 1)))
+        worst = max(worst, residual)
+        details.append({"x": n, "passed": residual == 0})
     return [VerificationReport("phi-identity", f"x<={math.floor(x)}",
                                worst == 0, worst, details)]
 
@@ -651,7 +594,7 @@ SUITE: dict[str, Callable[..., list[VerificationReport]]] = {
     "constant-c": _suite_constant_c,
     "asymptotic-mangoldt": _suite_asymptotic_mangoldt,
     "ep-sum": _suite_ep_sum,
-    "pi-alpha": _suite_pi_alpha,
+    "pi-alpha": _suite_pi_alpha_counts,
     "pi-alpha-bound": _suite_pi_alpha_bound,
     "phi-identity": _suite_phi_identity,
     "phi-recursion": _suite_phi_recursion,

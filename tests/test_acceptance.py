@@ -16,20 +16,28 @@ from fibdirichlet.contraction import (
     closed_mu_alpha3,
 )
 from fibdirichlet.fib import CONSTANTS, fib, rank, rank_prime_power
-from fibdirichlet.numtheory import ArithFn, LIOUVILLE, MANGOLDT, MU, ONE, PHI
+from fibdirichlet.numtheory import (
+    ArithFn,
+    ExactLog,
+    LIOUVILLE,
+    MANGOLDT,
+    MU,
+    ONE,
+    PHI,
+)
 from fibdirichlet.verify import (
     PRIMITIVE_COUNT_BOUND,
     asymptotic_mangoldt_report,
-    check_phi_identity,
     check_theorem1,
     constant_c,
-    ep_weighted_sum,
     euler_product_check,
     growth_sample,
-    logprod_closed_form,
+    logprod_walk,
     phi_recursive_fib,
-    pi_alpha,
     pi_alpha_bound_report,
+    primitive_prime_totals,
+    primitive_totals_at,
+    run_suite,
     small_integer_fn,
 )
 
@@ -89,10 +97,7 @@ def test_criterion_4_theorem1_exact():
 
 
 def test_criterion_5_logprod_and_constant():
-    worst = 0.0
-    for x in range(1, 41):
-        _, _, residual = logprod_closed_form(x)
-        worst = max(worst, residual)
+    worst = max(residual for _, _, residual in logprod_walk(40))
     assert worst <= 1e-8
     assert abs(constant_c(50) - 0.2043618834) <= 1e-9
     _announce(5, f"log-product closed form residual {worst:.2e} <= 1e-8 for "
@@ -100,9 +105,10 @@ def test_criterion_5_logprod_and_constant():
 
 
 def test_criterion_6_phi_representation():
-    for x in range(1, 31):
-        report = check_phi_identity(x)
-        assert report.passed and report.residual == 0, x
+    (report,) = run_suite("phi-identity", x=30)
+    assert report.passed and report.residual == 0
+    assert [row["x"] for row in report.details if row["passed"]] == list(
+        range(1, 31))
     assert phi_recursive_fib(25) == [fib(i) for i in range(1, 28)]
     _announce(6, "totient identity exact for x<=30; totient recursion "
                  "regenerates F(1)..F(27)")
@@ -111,26 +117,24 @@ def test_criterion_6_phi_representation():
 def test_criterion_7_asymptotic_windows():
     started = time.monotonic()
     samples = asymptotic_mangoldt_report([50, 200])
-    at50, at200 = samples[0].ratio, samples[1].ratio
+    at50, at200 = samples[0]["ratio"], samples[1]["ratio"]
     assert 0.9 <= at200 <= 1.1
     assert abs(at200 - 1) < abs(at50 - 1)
-    ep_sample = growth_sample(60, ep_weighted_sum(60))
-    assert 0.8 <= ep_sample.ratio <= 1.2
+    [(_, _, product)] = primitive_totals_at([60])
+    ep_ratio = growth_sample(60, ExactLog(product))["ratio"]
+    assert 0.8 <= ep_ratio <= 1.2
     elapsed = time.monotonic() - started
     assert elapsed < 120.0
     _announce(7, f"lcm ratio {at200:.4f} in [0.9,1.1] at x=200 and closer to "
-                 f"1 than at x=50; entry-exponent ratio {ep_sample.ratio:.4f} "
+                 f"1 than at x=50; entry-exponent ratio {ep_ratio:.4f} "
                  f"in [0.8,1.2] at x=60 ({elapsed:.2f}s < 120s)")
 
 
 def test_criterion_8_primitive_prime_counts():
-    assert pi_alpha(5) == 3
-    assert pi_alpha(12) == 8
-    previous = 0
-    for x in range(1, 61):
-        current = pi_alpha(x)
-        assert current >= previous, x
-        previous = current
+    counts = [count for count, _ in primitive_prime_totals(60)]
+    assert counts[4] == 3   # π_α(5)
+    assert counts[11] == 8   # π_α(12)
+    assert counts == sorted(counts)
     rows = pi_alpha_bound_report([12, 60])
     assert all(abs(row["bound"] - PRIMITIVE_COUNT_BOUND) < 1e-15 for row in rows)
     assert abs(PRIMITIVE_COUNT_BOUND

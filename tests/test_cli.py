@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import shlex
 import subprocess
 import sys
@@ -21,8 +22,8 @@ from fibdirichlet.cache import (
     parse_record,
     save_cache_file,
 )
-from fibdirichlet.numtheory import ArithFn, BudgetExceededError
-from fibdirichlet.verify import VerificationReport, ep_weighted_sum, pi_alpha
+from fibdirichlet.numtheory import ArithFn, BudgetExceededError, ExactLog
+from fibdirichlet.verify import VerificationReport, primitive_prime_totals
 
 
 def run_cli(args):
@@ -43,12 +44,17 @@ def test_scalar_commands(capsys):
     assert out == ["144", "3", "15", "2"]
 
 
+def readme_block(section, language):
+    """The first ```language block under README's `## section` heading."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = readme.split(f"## {section}\n", 1)[1]
+    return text.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
 def readme_cli_examples():
     """(argv, comment) for each `fibdirichlet …` line of README's CLI block."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     examples = []
-    for line in block.splitlines():
+    for line in readme_block("CLI", "sh").splitlines():
         command, _, comment = line.partition("#")
         argv = shlex.split(command)
         assert argv[0] == "fibdirichlet", line
@@ -67,6 +73,13 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
                            ("entry-exponent", "2")):
         out, comment = printed[command]
         assert out == value + "\n" and comment.split()[0] == value, command
+
+
+def test_readme_library_example_runs(capsys):
+    block = readme_block("Library use", "python")
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == (
+        "1000000008\nfactoring 1000000007 exceeded the work budget\n")
 
 
 def test_fib_prints_past_the_int_string_limit(capsys):
@@ -460,9 +473,9 @@ def test_report_rows_equal_the_standalone_sums(tmp_path):
                     "--out", str(out)]) == 0
     rows = {(r["kind"], r["x"]): r["exact"]
             for r in json.loads(out.read_text())["samples"]}
-    for x in xs:
-        assert rows[("ep_log_sum", x)] == ep_weighted_sum(x).log_value, x
-        scaled = pi_alpha(x) * math.log(x) / (x * x) if x > 1 else 0.0
+    for x, (count, product) in enumerate(primitive_prime_totals(60), 1):
+        assert rows[("ep_log_sum", x)] == ExactLog(product).log_value, x
+        scaled = count * math.log(x) / (x * x) if x > 1 else 0.0
         assert rows[("pi_alpha_scaled", x)] == scaled, x
 
 
@@ -666,7 +679,6 @@ def test_loading_tests_each_distinct_prime_once(tmp_path, monkeypatch):
 
 
 def _run_script(args, env_extra=None):
-    import os
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
@@ -674,6 +686,23 @@ def _run_script(args, env_extra=None):
         [sys.executable, "-m", "fibdirichlet.cli", *args],
         capture_output=True, text=True, env=env,
     )
+
+
+def test_closed_stdout_exits_141_in_silence(tmp_path):
+    # the reader of stdout is gone before the first line, as in
+    # `verify all | head -1` once head has exited
+    cache = tmp_path / "cache.txt"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "fibdirichlet.cli", "verify", "all",
+             "--cache", str(cache)], stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert result.stderr == b""
+    assert result.returncode == cli.EXIT_BROKEN_PIPE == 141
+    assert not cache.exists()   # no cache write, as on the other error exits
 
 
 def test_cache_file_lifecycle(tmp_path):

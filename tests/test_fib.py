@@ -61,6 +61,13 @@ def test_fib_mod():
         fib_mod(5, 1)
 
 
+@pytest.mark.parametrize("n", [-1, -2, -4])
+def test_fib_mod_refuses_a_negative_index(n):
+    # F(−n) = (−1)^(n+1)·F(n), which doubling from bin(n) does not give
+    with pytest.raises(ValueError, match="n >= 0"):
+        fib_mod(n, 7)
+
+
 def test_rank_examples():
     assert rank(2) == 3
     assert rank(1) == 1

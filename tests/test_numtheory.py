@@ -162,7 +162,7 @@ def test_exact_log_arithmetic():
         ExactLog(0)
 
 
-def test_arith_fn_is_frozen_and_compared_by_fields():
+def test_arith_fn_is_frozen_and_shown_by_fields():
     with pytest.raises(AttributeError):
         MU.name = "not mu"
     with pytest.raises(AttributeError):
@@ -170,13 +170,6 @@ def test_arith_fn_is_frozen_and_compared_by_fields():
     with pytest.raises(AttributeError):
         del MU.fn
     assert MU.name == "mu" and MU.fn is mobius and MU.zero == 0
-    a, b = ArithFn("mu", mobius), ArithFn("mu", mobius)
-    assert a is not b and a == b and hash(a) == hash(b)
-    assert a == MU and hash(a) == hash(MU)
-    assert ArithFn("mu", mobius, zero=ExactLog(1)) != a
-    assert ArithFn("other", mobius) != a
-    assert ArithFn("mu", liouville) != a
-    assert a != ("mu", mobius, 0)
     assert repr(MANGOLDT).startswith("ArithFn(name='mangoldt', fn=")
     assert repr(MANGOLDT).endswith(", zero=ExactLog(1))")
 

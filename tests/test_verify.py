@@ -12,6 +12,7 @@ from fibdirichlet.contraction import divisor_union_ranks
 from fibdirichlet.fib import CONSTANTS, fib, lcm_fib
 from fibdirichlet.numtheory import (
     BudgetExceededError,
+    ExactLog,
     IDENTITY,
     LIOUVILLE,
     MANGOLDT,
@@ -27,16 +28,15 @@ from fibdirichlet.verify import (
     asymptotic_mangoldt_report,
     check_T_tables,
     check_corollary_completely_mult,
-    check_phi_identity,
     check_theorem1,
     constant_c,
-    ep_weighted_sum,
     euler_product_check,
     growth_sample,
-    logprod_closed_form,
+    logprod_walk,
     phi_recursive_fib,
-    pi_alpha,
     pi_alpha_bound_report,
+    primitive_prime_totals,
+    primitive_totals_at,
     run_suite,
     small_integer_fn,
 )
@@ -204,7 +204,6 @@ def test_phi_rank_sums_match_the_literal_sum():
         literal = sum(numtheory.euler_phi(n) * (k // m)
                       for n, m in divisor_union_ranks(k).items())
         assert sums[k] == literal == fib(k + 2) - 1, k
-        assert check_phi_identity(k).details[0]["rank_sum"] == literal
 
 
 def test_theorem1_rejects_a_divisor_missing_from_a_multiple(monkeypatch):
@@ -232,14 +231,14 @@ def test_corollary_with_nontrivial_completely_multiplicative():
 
 
 def test_logprod_closed_form():
-    lhs, rhs, residual = logprod_closed_form(2)
+    *_, (lhs, rhs, residual) = logprod_walk(2)
     assert lhs.log_value == 0.0 and abs(rhs) <= 1e-9
-    lhs, _, residual = logprod_closed_form(6)
+    *_, (lhs, _, residual) = logprod_walk(6)
     assert lhs.integer_value == 240 and residual <= 1e-9
-    _, _, residual = logprod_closed_form(40)
+    *_, (_, _, residual) = logprod_walk(40)
     assert residual <= 1e-8
     with pytest.raises(ValueError):
-        logprod_closed_form(0.5)
+        next(logprod_walk(0.5))
 
 
 def test_logprod_suite_reads_one_walk():
@@ -267,48 +266,46 @@ def test_constant_c():
 
 def test_asymptotic_mangoldt_report():
     samples = asymptotic_mangoldt_report([1, 5])
-    assert samples[0].exact_as_float() == 0.0
-    assert abs(samples[1].exact_as_float() - math.log(30)) < 1e-12
-    assert abs(samples[1].predicted - CONSTANTS.lcm_growth_constant * 25) < 1e-12
+    assert [list(row) for row in samples] == [["x", "exact", "predicted",
+                                               "ratio"]] * 2
+    assert samples[0]["exact"] == 0.0
+    assert abs(samples[1]["exact"] - math.log(30)) < 1e-12
+    assert abs(samples[1]["predicted"]
+               - CONSTANTS.lcm_growth_constant * 25) < 1e-12
 
 
 def test_ep_weighted_sum():
-    log = ep_weighted_sum(5)
-    assert log.integer_value == 30  # primes 2, 3, 5 each with exponent 1
-    log = ep_weighted_sum(2)
-    assert log.integer_value == 1 and log.log_value == 0.0
-    log = ep_weighted_sum(12)
-    assert log.integer_value == 2 * 3 * 5 * 7 * 11 * 13 * 17 * 89
-    assert growth_sample(5, ep_weighted_sum(5)).x == 5
+    products = {x: product for x, _, product in primitive_totals_at([12, 2, 5])}
+    assert products[5] == 30  # primes 2, 3, 5 each with exponent 1
+    assert products[2] == 1
+    assert products[12] == 2 * 3 * 5 * 7 * 11 * 13 * 17 * 89
+    assert growth_sample(2, ExactLog(products[2]))["exact"] == 0.0
+    assert growth_sample(5, ExactLog(products[5]))["x"] == 5
 
 
 def test_ep_product_divides_lcm():
-    for x in range(1, 61):
-        log = ep_weighted_sum(x)
-        total = lcm_fib(x) if x >= 1 else 1
-        assert total % log.integer_value == 0
-        assert log.log_value <= math.log(total) + 1e-9
+    for x, (_, product) in enumerate(primitive_prime_totals(60), 1):
+        total = lcm_fib(x)
+        assert total % product == 0
+        assert ExactLog(product).log_value <= math.log(total) + 1e-9
 
 
 def test_pi_alpha():
-    assert pi_alpha(5) == 3
-    assert pi_alpha(12) == 8
-    assert pi_alpha(2) == 0
-    previous = 0
-    for x in range(1, 31):
-        current = pi_alpha(x)
-        assert current >= previous
-        previous = current
+    counts = [count for count, _ in primitive_prime_totals(30)]
+    assert counts[4] == 3   # π_α(5)
+    assert counts[11] == 8   # π_α(12)
+    assert counts[1] == 0   # π_α(2)
+    assert counts == sorted(counts)
 
 
 def test_pi_alpha_bounded_by_total_prime_count():
     from fibdirichlet.fib import fib_factorization
-    for x in (10, 20, 30):
+    for x, count, _ in primitive_totals_at([10, 20, 30]):
         total_omega = sum(
             sum(e for _, e in fib_factorization(n).factors)
             for n in range(3, x + 1)
         )
-        assert pi_alpha(x) <= total_omega
+        assert count <= total_omega
 
 
 def test_pi_alpha_bound_report():
@@ -321,13 +318,21 @@ def test_pi_alpha_bound_report():
     assert abs(PRIMITIVE_COUNT_BOUND - CONSTANTS.lcm_growth_constant / 2) < 1e-15
 
 
-def test_phi_identity():
-    report = check_phi_identity(4)
-    assert report.passed
-    assert report.details[0]["closed"] == 7 == fib(6) - 1
-    assert check_phi_identity(1).passed
-    for x in range(1, 13):
-        assert check_phi_identity(x).passed
+def test_phi_identity(monkeypatch):
+    assert verify._phi_rank_sums(4)[4] == 7 == fib(6) - 1
+    (report,) = run_suite("phi-identity", x=1)
+    assert report.passed and report.details == [{"x": 1, "passed": True}]
+    (report,) = run_suite("phi-identity", x=12)
+    assert report.passed and report.residual == 0
+    assert [row["x"] for row in report.details if row["passed"]] == list(
+        range(1, 13))
+    # a rank sum off by one at x = 7 fails that row and the suite
+    original = verify._phi_rank_sums
+    monkeypatch.setattr(verify, "_phi_rank_sums", lambda x: [
+        s + (k == 7) for k, s in enumerate(original(x))])
+    (report,) = run_suite("phi-identity", x=12)
+    assert not report.passed and report.residual == 1
+    assert [row["x"] for row in report.details if not row["passed"]] == [7]
 
 
 def test_phi_recursive_fib():
@@ -380,7 +385,7 @@ def test_logprod_bound_is_where_the_ulp_passes_a_tenth_of_the_tolerance():
     assert math.ulp(half_log_r * 5904**2) <= 1e-9 < math.ulp(half_log_r
                                                             * 5905**2)
     with pytest.raises(BudgetExceededError, match="x=5904"):
-        logprod_closed_form(5905)
+        next(logprod_walk(5905))
 
 
 def test_check_T_tables():
