@@ -128,13 +128,13 @@ def load_cache_file(path: Union[str, os.PathLike]) -> list[CacheRecord]:
     """
     records = []
     proven: set[int] = set()
-    with open(path) as f:
+    with open(path, "rb") as f:
         lines = f.read().splitlines()
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        try:
-            records.append(_parse_record(line, proven))
+        try:   # a line that is not UTF-8 is corrupt like any other
+            records.append(_parse_record(line.decode(), proven))
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from exc
     return records

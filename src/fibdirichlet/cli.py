@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Commands: fib, alpha, entry-exponent, contract, verify, report-asymptotics,
-series.  Exit codes: 0 success, 1 check failure, 2 usage or cache error,
-3 factorization budget exhausted, 141 stdout closed by its reader.
+series.  Exit codes: 0 success, 1 check failure, 2 usage error, corrupt
+cache or a cache or --out file that cannot be opened (one `error:` line
+naming the path), 3 factorization budget exhausted, 141 stdout closed by
+its reader.
 
 Cache path precedence: --cache flag, then the FIBDIRICHLET_CACHE environment
 variable, then no cache.  All emissions are byte-deterministic for a given
@@ -17,7 +19,7 @@ import math
 import os
 import sys
 from contextlib import suppress
-from typing import Optional
+from typing import Callable, Optional
 
 from . import cache as cache_io
 from . import verify as verify_mod
@@ -49,7 +51,7 @@ EXIT_BUDGET = 3
 EXIT_BROKEN_PIPE = 128 + 13   # SIGPIPE, as a shell reports `yes | head -1`
 
 CONTRACTIBLE = ("mu", "lambda", "phi", "one", "divisor_count")
-DEFAULT_ASYMPTOTIC_XS = (5, 12, 30, 60, 200)
+DEFAULT_ASYMPTOTIC_XS = "5,12,30,60,200"
 DEFAULT_CONTRACT_N_MAX = 24
 
 
@@ -104,8 +106,12 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser, rows: bool = True) -> None:
-    """--cache and --budget, and the emission flags where rows are written."""
+def _add_common(parser: argparse.ArgumentParser,
+                run: Callable[[argparse.Namespace], int],
+                rows: bool = True) -> None:
+    """Set run as the command's handler; add --cache and --budget, and the
+    emission flags where rows are written."""
+    parser.set_defaults(run=run)
     parser.add_argument("--cache", help="cache file path (FIBDIRICHLET_CACHE "
                                         "overrides the default, flag wins)")
     parser.add_argument("--budget", type=int, default=DEFAULT_FACTOR_BUDGET,
@@ -128,18 +134,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fib", help="print the n-th Fibonacci number")
-    p.add_argument("n", type=int)
-    _add_common(p, rows=False)
-
-    p = sub.add_parser("alpha", help="print the rank of apparition of n")
-    p.add_argument("n", type=int)
-    _add_common(p, rows=False)
-
-    p = sub.add_parser("entry-exponent",
-                       help="print the largest m with n^m dividing F(rank(n))")
-    p.add_argument("n", type=int)
-    _add_common(p, rows=False)
+    for name, help_text, value in SCALARS:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("n", type=int)
+        p.set_defaults(value=value)
+        _add_common(p, cmd_scalar, rows=False)
 
     p = sub.add_parser("contract",
                        help="tabulate an iterated contraction against its "
@@ -150,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n_max", type=int, nargs="?", default=DEFAULT_CONTRACT_N_MAX,
                    help=f"largest index to tabulate "
                         f"(default {DEFAULT_CONTRACT_N_MAX})")
-    _add_common(p)
+    _add_common(p, cmd_contract)
 
     p = sub.add_parser("verify", help="run identity checks")
     p.add_argument("check", choices=sorted(verify_mod.SUITE) + ["all"])
@@ -160,13 +159,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="truncation length / range bound")
     p.add_argument("--which", choices=sorted(EULER_SERIES),
                    help="series selector for euler-product")
-    _add_common(p)
+    _add_common(p, cmd_verify)
 
     p = sub.add_parser("report-asymptotics",
                        help="emit exact-vs-predicted growth samples")
-    p.add_argument("--x", help="comma-separated sample points "
-                               f"(default {','.join(map(str, DEFAULT_ASYMPTOTIC_XS))})")
-    _add_common(p)
+    p.add_argument("--x", default=DEFAULT_ASYMPTOTIC_XS,
+                   help="comma-separated sample points (default %(default)s)")
+    _add_common(p, cmd_report_asymptotics)
 
     p = sub.add_parser("series",
                        help="emit truncated Dirichlet series comparisons")
@@ -174,21 +173,29 @@ def build_parser() -> argparse.ArgumentParser:
                    default="all")
     p.add_argument("--s", type=float, default=2.0)
     p.add_argument("--n", type=int, default=10_000)
-    _add_common(p)
+    _add_common(p, cmd_series)
 
     return parser
 
 
+def _fib_digits(n: int):
+    # str() refuses an int of over 4300 digits (Python 3.10.7 and 3.11 on);
+    # Decimal reads the int's digits, not its string
+    from decimal import Decimal
+    return Decimal(fib(n))
+
+
+# (command, help, the value it prints for its argument n)
+SCALARS = (
+    ("fib", "print the n-th Fibonacci number", _fib_digits),
+    ("alpha", "print the rank of apparition of n", rank),
+    ("entry-exponent", "print the largest m with n^m dividing F(rank(n))",
+     entry_exponent),
+)
+
+
 def cmd_scalar(args: argparse.Namespace) -> int:
-    if args.command == "fib":
-        # str() refuses an int of over 4300 digits (Python 3.10.7 and 3.11
-        # on); Decimal reads the int's digits, not its string
-        from decimal import Decimal
-        print(Decimal(fib(args.n)))
-    elif args.command == "alpha":
-        print(rank(args.n))
-    else:
-        print(entry_exponent(args.n))
+    print(args.value(args.n))
     return EXIT_OK
 
 
@@ -224,33 +231,21 @@ def cmd_contract(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_CHECK_OVERRIDES: dict[str, dict[str, tuple[str, type]]] = {
-    "theorem1": {"x": ("x", float)},
-    "corollary-mult": {"n": ("n_max", int)},
-    "logprod": {"x": ("x", float)},
-    "ep-sum": {"x": ("x", int)},
-    "pi-alpha": {"x": ("x", int)},
-    "phi-identity": {"x": ("x", float)},
-    "phi-recursion": {"x": ("x_max", int)},
-    "euler-product": {"s": ("s", float), "n": ("n_terms", int),
-                      "which": ("which", str)},
-}
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    overrides: dict = {}
-    accepted = _CHECK_OVERRIDES.get(args.check, {})
-    for flag in ("x", "s", "n", "which"):
-        value = getattr(args, flag)
-        if value is not None and flag not in accepted:
+    # a check takes the flags it has keyword defaults for; "all" takes none
+    takes = {} if args.check == "all" else \
+        verify_mod.SUITE[args.check].__kwdefaults__ or {}
+    flags = {flag: value for flag in ("x", "s", "n", "which")
+             if (value := getattr(args, flag)) is not None}
+    for flag, value in flags.items():
+        if flag not in takes:
             raise ValueError(f"verify {args.check} takes no --{flag}")
-        if value is not None:
-            kwarg, cast = accepted[flag]
-            if cast is int and value != int(value):   # not truncated
+        if isinstance(takes[flag], int):
+            if value != int(value):   # not truncated
                 raise ValueError(f"{args.check} expects an integral "
                                  f"--{flag}, got {value}")
-            overrides[kwarg] = cast(value)
-    reports = run_suite(args.check, **overrides)
+            flags[flag] = int(value)
+    reports = run_suite(args.check, **flags)
     rows = []
     for rep in reports:
         print(f"{'PASS' if rep.passed else 'FAIL'} {rep.check_name} "
@@ -259,8 +254,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "check": rep.check_name,
             "parameters": rep.parameters,
             "passed": rep.passed,
-            "residual": rep.residual if isinstance(rep.residual, int)
-            else float(rep.residual),
+            "residual": rep.residual,
         })
     if args.out:
         emit_rows(rows, f"verify-{args.check}", args)
@@ -284,10 +278,10 @@ def _sample_point(text: str) -> int:
 
 
 def cmd_report_asymptotics(args: argparse.Namespace) -> int:
-    if args.x:
-        xs = [_sample_point(part) for part in args.x.split(",") if part.strip()]
-    else:
-        xs = list(DEFAULT_ASYMPTOTIC_XS)
+    xs = [_sample_point(part) for part in args.x.split(",") if part.strip()]
+    if not xs:
+        raise ValueError(f"report-asymptotics expects at least one --x point, "
+                         f"got {args.x!r}")
     rows = [{"kind": "log_lcm", **sample}
             for sample in asymptotic_mangoldt_report(xs)]
     totals = {}
@@ -341,42 +335,27 @@ def main(argv: Optional[list[str]] = None) -> int:
     # what this call loaded or factored, as a fresh process would write it
     clear_fib_factorizations()
 
-    if cache_path and os.path.exists(cache_path):
-        try:
-            cache_io.apply_records(cache_io.load_cache_file(cache_path))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-
-    # the command's factorizations are charged to --budget, cache I/O is not
     try:
+        if cache_path and os.path.exists(cache_path):
+            cache_io.apply_records(cache_io.load_cache_file(cache_path))
+        # --budget is charged for the command's factorizations, not cache I/O
         with factor_budget(args.budget):
-            if args.command in ("fib", "alpha", "entry-exponent"):
-                status = cmd_scalar(args)
-            elif args.command == "contract":
-                status = cmd_contract(args)
-            elif args.command == "verify":
-                status = cmd_verify(args)
-            elif args.command == "report-asymptotics":
-                status = cmd_report_asymptotics(args)
-            else:
-                status = cmd_series(args)
+            status = args.run(args)
+        if cache_path:
+            cache_io.save_cache_file(cache_path, cache_io.collect_records())
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BrokenPipeError:
+    except BrokenPipeError:   # an OSError, so caught ahead of the next clause
         # the reader has gone; what is still buffered goes to devnull, so
         # the flush at exit does not raise again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-
-    if cache_path:
-        cache_io.save_cache_file(cache_path, cache_io.collect_records())
+    except (ValueError, OSError) as exc:   # an OSError names its file
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return status
 
 

@@ -68,14 +68,14 @@ class VerificationReport:
         self.details = [] if details is None else details
 
 
-def small_integer_fn(seed: int, name: Optional[str] = None) -> ArithFn:
+def small_integer_fn(seed: int) -> ArithFn:
     """A deterministic pseudo-random arithmetic function with values in −3..3."""
     offset = seed * 40503
 
     def evaluate(n: int) -> int:
         return ((n * 2654435761 + offset) >> 7) % 7 - 3
 
-    return ArithFn(name or f"seed{seed}", evaluate)
+    return ArithFn(f"seed{seed}", evaluate)
 
 
 # --- the double-counting identity ---
@@ -463,7 +463,7 @@ RATIO_WINDOW_LCM = (0.9, 1.1)
 RATIO_WINDOW_EP = (0.8, 1.2)
 
 
-def _suite_theorem1(x: float = 25.0) -> list[VerificationReport]:
+def _suite_theorem1(*, x: float = 25.0) -> list[VerificationReport]:
     tables = divisor_tables(x)
     reports = [check_theorem1(f, ONE, x, tables)
                for f in (MU, PHI, LIOUVILLE, MANGOLDT)]
@@ -480,14 +480,14 @@ def _suite_theorem1(x: float = 25.0) -> list[VerificationReport]:
     return reports
 
 
-def _suite_corollary(n_max: int = 20) -> list[VerificationReport]:
+def _suite_corollary(*, n: int = 20) -> list[VerificationReport]:
     pairs = [(MU, ONE), (PHI, ONE), (LIOUVILLE, ONE), (MU, LIOUVILLE),
              (PHI, IDENTITY)]
-    return [check_corollary_completely_mult(f, g, n_max)
+    return [check_corollary_completely_mult(f, g, n)
             for f, g in pairs]
 
 
-def _suite_logprod(x: float = 40.0) -> list[VerificationReport]:
+def _suite_logprod(*, x: float = 40.0) -> list[VerificationReport]:
     details = []
     worst = 0.0
     for n, (_, _, residual) in enumerate(logprod_walk(x), 1):
@@ -521,7 +521,7 @@ def _suite_asymptotic_mangoldt() -> list[VerificationReport]:
                                passed, abs(at200 - 1), samples)]
 
 
-def _suite_ep_sum(x: int = 60) -> list[VerificationReport]:
+def _suite_ep_sum(*, x: int = 60) -> list[VerificationReport]:
     # Σ entry_exponent(p)·log p over rank(p) ≤ x, held as ∏ p^(e_p)
     [(_, _, product)] = primitive_totals_at([x])
     sample = growth_sample(x, ExactLog(product))
@@ -531,7 +531,7 @@ def _suite_ep_sum(x: int = 60) -> list[VerificationReport]:
                                abs(sample["ratio"] - 1), [sample])]
 
 
-def _suite_pi_alpha_counts(x: int = 60) -> list[VerificationReport]:
+def _suite_pi_alpha_counts(*, x: int = 60) -> list[VerificationReport]:
     counts = [count for count, _ in primitive_prime_totals(x)]
     monotone = all(a <= b for a, b in zip(counts, counts[1:]))
     anchors = counts[4] == 3 and counts[11] == 8 if x >= 12 else True
@@ -549,7 +549,7 @@ def _suite_pi_alpha_bound() -> list[VerificationReport]:
                                True, 0, rows)]
 
 
-def _suite_phi_identity(x: float = 30.0) -> list[VerificationReport]:
+def _suite_phi_identity(*, x: float = 30.0) -> list[VerificationReport]:
     """Σ_{rank(n)≤k} φ(n)·⌊k/rank(n)⌋ = Σ_{n≤k} F(n) = F(k+2) − 1, k ≤ x."""
     worst = fib_sum = 0   # Σ F(n) is kept running
     details = []
@@ -564,20 +564,20 @@ def _suite_phi_identity(x: float = 30.0) -> list[VerificationReport]:
                                worst == 0, worst, details)]
 
 
-def _suite_phi_recursion(x_max: int = 25) -> list[VerificationReport]:
-    seq = phi_recursive_fib(x_max)
-    expected = [fib(i) for i in range(1, x_max + 3)]
+def _suite_phi_recursion(*, x: int = 25) -> list[VerificationReport]:
+    seq = phi_recursive_fib(x)
+    expected = [fib(i) for i in range(1, x + 3)]
     passed = seq == expected
-    return [VerificationReport("phi-recursion", f"x_max={x_max}", passed,
+    return [VerificationReport("phi-recursion", f"x_max={x}", passed,
                                0 if passed else 1,
                                [{"generated": len(seq), "match": passed}])]
 
 
-def _suite_euler_product(s: Optional[float] = None, n_terms: int = 10_000,
+def _suite_euler_product(*, s: Optional[float] = None, n: int = 10_000,
                          which: Optional[str] = None) -> list[VerificationReport]:
     s_values = [s] if s is not None else [2.0, 3.0]
     names = [which] if which is not None else sorted(EULER_SERIES)
-    by_s = [euler_product_checks(names, sv, n_terms) for sv in s_values]
+    by_s = [euler_product_checks(names, sv, n) for sv in s_values]
     return [report for row in zip(*by_s) for report in row]
 
 
@@ -587,6 +587,8 @@ def _suite_t_tables() -> list[VerificationReport]:
             for x in (1, 1.9, 2, 3, 4, 10, 25)]
 
 
+# a check takes the `verify` flags it accepts as keyword-only parameters;
+# the CLI reads them from __kwdefaults__, integral where the default is an int
 SUITE: dict[str, Callable[..., list[VerificationReport]]] = {
     "theorem1": _suite_theorem1,
     "corollary-mult": _suite_corollary,
@@ -604,7 +606,7 @@ SUITE: dict[str, Callable[..., list[VerificationReport]]] = {
 
 
 def run_suite(name: str, **overrides) -> list[VerificationReport]:
-    """Run one named check (or 'all') with optional parameter overrides."""
+    """Run one named check (or 'all'), overriding the flags it takes."""
     if name == "all":
         reports = []
         for check in SUITE.values():

@@ -386,6 +386,33 @@ def test_verify_refuses_a_flag_its_check_does_not_take(argv, flag, capsys):
     assert captured.err == f"error: verify {argv[0]} takes no {flag}\n"
 
 
+# the flags each `verify` argument takes; it refuses the others
+VERIFY_FLAGS = {
+    "theorem1": {"x"}, "corollary-mult": {"n"}, "logprod": {"x"},
+    "constant-c": set(), "asymptotic-mangoldt": set(), "ep-sum": {"x"},
+    "pi-alpha": {"x"}, "pi-alpha-bound": set(), "phi-identity": {"x"},
+    "phi-recursion": {"x"}, "euler-product": {"s", "n", "which"},
+    "t-tables": set(), "all": set()}
+FLAG_VALUES = {"x": "12", "n": "12", "s": "3", "which": "mu"}
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+@pytest.mark.parametrize("check", sorted(VERIFY_FLAGS))
+def test_verify_takes_exactly_its_checks_flags(check, flag, capsys):
+    status = run_cli(["verify", check, f"--{flag}", FLAG_VALUES[flag]])
+    captured = capsys.readouterr()
+    if flag in VERIFY_FLAGS[check]:
+        assert (status, captured.err) == (0, "")
+        assert captured.out.startswith("PASS ")
+    else:
+        assert (status, captured.out, captured.err) == (
+            2, "", f"error: verify {check} takes no --{flag}\n")
+
+
+def test_verify_flag_table_names_every_check():
+    assert set(VERIFY_FLAGS) == set(verify.SUITE) | {"all"}
+
+
 @pytest.mark.parametrize("x", ["1e6", "1e300"])
 def test_verify_logprod_past_its_bound_exits_3_at_once(x, capsys):
     start = time.perf_counter()
@@ -463,6 +490,22 @@ def test_report_asymptotics_refuses_a_fractional_or_non_finite_x(point,
     assert captured.out == ""
     assert captured.err == ("error: report-asymptotics expects integral "
                             f"--x points, got {point}\n")
+
+
+@pytest.mark.parametrize("xs", ["", ",", " , "])
+def test_report_asymptotics_refuses_an_x_with_no_point(xs, capsys):
+    assert run_cli(["report-asymptotics", "--x", xs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: report-asymptotics expects at least one "
+                            f"--x point, got {xs!r}\n")
+
+
+def test_report_asymptotics_without_x_samples_the_defaults(capsys):
+    assert run_cli(["report-asymptotics"]) == 0
+    out = capsys.readouterr().out
+    assert run_cli(["report-asymptotics", "--x", "5,12,30,60,200"]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_report_rows_equal_the_standalone_sums(tmp_path):
@@ -611,6 +654,38 @@ def test_cache_rejects_untrusted_records(tmp_path, capsys, record, complaint):
     assert run_cli(["alpha", "12", "--cache", str(path)]) == 2
     assert complaint in capsys.readouterr().err
     assert path.read_text() == record + "\n"  # never saved back
+
+
+def test_cache_that_is_not_utf8_names_its_path_and_line(tmp_path, capsys):
+    path = tmp_path / "cache.txt"
+    path.write_bytes(b"n=2 fib=1 alpha=3 e=1\n\xff\n")
+    assert run_cli(["fib", "5", "--cache", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {path}: line 2: 'utf-8' codec can't "
+                            "decode byte 0xff in position 0: invalid start "
+                            "byte\n")
+
+
+@pytest.mark.parametrize("argv, path, out", [
+    (["fib", "5", "--cache", "d"], "d", ""),
+    (["fib", "5", "--cache", "missing/c"], "missing/c", "5\n"),
+    (["contract", "mu", "1", "3", "--out", "missing/o.csv"], "missing/o.csv",
+     ""),
+    (["verify", "theorem1", "--x", "3", "--out", "d"], "d", None)],
+    ids=["cache-is-a-directory", "cache-in-a-missing-directory",
+         "out-in-a-missing-directory", "out-is-a-directory"])
+def test_a_file_that_cannot_be_opened_exits_2(argv, path, out, tmp_path,
+                                              monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    if out is not None:   # verify prints its PASS lines before writing --out
+        assert captured.out == out
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and repr(path) in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["d"]
 
 
 @pytest.mark.parametrize("record", [

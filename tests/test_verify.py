@@ -1,3 +1,4 @@
+import inspect
 import math
 from itertools import groupby
 from operator import itemgetter
@@ -394,6 +395,16 @@ def test_check_T_tables():
     assert check_T_tables(3, 4).passed    # value 4
     report = check_T_tables(1, 1.9)
     assert report.details[0]["value"] == 1
+
+
+def test_every_check_takes_keyword_only_flags():
+    # cmd_verify reads each check's flags, and which are integral, from these
+    for name, check in verify.SUITE.items():
+        for param in inspect.signature(check).parameters.values():
+            assert param.kind is param.KEYWORD_ONLY, (name, param)
+            assert param.name in {"x", "n", "s", "which"}, (name, param)
+            assert param.default is None \
+                or type(param.default) in (int, float), (name, param)
 
 
 def test_run_suite_dispatch():
