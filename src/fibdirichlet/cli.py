@@ -309,13 +309,13 @@ def cmd_report_asymptotics(args: argparse.Namespace) -> int:
 def cmd_series(args: argparse.Namespace) -> int:
     names = sorted(EULER_SERIES) if args.which == "all" else [args.which]
     rows = []
-    for name, rep in zip(names, euler_product_checks(names, args.s, args.n)):
+    for name, rep in zip(names, euler_product_checks(names, [args.s], args.n)):
         detail = rep.details[0]
         rows.append({
             "which": name, "s": args.s, "N": args.n,
             "zeta_times_series": detail["zeta_N_times_D_N"],
             "polynomial": detail["polynomial"],
-            "residual": float(rep.residual),
+            "residual": rep.residual,
             "tolerance": detail["tolerance"],
             "passed": rep.passed,
         })

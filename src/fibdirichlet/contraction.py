@@ -31,8 +31,6 @@ from .numtheory import (
     divisor_stream,
     divisors,
     factorize,
-    grow_mu_sieve,
-    mobius,
 )
 
 
@@ -127,19 +125,21 @@ class Dilation:
                 total += sign
         return total
 
-    def values(self, n_max: int) -> Sequence[int]:
-        """f(1..n_max) in a signed-byte view, walking n by its class mod M.
+    def values(self, mu: Sequence[int]) -> Sequence[int]:
+        """f(1..N) in a signed-byte view, from mu = μ(0..N), walking n by
+        its class mod M.
 
         With M = lcm(j)², n/k ≡ first/k (mod M/k) on a class, so two facts
         hold on all of it at once: μ(n/j) = μ(k/j)·μ(n/k) for j | k with
         k/j prime to first/k, which folds c_j into c_k, and μ(n/j) = 0 where
-        gcd(first/j, M/j) is not squarefree.  Each remaining μ(n/j) is one
-        strided slice of the μ sieve; a lone one with c_j = 1 is copied.
+        gcd(first/j, M/j) is not squarefree; both μ are read from mu.  Each
+        remaining μ(n/j) is one strided slice of mu; a lone one with c_j = 1
+        is copied.
         """
         if sum(map(abs, self.weights.values())) > 127:
             raise ValueError(f"{self.weights} may leave a signed byte")
-        from array import array   # imported here, as in verify.series_table
-        mu = grow_mu_sieve(n_max)
+        from array import array   # here, as loading it adds 0.2 MB of peak RSS
+        n_max = len(mu) - 1
         m = math.lcm(*self.weights) ** 2
         out = memoryview(bytearray(n_max)).cast("b")
         for first in range(1, min(m, n_max) + 1):   # out[first - 1::m]
@@ -148,10 +148,10 @@ class Dilation:
                 k = next((k for k in coeffs if k > j and k % j == 0
                           and math.gcd(k // j, first // k) == 1), None)
                 if k is not None:
-                    coeffs[k] += mobius(k // j) * coeffs.pop(j)
+                    coeffs[k] += mu[k // j] * coeffs.pop(j)
             columns = []
             for j, c in coeffs.items():
-                if c and mobius(math.gcd(first // j, m // j)):
+                if c and mu[math.gcd(first // j, m // j)]:
                     column = mu[first // j:n_max // j + 1:m // j]
                     columns.append(column if c == 1
                                    else map(mul, column, repeat(c)))

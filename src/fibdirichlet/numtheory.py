@@ -259,11 +259,9 @@ def _prime_factors(n: int) -> tuple[tuple[int, int], ...]:
 def mobius(n: int) -> int:
     """μ(n): 0 unless n is squarefree, else (−1)^(number of prime factors).
 
-    Read from the sieve where it reaches n (see grow_mu_sieve), else from
-    the factors n carries, else from factorize(n).
+    Read from the factors n carries, else from factorize(n); mu_sieve lists
+    μ on all of 0..N at once.
     """
-    if 0 < n < len(_mu_values):
-        return _mu_values[n]
     fac = _prime_factors(n)
     for _, e in fac:
         if e > 1:
@@ -307,46 +305,37 @@ def mangoldt_base(n: int) -> Optional[int]:
     return None
 
 
-# --- the μ sieve behind mobius and mertens, grown on demand ---
+# --- the μ sieve ---
 
-_mu_values: Sequence[int] = [0, 1]   # μ(0) unused, μ(1)=1
 _NEGATE = bytes.maketrans(b"\x01\xff", b"\xff\x01")   # μ as bytes: 1 ↔ −1
 
 
-def grow_mu_sieve(limit: int) -> Sequence[int]:
-    """Sieve μ up to at least limit; mobius then reads μ(n ≤ limit) from it.
+def mu_sieve(n: int) -> Sequence[int]:
+    """μ(0..n) in a fresh signed-byte view: μ(k) at index k, and μ(0) = 0.
 
-    A growth at least doubles the sieve.  Callers that will ask for μ on all
-    of 1..N grow it to N first.  Returns the sieve, μ(n) at index n, as a
-    signed-byte view; a growth replaces it and never changes a view returned.
+    Nothing here keeps it, so it is freed when its caller drops it.
     """
-    global _mu_values
-    n = len(_mu_values) - 1
-    if limit <= n:
-        return _mu_values
-    limit = max(limit, 2 * n)
     # primes by Eratosthenes, zeroing μ on the multiples of each p² on the
     # way; then μ is negated on the multiples of each prime in one translate
-    prime = bytearray([1]) * (limit + 1)
+    prime = bytearray([1]) * (n + 1)
     prime[:2] = b"\0\0"
-    mu = bytearray([1]) * (limit + 1)
+    mu = bytearray([1]) * (n + 1)
     mu[0] = 0
-    for p in range(2, math.isqrt(limit) + 1):
+    for p in range(2, math.isqrt(n) + 1):
         if prime[p]:
-            prime[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
-            mu[p * p::p * p] = bytes(len(range(p * p, limit + 1, p * p)))
-    for p in compress(range(limit + 1), prime):
+            prime[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+            mu[p * p::p * p] = bytes(len(range(p * p, n + 1, p * p)))
+    for p in compress(range(n + 1), prime):
         mu[p::p] = mu[p::p].translate(_NEGATE)   # 0 stays 0
-    _mu_values = memoryview(mu).cast("b")
-    return _mu_values
+    return memoryview(mu).cast("b")
 
 
 def mertens(x: float) -> int:
-    """M(x) = Σ_{n≤⌊x⌋} μ(n), summed from the sieve; 0 for x < 1."""
+    """M(x) = Σ_{n≤⌊x⌋} μ(n), summed from a sieve of its own; 0 for x < 1."""
     n = math.floor(x)
     if n < 1:
         return 0
-    return sum(grow_mu_sieve(n)[1:n + 1])
+    return sum(mu_sieve(n))
 
 
 class ExactLog:
@@ -457,7 +446,7 @@ def zeta_partial(s: float, n_terms: int) -> tuple[float, float]:
     """(Σ_{n≤N} n^−s, tail bound N^(1−s)/(s−1)) for s > 1.
 
     The bound is the integral estimate Σ_{n>N} n^−s ≤ ∫_N^∞ t^−s dt.
-    Not memoized: verify.series_table sums it once per (s, N).
+    Not memoized: the series checks sum it once per (s, N).
     """
     if not s > 1:   # NaN fails this too
         raise ValueError("zeta_partial requires s > 1")

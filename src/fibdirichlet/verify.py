@@ -50,7 +50,7 @@ from .numtheory import (
     divisors,
     euler_phi,
     factorize,
-    grow_mu_sieve,
+    mu_sieve,
     zeta_partial,
 )
 
@@ -385,14 +385,10 @@ EULER_SERIES: dict[str, Dilation] = {
 
 
 def series_table(s: float, n_terms: int) -> tuple:
-    """(ζ_N(s), its tail bound, n**s for n ≤ N short of a float overflow) for
-    the checks at (s, N).  N < 12, then s not > 1, is refused before the μ
-    sieve is grown to N, and the sieve is grown before the powers are listed."""
+    """(ζ_N(s), its tail bound, n**s for n ≤ N short of a float overflow)
+    for the checks at (s, N)."""
     from array import array   # here, as loading it adds 0.2 MB of peak RSS
-    if n_terms < 12:
-        raise ValueError("need N >= 12 to see all polynomial terms")
     zeta_n, tail = zeta_partial(s, n_terms)
-    grow_mu_sieve(n_terms)   # first, so that its transient arrays are gone
     powers = array("d")
     with suppress(OverflowError):   # extend keeps the powers taken before
         powers.extend(map(pow, range(1, n_terms + 1), repeat(s)))
@@ -405,14 +401,17 @@ def euler_product_check(which: str, s: float, n_terms: int,
 
     Tolerance is derived, never tuned: |poly|·tail(N) for the ζ truncation
     plus ζ(s)·3·tail(N) for the series truncation (|f(n)| ≤ 3, as at most
-    three of a form's μ(n/j) are nonzero at any n), floored at 1e−6.  ζ_N(s)
-    and n**s come from series_table(s, N) unless a caller passes them.
+    three of a form's μ(n/j) are nonzero at any n), floored at 1e−6.  The
+    table is series_table(s, N) with μ(0..N) appended; without one, the
+    check runs through euler_product_checks.
     """
     if which not in EULER_SERIES:
         raise ValueError(f"unknown series {which!r}; pick from {sorted(EULER_SERIES)}")
-    zeta_n, tail, powers = table or series_table(s, n_terms)
+    if table is None:
+        return euler_product_checks([which], [s], n_terms)[0]
+    zeta_n, tail, powers, mu = table
     form = EULER_SERIES[which]
-    values = form.values(n_terms)
+    values = form.values(mu)
     if any(values[len(powers):]):
         raise ValueError(f"n**s overflows a float at s={s}")
     # f(n)/n^s as the same floats as evaluating it term by term; a term
@@ -429,11 +428,22 @@ def euler_product_check(which: str, s: float, n_terms: int,
     )
 
 
-def euler_product_checks(names: Sequence[str], s: float, n_terms: int
-                         ) -> list[VerificationReport]:
-    """euler_product_check of each name at (s, N) on one series_table."""
-    table = series_table(s, n_terms)
-    return [euler_product_check(name, s, n_terms, table) for name in names]
+def euler_product_checks(names: Sequence[str], s_values: Sequence[float],
+                         n_terms: int) -> list[VerificationReport]:
+    """euler_product_check of each name at each s, name by name, on one μ
+    sieve to N, built once N < 12 and each s not > 1 are refused; each s's
+    series_table is built after it and freed before the next s's."""
+    if n_terms < 12:
+        raise ValueError("need N >= 12 to see all polynomial terms")
+    if not all(s > 1 for s in s_values):   # NaN fails this too
+        raise ValueError("zeta_partial requires s > 1")
+    mu = mu_sieve(n_terms)
+
+    def checks_at(s: float) -> list[VerificationReport]:
+        table = (*series_table(s, n_terms), mu)
+        return [euler_product_check(name, s, n_terms, table) for name in names]
+
+    return [report for row in zip(*map(checks_at, s_values)) for report in row]
 
 
 # --- step tables of the floor-weighted summatory function ---
@@ -498,13 +508,12 @@ def _suite_logprod(*, x: float = 40.0) -> list[VerificationReport]:
 
 
 def _suite_constant_c() -> list[VerificationReport]:
-    value = constant_c(50)
+    sums = [constant_c(n) for n in range(1, 62)]
+    value = sums[49]   # c_50
     residual = abs(value - STATED_TAIL_CONSTANT)
-    cauchy_ok = True
     r = CONSTANTS.golden_ratio
-    for n in range(1, 61):
-        if abs(constant_c(n + 1) - constant_c(n)) > r ** (-2 * n):
-            cauchy_ok = False
+    cauchy_ok = all(abs(sums[n] - sums[n - 1]) <= r ** (-2 * n)
+                    for n in range(1, 61))
     details = [{"c_50": value, "stated": STATED_TAIL_CONSTANT,
                 "cauchy_geometric": cauchy_ok}]
     return [VerificationReport("constant-c", "N=50 vs stated decimal",
@@ -534,7 +543,7 @@ def _suite_ep_sum(*, x: int = 60) -> list[VerificationReport]:
 def _suite_pi_alpha_counts(*, x: int = 60) -> list[VerificationReport]:
     counts = [count for count, _ in primitive_prime_totals(x)]
     monotone = all(a <= b for a, b in zip(counts, counts[1:]))
-    anchors = counts[4] == 3 and counts[11] == 8 if x >= 12 else True
+    anchors = all(counts[n - 1] == pi for n, pi in ((5, 3), (12, 8)) if n <= x)
     details = [{"pi_alpha_5": counts[4] if x >= 5 else None,
                 "pi_alpha_12": counts[11] if x >= 12 else None,
                 "monotone": monotone}]
@@ -577,8 +586,7 @@ def _suite_euler_product(*, s: Optional[float] = None, n: int = 10_000,
                          which: Optional[str] = None) -> list[VerificationReport]:
     s_values = [s] if s is not None else [2.0, 3.0]
     names = [which] if which is not None else sorted(EULER_SERIES)
-    by_s = [euler_product_checks(names, sv, n) for sv in s_values]
-    return [report for row in zip(*by_s) for report in row]
+    return euler_product_checks(names, s_values, n)
 
 
 def _suite_t_tables() -> list[VerificationReport]:

@@ -169,7 +169,6 @@ def test_every_factorization_of_a_command_is_charged_to_the_budget(
     # the index n in contributors and the plain-int μ of the closed forms
     for module in (numtheory, fib_module, contraction):
         monkeypatch.setattr(module, "factorize", recording)
-    monkeypatch.setattr(numtheory, "_mu_values", [0, 1])
     assert run_cli(["contract", "mu", "1", "30", "--budget", "54321"]) == 0
     assert seen and set(seen) == {54321}
     assert numtheory.FACTOR_BUDGET.get() == numtheory.DEFAULT_FACTOR_BUDGET
@@ -544,14 +543,24 @@ def test_primitive_primes_calls_per_command(argv, calls, monkeypatch, capsys):
     assert len(seen) == calls
 
 
+def test_pi_alpha_checks_pi_alpha_5_from_x_5(monkeypatch, capsys):
+    # a walk that misses F(5)'s primitive prime 5 reads π_α(5) = 2
+    original = verify.primitive_primes
+    monkeypatch.setattr(verify, "primitive_primes", lambda n: [
+        (p, e) for p, e in original(n) if p != 5])
+    assert run_cli(["verify", "pi-alpha", "--x", "7"]) == 1
+    assert capsys.readouterr().out == "FAIL pi-alpha [x<=7]\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["series", "--s", "1"], ["series", "--s", "0.5"], ["series", "--s", "nan"],
     ["verify", "euler-product", "--s", "nan"]])
 def test_series_refuses_s_not_above_1_before_sieving(argv, monkeypatch,
                                                      capsys):
-    monkeypatch.setattr(numtheory, "_mu_values", [0, 1])
+    sieved = []
+    monkeypatch.setattr(verify, "mu_sieve", sieved.append)
     assert run_cli(argv + ["--n", "3000000"]) == 2
-    assert len(numtheory._mu_values) == 2
+    assert sieved == []
     assert "requires s > 1" in capsys.readouterr().err
 
 
@@ -576,9 +585,11 @@ def test_series_past_the_last_finite_n_to_the_s_exits_0(argv, capsys):
     (["series", "--s", "3", "--n", "2000"], [(3.0, 2000)]),
     (["verify", "euler-product", "--n", "2000"], [(2.0, 2000), (3.0, 2000)])])
 def test_each_power_table_is_built_once(argv, builds, monkeypatch, capsys):
-    # one table and one ζ_N(s) per (s, N), shared by the four series
-    built, summed = [], []
+    # one table and one ζ_N(s) per (s, N), shared by the four series, and
+    # one μ sieve to N, shared by every s
+    built, summed, sieved = [], [], []
     build, zeta = verify.series_table, verify.zeta_partial
+    sieve = verify.mu_sieve
 
     def counting_build(s, n):
         built.append((s, n))
@@ -588,16 +599,22 @@ def test_each_power_table_is_built_once(argv, builds, monkeypatch, capsys):
         summed.append((s, n))
         return zeta(s, n)
 
+    def counting_sieve(n):
+        sieved.append(n)
+        return sieve(n)
+
     monkeypatch.setattr(verify, "series_table", counting_build)
     monkeypatch.setattr(verify, "zeta_partial", counting_zeta)
+    monkeypatch.setattr(verify, "mu_sieve", counting_sieve)
     assert run_cli(argv) == 0
     assert built == summed == builds
+    assert sieved == [2000]
 
 
 def test_verify_euler_product_holds_one_power_table_at_a_time(monkeypatch,
                                                               capsys):
-    refs, seen = [], []
-    build = verify.series_table
+    refs, seen, sieves = [], [], []
+    build, sieve = verify.series_table, verify.mu_sieve
 
     def tracking_build(s, n):
         # the tables still alive as this one is built
@@ -606,9 +623,19 @@ def test_verify_euler_product_holds_one_power_table_at_a_time(monkeypatch,
         refs.append(weakref.ref(table[-1]))   # the n**s array
         return table
 
+    def tracking_sieve(n):
+        mu = sieve(n)
+        sieves.append(weakref.ref(mu))
+        return mu
+
     monkeypatch.setattr(verify, "series_table", tracking_build)
+    monkeypatch.setattr(verify, "mu_sieve", tracking_sieve)
     assert run_cli(["verify", "euler-product", "--n", "2000"]) == 0
     assert seen == [0, 0]
+    # neither a table nor the μ sieve outlives its command
+    assert run_cli(["series", "--s", "3", "--n", "2000"]) == 0
+    assert len(refs) == 3 and len(sieves) == 2
+    assert all(ref() is None for ref in refs + sieves)
 
 
 def test_series_emission(tmp_path):

@@ -39,6 +39,7 @@ from fibdirichlet.numtheory import (
     divisors,
     mertens,
     mobius,
+    mu_sieve,
 )
 from fibdirichlet.fib import fib, lcm_fib
 
@@ -218,7 +219,7 @@ def test_whole_array_reader_matches_the_scalar_closed_forms(n_max):
                          (LAMBDA_ALPHA, closed_lambda_alpha),
                          (DELTA23, closed_delta23),
                          (extra, extra.at)):
-        values = form.values(n_max)
+        values = form.values(mu_sieve(n_max))
         assert len(values) == n_max
         for n in range(1, n_max + 1):
             assert values[n - 1] == closed(n), (form.weights, n)
@@ -227,9 +228,9 @@ def test_whole_array_reader_matches_the_scalar_closed_forms(n_max):
 def test_whole_array_reader_refuses_values_past_a_signed_byte():
     # Σ|c_j| = 127 still fits a signed byte at every n; 128 may not
     fits = Dilation({1: 100, 2: -27})
-    assert list(fits.values(50)) == [fits.at(n) for n in range(1, 51)]
+    assert list(fits.values(mu_sieve(50))) == [fits.at(n) for n in range(1, 51)]
     with pytest.raises(ValueError, match="signed byte"):
-        Dilation({1: 100, 2: -28}).values(50)
+        Dilation({1: 100, 2: -28}).values(mu_sieve(50))
 
 
 def test_dilation_form_reads_mu_of_the_quotient():

@@ -9,7 +9,6 @@ sympy where it is installed.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fibdirichlet import numtheory
 from fibdirichlet.fib import fib_factorization
 from fibdirichlet.numtheory import (
     MANGOLDT,
@@ -17,9 +16,9 @@ from fibdirichlet.numtheory import (
     divisors,
     euler_phi,
     factorize,
-    grow_mu_sieve,
     liouville,
     mobius,
+    mu_sieve,
 )
 
 FUNCTIONS = (mobius, liouville, euler_phi, divisor_count, MANGOLDT)
@@ -40,18 +39,18 @@ def test_carried_factors_match_a_fresh_factorization(n, data):
             assert fn(carried) == fn(fresh) == fn(int(carried))
 
 
-def test_sieve_mobius_matches_factorized_mobius(monkeypatch):
-    # grown from the initial sieve in four steps, each prefix checked; the
-    # byte sieve reads back as the ints -1, 0 and 1
-    monkeypatch.setattr(numtheory, "_mu_values", [0, 1])
+def test_sieve_mobius_matches_factorized_mobius():
+    # sieves of four lengths, each checked in full; the byte sieve reads
+    # back as the ints -1, 0 and 1, and each n is factored once
     for limit in (13, 1000, 20_000, 200_000):
-        sieve = grow_mu_sieve(limit)
-        assert sieve is numtheory._mu_values and len(sieve) == limit + 1
+        sieve = mu_sieve(limit)
+        assert len(sieve) == limit + 1 and sieve[0] == 0
         for n in range(1, limit + 1):
-            exponents = [e for _, e in factorize(n).factors]
+            fac = factorize(n)
+            exponents = [e for _, e in fac.factors]
             expected = (0 if any(e > 1 for e in exponents)
                         else (-1) ** len(exponents))
-            assert sieve[n] == mobius(n) == expected, (limit, n)
+            assert sieve[n] == mobius(fac) == expected, (limit, n)
 
 
 def test_carried_factors_match_sympy():
