@@ -30,14 +30,13 @@ from .numtheory import (
     zeta_partial,
 )
 from .fib import (
-    CONSTANTS,
-    Constants,
+    GOLDEN_RATIO,
+    LCM_GROWTH_CONSTANT,
     entry_exponent,
     fib_mod,
     lcm_fib,
     primitive_primes,
     rank,
-    rank_prime_power,
 )
 from .contraction import (
     alpha_contract,

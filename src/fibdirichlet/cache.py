@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Iterable, NamedTuple, Union
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .fib import (
-    _LOG2_GOLDEN,
+    GOLDEN_RATIO,
     _exponent_at_rank,
     divisor_has_rank,
     fib,
@@ -29,11 +30,8 @@ from .fib import (
 from .numtheory import is_prime
 
 
-class CacheRecord(NamedTuple):
-    n: int
-    fib_factorization: tuple[tuple[int, int], ...]
-    rank: int
-    entry_exponent: int
+CacheRecord = namedtuple("CacheRecord",
+                         "n fib_factorization rank entry_exponent")
 
 
 def _format_factors(factors: tuple[tuple[int, int], ...]) -> str:
@@ -73,6 +71,8 @@ def _parse_record(line: str, proven: set[int]) -> CacheRecord:
         if "=" not in token:
             raise ValueError(f"malformed token {token!r}")
         key, value = token.split("=", 1)
+        if key in fields:
+            raise ValueError(f"repeated field {key!r}")
         fields[key] = value
     if sorted(fields) != ["alpha", "e", "fib", "n"]:
         raise ValueError(f"expected fields n, fib, alpha, e; got {sorted(fields)}")
@@ -96,7 +96,8 @@ def _parse_record(line: str, proven: set[int]) -> CacheRecord:
     # forged record costs no primality test and nothing at the scale of n
     m = 2**64 - 59
     try:
-        excess = sum(e * math.log2(p) for p, e in factors) - n * _LOG2_GOLDEN
+        excess = (sum(e * math.log2(p) for p, e in factors)
+                  - n * math.log2(GOLDEN_RATIO))
     except OverflowError:
         excess = math.inf
     if (abs(excess + math.log2(5) / 2) > 1
@@ -121,7 +122,7 @@ def _parse_record(line: str, proven: set[int]) -> CacheRecord:
     return record
 
 
-def load_cache_file(path: Union[str, os.PathLike]) -> list[CacheRecord]:
+def load_cache_file(path: str | os.PathLike) -> list[CacheRecord]:
     """Parse a cache file; a corrupt line raises with its line number.
 
     Each distinct prime is tested once per file.
@@ -140,7 +141,7 @@ def load_cache_file(path: Union[str, os.PathLike]) -> list[CacheRecord]:
     return records
 
 
-def save_cache_file(path: Union[str, os.PathLike],
+def save_cache_file(path: str | os.PathLike,
                     records: Iterable[CacheRecord]) -> None:
     """Write records sorted by n; identical inputs give identical bytes."""
     unique = {r.n: r for r in records}

@@ -18,8 +18,8 @@ import io
 import math
 import os
 import sys
+from collections.abc import Callable
 from contextlib import suppress
-from typing import Callable, Optional
 
 from . import cache as cache_io
 from . import verify as verify_mod
@@ -323,7 +323,7 @@ def cmd_series(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.budget < 1:

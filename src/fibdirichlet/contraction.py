@@ -15,10 +15,10 @@ floor-weighted (T) and plain (S) summatory functions.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from functools import partial, reduce
 from itertools import repeat
 from operator import add, mul
-from typing import Any, Iterator, Sequence
 
 from .fib import fib_factorization
 from .numtheory import (
@@ -68,7 +68,7 @@ def contributors(n: int) -> list[int]:
     return sorted(_rank_stream(n))
 
 
-def alpha_contract(f: ArithFn, n: int) -> Any:
+def alpha_contract(f: ArithFn, n: int) -> object:
     """Contraction of f at n: Σ f(m) over m with rank(m) = n.
 
     The m are streamed, never held in a list.  Empty sums are f.zero — in
@@ -181,7 +181,7 @@ MU_ITERATES = tuple(ArithFn(f"mu_iter{depth}", form.at)
                     for depth, form in enumerate(_MU_FORMS, 1))
 
 
-def alpha_contract_iter(f: ArithFn, depth: int, n: int) -> Any:
+def alpha_contract_iter(f: ArithFn, depth: int, n: int) -> object:
     """depth-fold contraction of f at n.
 
     For μ the inner iterate is read from its dilation form, so arbitrarily
@@ -205,40 +205,24 @@ def alpha_contract_iter(f: ArithFn, depth: int, n: int) -> Any:
 
 # --- closed forms ---
 
-# 1*λ is the indicator of the squares, the only square Fibonacci numbers
-# being 1 and 144 (Cohn, 1964)
+# Each closed form is its Dilation's bound .at; MU_ITERATES holds bound
+# methods of its own, so bench/layertrace.py, which swaps functions by
+# identity, counts only the calls made through these names.
+#   μ_α  (c = 1_{1,2}) is multiplicative.
+#   μ_α² is μ(n) plus μ(n/2) and μ(n/3) where those divide.
+#   μ_α³ (c = 1_{1,2,3,4}) is a fixed point of contraction.
+#   λ_α  (c = 1_{1,2,12}): 1*λ is the indicator of the squares, and the
+#        only square Fibonacci numbers are F(1) = F(2) = 1 and F(12) = 144
+#        (Cohn, 1964).
+#   Δ₂₃ = μ_α² − μ_α³ is −μ(n/4) on multiples of 4, else 0, and lies in the
+#        kernel of the contraction operator.
 LAMBDA_ALPHA = Dilation({1: 1, 2: 1, 12: 1})
-DELTA23 = Dilation({4: -1})   # μ_α² − μ_α³
-
-
-def closed_mu_alpha(n: int) -> int:
-    """Contraction of μ: c = 1_{1,2}.  Multiplicative."""
-    return MU_ALPHA.at(n)
-
-
-def closed_mu_alpha2(n: int) -> int:
-    """Twice-contracted μ: μ(n) plus μ(n/2) and μ(n/3) where those divide."""
-    return MU_ALPHA2.at(n)
-
-
-def closed_mu_alpha3(n: int) -> int:
-    """Thrice-contracted μ: c = 1_{1,2,3,4}; a fixed point of contraction."""
-    return MU_ALPHA3.at(n)
-
-
-def closed_lambda_alpha(n: int) -> int:
-    """Contraction of λ: c = 1_{1,2,12}, driven by the three square
-    Fibonacci numbers F(1) = F(2) = 1 and F(12) = 144."""
-    return LAMBDA_ALPHA.at(n)
-
-
-def closed_delta23(n: int) -> int:
-    """μ_α² − μ_α³ in closed form: −μ(n/4) on multiples of 4, else 0.
-
-    Lies in the kernel of the contraction operator.
-    """
-    return DELTA23.at(n)
-
+DELTA23 = Dilation({4: -1})
+closed_mu_alpha = MU_ALPHA.at
+closed_mu_alpha2 = MU_ALPHA2.at
+closed_mu_alpha3 = MU_ALPHA3.at
+closed_lambda_alpha = LAMBDA_ALPHA.at
+closed_delta23 = DELTA23.at
 
 CLOSED_FORMS: dict[tuple[str, int], ArithFn] = {
     ("mu", 1): ArithFn("mu_alpha", closed_mu_alpha),
@@ -251,7 +235,7 @@ CLOSED_FORMS: dict[tuple[str, int], ArithFn] = {
 # --- summatory functions ---
 
 
-def summatory_T(f: ArithFn, x: float) -> Any:
+def summatory_T(f: ArithFn, x: float) -> object:
     """Floor-weighted summatory function Σ_{rank(n)≤x} f(n)·⌊x/rank(n)⌋.
 
     Evaluated through the double-counting identity as Σ_{n≤x} (1*f)(F(n)),
@@ -262,7 +246,7 @@ def summatory_T(f: ArithFn, x: float) -> Any:
                 for n in range(1, math.floor(x) + 1)), f.zero)
 
 
-def summatory_S(f: ArithFn, x: float) -> Any:
+def summatory_S(f: ArithFn, x: float) -> object:
     """Plain summatory function Σ_{rank(n)≤x} f(n).
 
     Computed as the sum of contractions up to ⌊x⌋; for Λ it is the log of

@@ -4,25 +4,25 @@ Fast-doubling Fibonacci values, modular Fibonacci, the rank of apparition
 (least index m with n | F(m)) by one walk down from the multiple of it that
 Lucas's law gives, entry exponents, the memo of factored F(n), each factored
 through the memoized F(n/q) so that Pollard rho sees only its primitive
-part, primitive prime extraction, exact Fibonacci lcms, and the golden-ratio
-constants.
+part, primitive prime extraction, exact Fibonacci lcms, the golden ratio
+and the growth constant of log lcm F(1..x).
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .numtheory import (
     BudgetExceededError,
     FACTOR_BUDGET,
     Factorization,
     factorize,
-    is_prime,
     valuation,
 )
 
-_LOG2_GOLDEN = math.log2((1 + math.sqrt(5.0)) / 2)
+GOLDEN_RATIO = (1 + math.sqrt(5.0)) / 2
+# log lcm(F(1), …, F(x)) grows as LCM_GROWTH_CONSTANT·x²
+LCM_GROWTH_CONSTANT = 3 * math.log(GOLDEN_RATIO) / math.pi**2
 
 
 def fib(n: int) -> int:
@@ -73,15 +73,6 @@ def _rank_within(m: int, multiple: Factorization) -> Factorization:
         if k:
             kept.append((q, k))
     return Factorization(r, tuple(kept))
-
-
-def rank_prime_power(p: int, k: int) -> Factorization:
-    """rank(p^k) for a prime p, carrying its factors."""
-    if k < 1:
-        raise ValueError("rank_prime_power expects k >= 1")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return rank(Factorization(p**k, ((p, k),)))
 
 
 def rank(n: int) -> Factorization:
@@ -144,7 +135,7 @@ def max_factorable_index(units: int) -> int:
     Rho splits a composite m in ~m^(1/4) iterations, so the budget affords
     values of about 4·log2(units) bits; F(n) has about 0.694·n bits.
     """
-    return int(4 * math.log2(units + 2) / _LOG2_GOLDEN)
+    return int(4 * math.log2(units + 2) / math.log2(GOLDEN_RATIO))
 
 
 def require_factorable(n: int) -> None:
@@ -244,23 +235,3 @@ def lcm_fib(x: float) -> int:
         out = math.lcm(out, a)
         a, b = b, a + b
     return out
-
-
-class Constants(NamedTuple):
-    """Floating constants used by the closed forms and asymptotics."""
-
-    golden_ratio: float          # (1+√5)/2
-    golden_conjugate: float      # (1−√5)/2
-    lcm_growth_constant: float   # 3·log(golden_ratio)/π²
-
-
-def _build_constants() -> Constants:
-    golden = (1 + math.sqrt(5.0)) / 2
-    return Constants(
-        golden_ratio=golden,
-        golden_conjugate=(1 - math.sqrt(5.0)) / 2,
-        lcm_growth_constant=3 * math.log(golden) / math.pi**2,
-    )
-
-
-CONSTANTS = _build_constants()

@@ -9,10 +9,10 @@ explicit tail bound with its floating value.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
 from itertools import compress, repeat
-from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 
 class BudgetExceededError(Exception):
@@ -157,6 +157,18 @@ def _brent_rho(n: int, meter: _Budget) -> int:
     raise BudgetExceededError(f"rho could not split {n}")  # pragma: no cover
 
 
+def _power_root(n: int) -> int:
+    """r with n = r^k for some k ≥ 2, else 0, for n with no prime below
+    _TRIAL_BOUND = 2^12, so that r > 2^12 and k ≤ bit_length/12."""
+    for k in range(2, n.bit_length() // 12 + 1):
+        r = 1 << -(-n.bit_length() // k)   # Newton from above to ⌊n^(1/k)⌋
+        while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+            r = s
+        if r**k == n:
+            return r
+    return 0
+
+
 def _factor_into(n: int, out: dict[int, int], meter: _Budget) -> None:
     stack = [n]
     while stack:
@@ -167,7 +179,8 @@ def _factor_into(n: int, out: dict[int, int], meter: _Budget) -> None:
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        d = _brent_rho(m, meter)
+        # rho would need ~m^(1/4) steps on a prime power; a root takes none
+        d = _power_root(m) or _brent_rho(m, meter)
         stack.append(d)
         stack.append(m // d)
 
@@ -293,7 +306,7 @@ def divisor_count(n: int) -> int:
     return out
 
 
-def mangoldt_base(n: int) -> Optional[int]:
+def mangoldt_base(n: int) -> int | None:
     """The prime p when n = p^k (k ≥ 1), else None.
 
     Λ(n) is then log p; MANGOLDT holds it as ExactLog(p), and one shared
@@ -380,9 +393,6 @@ class ExactLog:
             return NotImplemented
         return self.integer_value == other.integer_value
 
-    def __hash__(self) -> int:
-        return hash(self.integer_value)
-
     def __repr__(self) -> str:
         return f"ExactLog({self.integer_value})"
 
@@ -397,19 +407,19 @@ class ArithFn:
 
     __slots__ = ("name", "fn", "zero")
 
-    def __init__(self, name: str, fn: Callable[[int], Any],
-                 zero: Union[int, ExactLog] = 0) -> None:
+    def __init__(self, name: str, fn: Callable[[int], object],
+                 zero: int | ExactLog = 0) -> None:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "fn", fn)
         object.__setattr__(self, "zero", zero)
 
-    def __setattr__(self, attr: str, value: Any) -> None:
+    def __setattr__(self, attr: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {attr!r}")
 
     def __delattr__(self, attr: str) -> None:
         raise AttributeError(f"cannot delete field {attr!r}")
 
-    def __call__(self, n: int) -> Any:
+    def __call__(self, n: int) -> object:
         return self.fn(n)
 
     def __repr__(self) -> str:
@@ -431,7 +441,7 @@ NAMED_FUNCTIONS: dict[str, ArithFn] = {
 }
 
 
-def dirichlet_convolve(f: ArithFn, g: ArithFn, n: int) -> Any:
+def dirichlet_convolve(f: ArithFn, g: ArithFn, n: int) -> object:
     """(f*g)(n) = Σ_{d|n} f(d)·g(n/d), exactly.
 
     A Factorization is not factored again: its divisors carry factors taken

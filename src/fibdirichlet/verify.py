@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import namedtuple
+from collections.abc import Callable, Iterator, Sequence
 from contextlib import suppress
 from itertools import repeat
 from operator import itemgetter, mul, truediv
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .contraction import (
     LAMBDA_ALPHA,
@@ -28,7 +29,8 @@ from .contraction import (
     summatory_T,
 )
 from .fib import (
-    CONSTANTS,
+    GOLDEN_RATIO,
+    LCM_GROWTH_CONSTANT,
     fib,
     fib_factorization,
     lcm_fib,
@@ -39,7 +41,6 @@ from .numtheory import (
     ArithFn,
     BudgetExceededError,
     ExactLog,
-    Factorization,
     LIOUVILLE,
     MANGOLDT,
     MU,
@@ -59,8 +60,8 @@ class VerificationReport:
     """Structured pass/fail record for one identity check."""
 
     def __init__(self, check_name: str, parameters: str, passed: bool,
-                 residual: Union[int, float],
-                 details: Optional[list[dict]] = None) -> None:
+                 residual: int | float,
+                 details: list[dict] | None = None) -> None:
         self.check_name = check_name
         self.parameters = parameters
         self.passed = passed
@@ -81,22 +82,16 @@ def small_integer_fn(seed: int) -> ArithFn:
 # --- the double-counting identity ---
 
 
-class DivisorTables(NamedTuple):
-    """The divisors of F(1..n_max), each held once, with readers over them.
-
-    ``values`` holds each n with rank(n) ≤ n_max once, in the order that the
-    divisors of F(1), then of F(2), and so on, first list them; n's position
-    there is its id.  ``readers`` holds three (left, right) pairs of
-    itemgetters over ids, each pair picking one side's terms, slot for slot,
-    from a list of f's values and one of g's on ``values``: the direct pairs
-    (d, F(k)/d) for each d | F(k), k ≤ n_max; the rank-weighted pairs
-    (n, F(k)/n) for each n and each multiple k of rank(n) up to n_max; and
-    these swapped.  So each pair (k, d | F(k)) is one slot of every side.
-    """
-
-    n_max: int
-    values: list[Factorization]
-    readers: tuple[tuple[Callable, Callable], ...]
+# The divisors of F(1..n_max), each held once, with readers over them.
+# ``values`` holds each n with rank(n) ≤ n_max once, in the order that the
+# divisors of F(1), then of F(2), and so on, first list them; n's position
+# there is its id.  ``readers`` holds three (left, right) pairs of
+# itemgetters over ids, each pair picking one side's terms, slot for slot,
+# from a list of f's values and one of g's on ``values``: the direct pairs
+# (d, F(k)/d) for each d | F(k), k ≤ n_max; the rank-weighted pairs
+# (n, F(k)/n) for each n and each multiple k of rank(n) up to n_max; and
+# these swapped.  So each pair (k, d | F(k)) is one slot of every side.
+DivisorTables = namedtuple("DivisorTables", "n_max values readers")
 
 
 def _gather(ids: list[int]) -> Callable:
@@ -145,7 +140,7 @@ def divisor_tables(x: float) -> DivisorTables:
 
 
 def check_theorem1(f: ArithFn, g: ArithFn, x: float,
-                   tables: Optional[DivisorTables] = None) -> VerificationReport:
+                   tables: DivisorTables | None = None) -> VerificationReport:
     """Verify the three-way double-counting identity at real x ≥ 1.
 
     Direct side: Σ_{n≤x} (f*g)(F(n)) by literal divisor sums.  The other two
@@ -232,7 +227,7 @@ def logprod_walk(x: float) -> Iterator[tuple[ExactLog, float, float]]:
         raise ValueError(f"logprod expects x >= 1, got {x}")
     if x >= LOGPROD_X_MAX + 1:   # at the first read, whatever the budget
         raise BudgetExceededError(f"logprod is blind past x={LOGPROD_X_MAX}")
-    r = CONSTANTS.golden_ratio
+    r = GOLDEN_RATIO
     prod = 1
     a, b = 1, 1
     terms = []   # constant_c(n)'s terms
@@ -254,7 +249,7 @@ def constant_c(n_terms: int) -> float:
 
 
 def _tail_term(n: int) -> float:
-    return math.log1p(-((-1) ** n) * CONSTANTS.golden_ratio ** (-2 * n))
+    return math.log1p(-((-1) ** n) * GOLDEN_RATIO ** (-2 * n))
 
 
 # --- asymptotics: reported with ratios, not asserted as limits ---
@@ -262,8 +257,8 @@ def _tail_term(n: int) -> float:
 
 def growth_sample(x: int, exact: ExactLog) -> dict:
     """The row (x, exact, predicted, ratio) of exact's log against the
-    quadratic growth CONSTANTS.lcm_growth_constant·x²."""
-    predicted = CONSTANTS.lcm_growth_constant * x * x
+    quadratic growth LCM_GROWTH_CONSTANT·x²."""
+    predicted = LCM_GROWTH_CONSTANT * x * x
     log = exact.log_value
     return {"x": x, "exact": log, "predicted": predicted,
             "ratio": log / predicted if predicted > 0 else 0.0}
@@ -312,7 +307,7 @@ def primitive_totals_at(x_values: Sequence[int]
             yield x, count, product
 
 
-PRIMITIVE_COUNT_BOUND = CONSTANTS.lcm_growth_constant / 2  # 3·log r / (2π²)
+PRIMITIVE_COUNT_BOUND = LCM_GROWTH_CONSTANT / 2  # 3·log r / (2π²)
 
 
 def pi_alpha_row(x: int, count: int) -> dict:
@@ -396,7 +391,7 @@ def series_table(s: float, n_terms: int) -> tuple:
 
 
 def euler_product_check(which: str, s: float, n_terms: int,
-                        table: Optional[tuple] = None) -> VerificationReport:
+                        table: tuple | None = None) -> VerificationReport:
     """Check ζ_N(s)·Σ_{n≤N} f(n)/n^s against the finite polynomial side.
 
     Tolerance is derived, never tuned: |poly|·tail(N) for the ζ truncation
@@ -467,7 +462,7 @@ STATED_TAIL_CONSTANT = 0.2043618834  # the published decimal for the tail sum
 LOGPROD_TOLERANCE = 1e-8
 # logprod's float log of ∏_{n≤X} F(n) is about (log r / 2)·X² = 0.2406·X²; its
 # ulp passes 1e-9, a tenth of the tolerance, once it reaches 2²³
-LOGPROD_X_MAX = math.isqrt(int(2**23 / (math.log(CONSTANTS.golden_ratio) / 2)))
+LOGPROD_X_MAX = math.isqrt(int(2**23 / (math.log(GOLDEN_RATIO) / 2)))
 THEOREM1_RANDOM_PAIRS = 20
 RATIO_WINDOW_LCM = (0.9, 1.1)
 RATIO_WINDOW_EP = (0.8, 1.2)
@@ -511,7 +506,7 @@ def _suite_constant_c() -> list[VerificationReport]:
     sums = [constant_c(n) for n in range(1, 62)]
     value = sums[49]   # c_50
     residual = abs(value - STATED_TAIL_CONSTANT)
-    r = CONSTANTS.golden_ratio
+    r = GOLDEN_RATIO
     cauchy_ok = all(abs(sums[n] - sums[n - 1]) <= r ** (-2 * n)
                     for n in range(1, 61))
     details = [{"c_50": value, "stated": STATED_TAIL_CONSTANT,
@@ -582,8 +577,8 @@ def _suite_phi_recursion(*, x: int = 25) -> list[VerificationReport]:
                                [{"generated": len(seq), "match": passed}])]
 
 
-def _suite_euler_product(*, s: Optional[float] = None, n: int = 10_000,
-                         which: Optional[str] = None) -> list[VerificationReport]:
+def _suite_euler_product(*, s: float | None = None, n: int = 10_000,
+                         which: str | None = None) -> list[VerificationReport]:
     s_values = [s] if s is not None else [2.0, 3.0]
     names = [which] if which is not None else sorted(EULER_SERIES)
     return euler_product_checks(names, s_values, n)

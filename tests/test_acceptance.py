@@ -15,7 +15,7 @@ from fibdirichlet.contraction import (
     closed_lambda_alpha,
     closed_mu_alpha3,
 )
-from fibdirichlet.fib import CONSTANTS, fib, rank, rank_prime_power
+from fibdirichlet.fib import GOLDEN_RATIO, fib, rank
 from fibdirichlet.numtheory import (
     ArithFn,
     ExactLog,
@@ -138,7 +138,7 @@ def test_criterion_8_primitive_prime_counts():
     rows = pi_alpha_bound_report([12, 60])
     assert all(abs(row["bound"] - PRIMITIVE_COUNT_BOUND) < 1e-15 for row in rows)
     assert abs(PRIMITIVE_COUNT_BOUND
-               - 3 * math.log(CONSTANTS.golden_ratio) / (2 * math.pi**2)) < 1e-15
+               - 3 * math.log(GOLDEN_RATIO) / (2 * math.pi**2)) < 1e-15
     _announce(8, "pi_alpha anchors 3 and 8, non-decreasing to x=60, bound "
                  "constant emitted without asserting the limit")
 
@@ -157,10 +157,10 @@ def test_criterion_9_euler_products():
 def test_criterion_10_lemma_conformance(rank_scan):
     for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
         for k in (1, 2, 3):
-            assert rank_prime_power(p, k) == rank_scan(p**k), (p, k)
+            assert rank(p**k) == rank_scan(p**k), (p, k)
     for p, k_max in ((2, 16), (3, 8), (5, 6)):
         for k in range(1, k_max + 1):
-            assert rank_prime_power(p, k) == rank_scan(p**k), (p, k)
+            assert rank(p**k) == rank_scan(p**k), (p, k)
     fibs = [fib(m) for m in range(201)]
     for n in range(1, 501):
         r = rank(n)

@@ -132,6 +132,14 @@ def test_alpha_beyond_the_budget_exits_3(capsys):
     assert capsys.readouterr().out == "1000000008\n"
 
 
+def test_alpha_of_a_prime_cube_exits_0(capsys):
+    # (10^9 + 7)^3: rho would refuse it, and its cube root splits it
+    start = time.perf_counter()
+    assert run_cli(["alpha", "1000000021000000147000000343"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == "1000000022000000161000000392\n"
+
+
 @pytest.mark.parametrize("units", ["-5", "0"])
 @pytest.mark.parametrize("command", ["verify theorem1 --x 10", "contract mu 1 6",
                                      "alpha 12", "fib 5"])
@@ -692,6 +700,19 @@ def test_cache_that_is_not_utf8_names_its_path_and_line(tmp_path, capsys):
     assert captured.err == (f"error: {path}: line 2: 'utf-8' codec can't "
                             "decode byte 0xff in position 0: invalid start "
                             "byte\n")
+
+
+def test_cache_record_that_repeats_a_field_names_its_path_and_line(
+        tmp_path, capsys):
+    # valid but for the second n=5, so a parser that keeps the last value
+    # would load it and save it back clean
+    path = tmp_path / "cache.txt"
+    path.write_text("n=5 n=5 fib=5 alpha=5 e=1\n")
+    assert run_cli(["fib", "5", "--cache", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: line 1: repeated field 'n'\n"
+    assert path.read_text() == "n=5 n=5 fib=5 alpha=5 e=1\n"
 
 
 @pytest.mark.parametrize("argv, path, out", [

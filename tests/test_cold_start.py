@@ -47,5 +47,8 @@ def test_cli_import_loads_no_heavy_module():
 
 def test_cli_import_without_site_loads_no_pathlib():
     # without site nothing is loaded ahead of the CLI, so every module its
-    # import needs shows; the cache file is read and written with open()
-    assert "pathlib" not in _loaded_by_cli_import("-S")
+    # import needs shows; the cache file is read and written with open(),
+    # and the annotations name collections.abc, not typing
+    loaded = _loaded_by_cli_import("-S")
+    assert "pathlib" not in loaded
+    assert "typing" not in loaded

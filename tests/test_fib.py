@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from fibdirichlet import fib as fib_module
 from fibdirichlet.contraction import alpha_contract, contributors
 from fibdirichlet.fib import (
-    CONSTANTS,
+    GOLDEN_RATIO,
+    LCM_GROWTH_CONSTANT,
     divisor_has_rank,
     entry_exponent,
     fib,
@@ -17,7 +18,6 @@ from fibdirichlet.fib import (
     max_factorable_index,
     primitive_primes,
     rank,
-    rank_prime_power,
 )
 from fibdirichlet.numtheory import (
     MU,
@@ -99,15 +99,12 @@ def test_rank_duality_small():
 
 
 def test_rank_prime_power_examples():
-    assert rank_prime_power(2, 3) == 6  # F(6) = 8
-    assert rank_prime_power(2, 1) == 3
-    assert rank_prime_power(3, 2) == 12  # 9 | F(12) = 144
-    assert rank_prime_power(5, 3) == 125
-    # p^3 is past the default budget of factorize; its factors are given
-    p = 10**9 + 7
-    assert rank_prime_power(p, 3) == (p + 1) * p**2
-    with pytest.raises(ValueError):
-        rank_prime_power(6, 1)
+    assert rank(2**3) == 6  # F(6) = 8
+    assert rank(2) == 3
+    assert rank(3**2) == 12  # 9 | F(12) = 144
+    assert rank(5**3) == 125
+    # factorize finds (10^9 + 7)^3 as a cube; rho would refuse it
+    assert rank((10**9 + 7)**3) == (10**9 + 8) * (10**9 + 7)**2
 
 
 def test_rank_checks_its_answer(monkeypatch):
@@ -240,17 +237,17 @@ def test_log_of_big():
         assert abs(log.log_value - expected) <= 1e-12 * expected
         assert log.integer_value == v
     huge = ExactLog(fib(5000))
-    assert abs(huge.log_value - 5000 * math.log(CONSTANTS.golden_ratio)
+    assert abs(huge.log_value - 5000 * math.log(GOLDEN_RATIO)
                + math.log(math.sqrt(5.0))) < 1e-6
     with pytest.raises(ValueError):
         ExactLog(0)
 
 
 def test_constants():
-    r, s = CONSTANTS.golden_ratio, CONSTANTS.golden_conjugate
+    r = GOLDEN_RATIO
+    s = 1 - r   # the conjugate (1 − √5)/2
     assert abs(r * s + 1) < 1e-12
-    assert abs(r + s - 1) < 1e-12
-    assert abs(CONSTANTS.lcm_growth_constant - 3 * math.log(r) / math.pi**2) < 1e-15
+    assert abs(LCM_GROWTH_CONSTANT - 3 * math.log(r) / math.pi**2) < 1e-15
     sqrt5 = math.sqrt(5.0)
     for n in range(31):
         assert abs((r**n - s**n) / sqrt5 - fib(n)) < 1e-6

@@ -10,7 +10,7 @@ from fibdirichlet import fib as fib_module
 from fibdirichlet import numtheory
 from fibdirichlet import verify
 from fibdirichlet.contraction import divisor_union_ranks
-from fibdirichlet.fib import CONSTANTS, fib, lcm_fib
+from fibdirichlet.fib import GOLDEN_RATIO, LCM_GROWTH_CONSTANT, fib, lcm_fib
 from fibdirichlet.numtheory import (
     BudgetExceededError,
     ExactLog,
@@ -244,7 +244,7 @@ def test_logprod_closed_form():
 
 def test_logprod_suite_reads_one_walk():
     # each residual against F(1)·…·F(x) multiplied out afresh for that x
-    r = CONSTANTS.golden_ratio
+    r = GOLDEN_RATIO
     (report,) = run_suite("logprod", x=60)
     assert [row["x"] for row in report.details] == list(range(1, 61))
     for row in report.details:
@@ -257,7 +257,7 @@ def test_logprod_suite_reads_one_walk():
 
 def test_constant_c():
     assert abs(constant_c(50) - 0.2043618834) <= 1e-9
-    r = CONSTANTS.golden_ratio
+    r = GOLDEN_RATIO
     assert abs(constant_c(1) - math.log1p(r**-2)) < 1e-15
     assert abs(constant_c(1) - 0.3235071311574467) < 1e-12
     assert abs(constant_c(2) - constant_c(50)) < r**-4 / (1 - r**-2)
@@ -272,7 +272,7 @@ def test_asymptotic_mangoldt_report():
     assert samples[0]["exact"] == 0.0
     assert abs(samples[1]["exact"] - math.log(30)) < 1e-12
     assert abs(samples[1]["predicted"]
-               - CONSTANTS.lcm_growth_constant * 25) < 1e-12
+               - LCM_GROWTH_CONSTANT * 25) < 1e-12
 
 
 def test_ep_weighted_sum():
@@ -316,7 +316,7 @@ def test_pi_alpha_bound_report():
     expected_scaled = 8 * math.log(12) / 144
     assert abs(rows[1]["scaled"] - expected_scaled) < 1e-12
     assert all(abs(r["bound"] - PRIMITIVE_COUNT_BOUND) < 1e-15 for r in rows)
-    assert abs(PRIMITIVE_COUNT_BOUND - CONSTANTS.lcm_growth_constant / 2) < 1e-15
+    assert abs(PRIMITIVE_COUNT_BOUND - LCM_GROWTH_CONSTANT / 2) < 1e-15
 
 
 def test_phi_identity(monkeypatch):
@@ -381,7 +381,7 @@ def test_euler_series_equals_the_term_by_term_sum(s, n_terms):
 
 def test_logprod_bound_is_where_the_ulp_passes_a_tenth_of_the_tolerance():
     # the float log of the product is about (log r / 2)·x²
-    half_log_r = math.log(CONSTANTS.golden_ratio) / 2
+    half_log_r = math.log(GOLDEN_RATIO) / 2
     assert verify.LOGPROD_X_MAX == 5904
     assert math.ulp(half_log_r * 5904**2) <= 1e-9 < math.ulp(half_log_r
                                                             * 5905**2)
