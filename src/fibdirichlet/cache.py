@@ -17,17 +17,16 @@ import os
 from collections import namedtuple
 from collections.abc import Iterable
 
+from . import fib as fib_module
 from .fib import (
     GOLDEN_RATIO,
     _exponent_at_rank,
     divisor_has_rank,
     fib,
     fib_mod,
-    known_fib_factorizations,
-    preload_fib_factorization,
     rank,
 )
-from .numtheory import is_prime
+from .numtheory import Factorization, is_prime
 
 
 CacheRecord = namedtuple("CacheRecord",
@@ -54,18 +53,15 @@ def _parse_factors(text: str) -> tuple[tuple[int, int], ...]:
 
 
 def format_record(record: CacheRecord) -> str:
-    return (f"n={record.n} fib={_format_factors(record.fib_factorization)} "
-            f"alpha={record.rank} e={record.entry_exponent}")
+    fib_text = _format_factors(record.fib_factorization.factors)
+    return (f"n={record.n} fib={fib_text} alpha={record.rank} "
+            f"e={record.entry_exponent}")
 
 
-def parse_record(line: str) -> CacheRecord:
-    """One validated record; raises ValueError on a record to distrust."""
-    return _parse_record(line, set())
-
-
-def _parse_record(line: str, proven: set[int]) -> CacheRecord:
-    """parse_record, skipping the primality test of primes in proven and
-    adding those it tests."""
+def parse_record(line: str, proven: set[int]) -> CacheRecord:
+    """One validated record, its F(n) a Factorization, spelled as
+    format_record writes it; raises ValueError on a record to distrust.
+    Primes in proven are not tested again, and those tested are added."""
     fields = {}
     for token in line.split():
         if "=" not in token:
@@ -76,16 +72,10 @@ def _parse_record(line: str, proven: set[int]) -> CacheRecord:
         fields[key] = value
     if sorted(fields) != ["alpha", "e", "fib", "n"]:
         raise ValueError(f"expected fields n, fib, alpha, e; got {sorted(fields)}")
-    record = CacheRecord(
-        n=int(fields["n"]),
-        fib_factorization=_parse_factors(fields["fib"]),
-        rank=int(fields["alpha"]),
-        entry_exponent=int(fields["e"]),
-    )
-    n, alpha = record.n, record.rank
+    n, factors = int(fields["n"]), _parse_factors(fields["fib"])
+    alpha, entry = int(fields["alpha"]), int(fields["e"])
     if n < 2:
         raise ValueError(f"records start at n=2, got n={n}")
-    factors = record.fib_factorization
     primes = [p for p, _ in factors]
     if (primes != sorted(set(primes))
             or any(p < 2 or e < 1 for p, e in factors)):
@@ -108,7 +98,8 @@ def _parse_record(line: str, proven: set[int]) -> CacheRecord:
             if not is_prime(p):
                 raise ValueError(f"factor {p} of F({n}) is not prime")
             proven.add(p)
-    if math.prod(p**e for p, e in factors) != fib(n):
+    value = fib(n)
+    if math.prod(p**e for p, e in factors) != value:
         raise ValueError(f"factorization does not reconstruct F({n})")
     # every rank is at most 6n (the Pisano-period bound); checking that first
     # keeps factoring alpha at the scale of n
@@ -116,9 +107,11 @@ def _parse_record(line: str, proven: set[int]) -> CacheRecord:
             and divisor_has_rank(n, alpha)):
         raise ValueError(f"alpha={alpha} is not the rank of apparition of {n}")
     # counted from the residues, so a forged e is never used as an exponent
-    if record.entry_exponent != _exponent_at_rank(n, alpha):
-        raise ValueError(f"e={record.entry_exponent} is not the exponent of "
-                         f"{n} in F({alpha})")
+    if entry != _exponent_at_rank(n, alpha):
+        raise ValueError(f"e={entry} is not the exponent of {n} in F({alpha})")
+    record = CacheRecord(n, Factorization(value, factors), alpha, entry)
+    if (written := format_record(record)) != line:
+        raise ValueError(f"the record is not written as {written!r}")
     return record
 
 
@@ -135,7 +128,7 @@ def load_cache_file(path: str | os.PathLike) -> list[CacheRecord]:
         if not line.strip():
             continue
         try:   # a line that is not UTF-8 is corrupt like any other
-            records.append(_parse_record(line.decode(), proven))
+            records.append(parse_record(line.decode(), proven))
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from exc
     return records
@@ -151,13 +144,13 @@ def save_cache_file(path: str | os.PathLike,
 
 
 def apply_records(records: Iterable[CacheRecord]) -> None:
-    """Preload the memo of F(n) factorizations from records.
+    """Store the records' checked factorizations of F(n) in the memo.
 
     Only the factorizations are kept: rank and entry exponent are computed
     wherever they are needed, and parse_record has already checked them.
     """
     for r in records:
-        preload_fib_factorization(r.n, r.fib_factorization)
+        fib_module.FIB_FACTORS[r.n] = r.fib_factorization
 
 
 def collect_records() -> list[CacheRecord]:
@@ -166,8 +159,8 @@ def collect_records() -> list[CacheRecord]:
     alpha and e are computed here from the factors of n, by `rank`.
     """
     records = []
-    for n, fac in sorted(known_fib_factorizations().items()):
+    for n, fac in sorted(fib_module.FIB_FACTORS.items()):
         if n >= 2:
             r = rank(n)
-            records.append(CacheRecord(n, fac.factors, r, _exponent_at_rank(n, r)))
+            records.append(CacheRecord(n, fac, r, _exponent_at_rank(n, r)))
     return records

@@ -22,14 +22,14 @@ from collections.abc import Callable
 from contextlib import suppress
 
 from . import cache as cache_io
+from . import fib as fib_module
 from . import verify as verify_mod
 from .contraction import CLOSED_FORMS, alpha_contract_iter
-from .fib import clear_fib_factorizations, entry_exponent, fib, rank
+from .fib import entry_exponent, fib, rank
 from .numtheory import (
     BudgetExceededError,
     DEFAULT_FACTOR_BUDGET,
     NAMED_FUNCTIONS,
-    ExactLog,
     factor_budget,
 )
 from .verify import (
@@ -295,7 +295,7 @@ def cmd_report_asymptotics(args: argparse.Namespace) -> int:
     for x in xs:
         count, product = totals.get(x, (0, 1))
         pi = pi_alpha_row(x, count)
-        rows += [{"kind": "ep_log_sum", **growth_sample(x, ExactLog(product))},
+        rows += [{"kind": "ep_log_sum", **growth_sample(x, product)},
                  {"kind": "pi_alpha_scaled", "x": x, "exact": pi["scaled"],
                   "predicted": pi["bound"], "ratio": pi["scaled"] / pi["bound"]}]
         if x not in totals:
@@ -333,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
     cache_path = args.cache or os.environ.get(ENV_CACHE)
     # each call starts from an empty memo, so the cache file it writes holds
     # what this call loaded or factored, as a fresh process would write it
-    clear_fib_factorizations()
+    fib_module.FIB_FACTORS.clear()
 
     try:
         if cache_path and os.path.exists(cache_path):

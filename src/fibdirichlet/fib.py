@@ -126,7 +126,9 @@ def _exponent_at_rank(n: int, r: int) -> int:
 
 # --- Fibonacci factorization with a fail-fast scale guard ---
 
-_FIB_FACTORS: dict[int, Factorization] = {}
+# the memo of factored F(n); other modules read it as fib.FIB_FACTORS at call
+# time, never by a name bound at import, so that it may be swapped whole
+FIB_FACTORS: dict[int, Factorization] = {}
 
 
 def max_factorable_index(units: int) -> int:
@@ -163,7 +165,7 @@ def fib_factorization(n: int) -> Factorization:
     BudgetExceededError naming F(n).
     """
     require_factorable(n)
-    cached = _FIB_FACTORS.get(n)
+    cached = FIB_FACTORS.get(n)
     if cached is not None:
         return cached
     value = fib(n)
@@ -178,21 +180,8 @@ def fib_factorization(n: int) -> Factorization:
     except BudgetExceededError as exc:
         raise BudgetExceededError(f"F({n}): {exc}") from exc
     f = Factorization(value, tuple(sorted(exponents.items())))
-    _FIB_FACTORS[n] = f
+    FIB_FACTORS[n] = f
     return f
-
-
-def preload_fib_factorization(n: int, factors: tuple[tuple[int, int], ...]) -> None:
-    _FIB_FACTORS[n] = Factorization(fib(n), factors)
-
-
-def known_fib_factorizations() -> dict[int, Factorization]:
-    return dict(_FIB_FACTORS)
-
-
-def clear_fib_factorizations() -> None:
-    """Empty the memo of F(n) factorizations, as in a fresh process."""
-    _FIB_FACTORS.clear()
 
 
 def divisor_has_rank(d: int, n: int) -> bool:

@@ -219,8 +219,8 @@ def check_corollary_completely_mult(f: ArithFn, g: ArithFn, n_max: int
 # --- the exact log-product closed form and its tail constant ---
 
 
-def logprod_walk(x: float) -> Iterator[tuple[ExactLog, float, float]]:
-    """(exact log of ∏_{n≤k} F(n), its closed form, |difference|) for
+def logprod_walk(x: float) -> Iterator[tuple[int, float, float]]:
+    """(∏_{n≤k} F(n), the closed form of its log, |difference of logs|) for
     k = 1..⌊x⌋, from one running product; the closed form is (log r / 2)·k²
     + (log(r/5) / 2)·k + Σ_{n≤k} log(1 − (−1)ⁿ/r²ⁿ), r the golden ratio."""
     if x < 1:
@@ -235,10 +235,9 @@ def logprod_walk(x: float) -> Iterator[tuple[ExactLog, float, float]]:
         prod *= a
         a, b = b, a + b
         terms.append(_tail_term(n))
-        lhs = ExactLog(prod)
         rhs = (math.log(r) / 2 * n * n + math.log(r / 5) / 2 * n
                + math.fsum(terms))
-        yield lhs, rhs, abs(lhs.log_value - rhs)
+        yield prod, rhs, abs(math.log(prod) - rhs)
 
 
 def constant_c(n_terms: int) -> float:
@@ -255,19 +254,18 @@ def _tail_term(n: int) -> float:
 # --- asymptotics: reported with ratios, not asserted as limits ---
 
 
-def growth_sample(x: int, exact: ExactLog) -> dict:
-    """The row (x, exact, predicted, ratio) of exact's log against the
-    quadratic growth LCM_GROWTH_CONSTANT·x²."""
+def growth_sample(x: int, exact: int) -> dict:
+    """The row (x, exact, predicted, ratio) of the log of the integer exact
+    against the quadratic growth LCM_GROWTH_CONSTANT·x²."""
     predicted = LCM_GROWTH_CONSTANT * x * x
-    log = exact.log_value
+    log = math.log(exact)
     return {"x": x, "exact": log, "predicted": predicted,
             "ratio": log / predicted if predicted > 0 else 0.0}
 
 
 def asymptotic_mangoldt_report(x_values: Sequence[int]) -> list[dict]:
     """log lcm(F(1)..F(x)) against its predicted quadratic growth."""
-    return [growth_sample(x, ExactLog(lcm_fib(x)) if x >= 1 else ExactLog(1))
-            for x in x_values]
+    return [growth_sample(x, lcm_fib(x) if x >= 1 else 1) for x in x_values]
 
 
 def primitive_prime_totals(x: int) -> Iterator[tuple[int, int]]:
@@ -426,12 +424,14 @@ def euler_product_check(which: str, s: float, n_terms: int,
 def euler_product_checks(names: Sequence[str], s_values: Sequence[float],
                          n_terms: int) -> list[VerificationReport]:
     """euler_product_check of each name at each s, name by name, on one μ
-    sieve to N, built once N < 12 and each s not > 1 are refused; each s's
-    series_table is built after it and freed before the next s's."""
+    sieve to N, built once N < 12, each s not > 1 and s = inf are refused;
+    each s's series_table is built after it and freed before the next s's."""
     if n_terms < 12:
         raise ValueError("need N >= 12 to see all polynomial terms")
     if not all(s > 1 for s in s_values):   # NaN fails this too
         raise ValueError("zeta_partial requires s > 1")
+    if math.inf in s_values:   # every n**s would be inf, each series f(1)
+        raise ValueError("n**s overflows a float at s=inf")
     mu = mu_sieve(n_terms)
 
     def checks_at(s: float) -> list[VerificationReport]:
@@ -528,7 +528,7 @@ def _suite_asymptotic_mangoldt() -> list[VerificationReport]:
 def _suite_ep_sum(*, x: int = 60) -> list[VerificationReport]:
     # Σ entry_exponent(p)·log p over rank(p) ≤ x, held as ∏ p^(e_p)
     [(_, _, product)] = primitive_totals_at([x])
-    sample = growth_sample(x, ExactLog(product))
+    sample = growth_sample(x, product)
     lo, hi = RATIO_WINDOW_EP
     return [VerificationReport("ep-sum", f"x={x}, window {lo}..{hi}",
                                lo <= sample["ratio"] <= hi,

@@ -18,7 +18,6 @@ from fibdirichlet.contraction import (
 from fibdirichlet.fib import GOLDEN_RATIO, fib, rank
 from fibdirichlet.numtheory import (
     ArithFn,
-    ExactLog,
     LIOUVILLE,
     MANGOLDT,
     MU,
@@ -121,7 +120,7 @@ def test_criterion_7_asymptotic_windows():
     assert 0.9 <= at200 <= 1.1
     assert abs(at200 - 1) < abs(at50 - 1)
     [(_, _, product)] = primitive_totals_at([60])
-    ep_ratio = growth_sample(60, ExactLog(product))["ratio"]
+    ep_ratio = growth_sample(60, product)["ratio"]
     assert 0.8 <= ep_ratio <= 1.2
     elapsed = time.monotonic() - started
     assert elapsed < 120.0

@@ -22,7 +22,12 @@ from fibdirichlet.cache import (
     parse_record,
     save_cache_file,
 )
-from fibdirichlet.numtheory import ArithFn, BudgetExceededError, ExactLog
+from fibdirichlet.numtheory import (
+    ArithFn,
+    BudgetExceededError,
+    ExactLog,
+    Factorization,
+)
 from fibdirichlet.verify import VerificationReport, primitive_prime_totals
 
 
@@ -363,10 +368,10 @@ def test_verify_takes_an_integral_x_in_any_spelling(argv, line, capsys):
 @pytest.mark.parametrize("n", ["121", "1000"])
 def test_verify_corollary_mult_past_the_cap_exits_3_at_once(n, monkeypatch,
                                                              capsys):
-    monkeypatch.setattr(fib_module, "_FIB_FACTORS", {})
+    monkeypatch.setattr(fib_module, "FIB_FACTORS", {})
     assert run_cli(["verify", "corollary-mult", "--n", n]) == 3
     assert f"F({n})" in capsys.readouterr().err
-    assert fib_module._FIB_FACTORS == {}
+    assert fib_module.FIB_FACTORS == {}
 
 
 @pytest.mark.parametrize("check", ["theorem1", "pi-alpha", "phi-identity"])
@@ -573,6 +578,19 @@ def test_series_refuses_s_not_above_1_before_sieving(argv, monkeypatch,
 
 
 @pytest.mark.parametrize("argv", [["series"], ["verify", "euler-product"]])
+def test_series_refuses_infinite_s_before_sieving(argv, monkeypatch, capsys):
+    # every n**s is inf at s = inf, so each series would be f(1) = 1 and
+    # its check would compare 1 with 1
+    sieved = []
+    monkeypatch.setattr(verify, "mu_sieve", sieved.append)
+    assert run_cli(argv + ["--s", "inf", "--n", "100"]) == 2
+    assert sieved == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n**s overflows a float at s=inf\n"
+
+
+@pytest.mark.parametrize("argv", [["series"], ["verify", "euler-product"]])
 def test_series_overflowing_n_to_the_s_exits_2(argv, capsys):
     # 12**400 is past the largest float; s = 400 itself is a valid exponent
     assert run_cli(argv + ["--s", "400", "--n", "12"]) == 2
@@ -659,13 +677,13 @@ def test_series_emission(tmp_path):
 
 def test_cache_record_round_trip(tmp_path):
     records = [
-        CacheRecord(2, (), 3, 1),
-        CacheRecord(12, ((2, 4), (3, 2)), 12, 2),
+        CacheRecord(2, Factorization(1, ()), 3, 1),
+        CacheRecord(12, Factorization(144, ((2, 4), (3, 2))), 12, 2),
     ]
     path = tmp_path / "cache.txt"
     save_cache_file(path, records)
     assert load_cache_file(path) == records
-    assert parse_record(format_record(records[1])) == records[1]
+    assert parse_record(format_record(records[1]), set()) == records[1]
 
 
 def test_cache_rejects_corruption(tmp_path):
@@ -682,6 +700,12 @@ def test_cache_rejects_corruption(tmp_path):
     ("n=12 fib=2^4*3^2 alpha=12 e=3", "e=3 is not the exponent"),
     ("n=12 fib=3^2*2^4 alpha=12 e=2", "distinct ascending primes"),
     ("n=12 fib=2^4*3^2 alpha=12 e=" + "9" * 4000, "is not the exponent"),
+    # valid records in other spellings, which a lax parser would load and
+    # save back as format_record writes them
+    ("n=+05 fib=5^1 alpha=0005 e=1",
+     "line 1: the record is not written as 'n=5 fib=5 alpha=5 e=1'"),
+    ("n=3  fib=2 alpha=4 e=1",
+     "line 1: the record is not written as 'n=3 fib=2 alpha=4 e=1'"),
 ])
 def test_cache_rejects_untrusted_records(tmp_path, capsys, record, complaint):
     path = tmp_path / "cache.txt"
@@ -763,11 +787,11 @@ def test_cache_rejects_a_record_of_the_wrong_size_at_once(
 
 def test_standalone_record_is_tested_for_primality():
     with pytest.raises(ValueError, match="factor 4 of F\\(12\\) is not prime"):
-        parse_record("n=12 fib=4^2*9 alpha=12 e=2")
+        parse_record("n=12 fib=4^2*9 alpha=12 e=2", set())
 
 
 def _fill_memo(monkeypatch, n_max):
-    monkeypatch.setattr(fib_module, "_FIB_FACTORS", {})
+    monkeypatch.setattr(fib_module, "FIB_FACTORS", {})
     for n in range(2, n_max + 1):
         fib_module.fib_factorization(n)
 
@@ -797,8 +821,28 @@ def test_loading_tests_each_distinct_prime_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cache_module, "is_prime",
                         lambda p: calls.append(p) or original(p))
     assert load_cache_file(path) == records
-    primes = {p for r in records for p, _ in r.fib_factorization}
+    primes = {p for r in records for p, _ in r.fib_factorization.factors}
     assert sorted(calls) == sorted(primes)
+
+
+def test_loading_computes_each_fib_once_and_memoizes_the_checked_object(
+        tmp_path, monkeypatch):
+    _fill_memo(monkeypatch, 120)
+    path = tmp_path / "cache.txt"
+    save_cache_file(path, collect_records())
+    monkeypatch.setattr(fib_module, "FIB_FACTORS", {})
+    calls = []
+    original = fib_module.fib
+    for module in (fib_module, cache_module):
+        monkeypatch.setattr(module, "fib",
+                            lambda n: calls.append(n) or original(n))
+    records = load_cache_file(path)
+    cache_module.apply_records(records)
+    assert sorted(calls) == list(range(2, 121))
+    assert sorted(fib_module.FIB_FACTORS) == [r.n for r in records]
+    for r in records:
+        assert fib_module.FIB_FACTORS[r.n] is r.fib_factorization
+        assert int(r.fib_factorization) == original(r.n)
 
 
 def _run_script(args, env_extra=None):

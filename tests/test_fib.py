@@ -198,12 +198,12 @@ def test_contributors_match_the_divisor_filter():
 def test_contributors_past_the_cap_raise_before_memoizing(monkeypatch):
     # F(130) is past the default index cap; F(65), F(26) and F(10), which
     # duality would list, must not be factored first
-    monkeypatch.setattr(fib_module, "_FIB_FACTORS", {})
+    monkeypatch.setattr(fib_module, "FIB_FACTORS", {})
     with pytest.raises(BudgetExceededError):
         contributors(130)
     with pytest.raises(BudgetExceededError):
         alpha_contract(MU, 130)   # the same stream, summed with no list
-    assert fib_module._FIB_FACTORS == {}
+    assert fib_module.FIB_FACTORS == {}
 
 
 def test_large_prime_ranks_are_certified():
@@ -283,18 +283,18 @@ def test_fib_factorization_budget_ignores_a_warm_memo():
 def test_fib_factorization_matches_direct_factoring(monkeypatch):
     # the literal path, factorize(fib(n)), is the oracle; 94, 96 and 120
     # are also factored alone, each from an empty memo
-    monkeypatch.setattr(fib_module, "_FIB_FACTORS", {})
+    monkeypatch.setattr(fib_module, "FIB_FACTORS", {})
     for n in range(1, 101):
         f = fib_factorization(n)
         assert f == fib(n) and f.factors == factorize(fib(n)).factors, n
     for n in (94, 96, 120):
-        monkeypatch.setattr(fib_module, "_FIB_FACTORS", {})
+        monkeypatch.setattr(fib_module, "FIB_FACTORS", {})
         assert fib_factorization(n).factors == factorize(fib(n)).factors, n
 
 
 def test_fib_factorization_matches_sympy(monkeypatch):
     sympy = pytest.importorskip("sympy")
-    monkeypatch.setattr(fib_module, "_FIB_FACTORS", {})
+    monkeypatch.setattr(fib_module, "FIB_FACTORS", {})
     for n in range(1, 121):
         expected = tuple(sorted(sympy.factorint(fib(n)).items()))
         assert fib_factorization(n).factors == expected, n
@@ -309,10 +309,10 @@ def test_primitive_prime_exists_except_at_1_2_6_12():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 12, 60, 94, 120])
 def test_fib_factorization_memoizes_only_its_divisor_indices(n, monkeypatch):
     # F(1) = F(2) = 1 enter the memo only when asked for directly
-    monkeypatch.setattr(fib_module, "_FIB_FACTORS", {})
+    monkeypatch.setattr(fib_module, "FIB_FACTORS", {})
     fib_factorization(n)
     expected = {d for d in range(1, n + 1) if n % d == 0 and (d >= 3 or d == n)}
-    assert set(fib_module._FIB_FACTORS) == expected
+    assert set(fib_module.FIB_FACTORS) == expected
 
 
 def _within_budget(fn, arg):
@@ -334,7 +334,7 @@ def test_fib_factorization_reaches_what_direct_factoring_reaches(
     with factor_budget(units):
         direct = {n for n in indices if _within_budget(factorize, fib(n))}
         for n in indices:
-            monkeypatch.setattr(fib_module, "_FIB_FACTORS", {})
+            monkeypatch.setattr(fib_module, "FIB_FACTORS", {})
             if _within_budget(fib_factorization, n):
                 reached.add(n)
     assert direct <= reached and reached - direct == gained

@@ -109,7 +109,7 @@ def test_euler_product_report_file_is_golden(tmp_path, capsys):
 
 def test_cache_file_is_golden(tmp_path, capsys, monkeypatch):
     # the file holds every F(n) factored so far, so start from an empty memo
-    monkeypatch.setattr(fib_module, "_FIB_FACTORS", {})
+    monkeypatch.setattr(fib_module, "FIB_FACTORS", {})
     cache = tmp_path / "cache.txt"
     assert cli.main(["contract", "mu", "3", "40", "--cache", str(cache)]) == 0
     assert _sha256(cache.read_bytes()) == CACHE_FILE_DIGEST
@@ -121,7 +121,7 @@ def test_cache_file_is_golden(tmp_path, capsys, monkeypatch):
 def test_benchmark_cache_files_are_golden_and_load(command, first, tmp_path,
                                                    capsys, monkeypatch):
     golden = json.loads(BENCH_GOLDEN.read_text())["cache_file"]
-    monkeypatch.setattr(fib_module, "_FIB_FACTORS", {})
+    monkeypatch.setattr(fib_module, "FIB_FACTORS", {})
     cache = tmp_path / "cache.txt"
     assert cli.main(command.split() + ["--cache", str(cache)]) == 0
     assert _sha256(cache.read_bytes()) == golden[command + " --cache {cache}"]
