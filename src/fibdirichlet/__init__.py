@@ -9,7 +9,6 @@ from .numtheory import (
     ArithFn,
     BudgetExceededError,
     DIVISOR_COUNT,
-    ExactLog,
     Factorization,
     LIOUVILLE,
     MANGOLDT,

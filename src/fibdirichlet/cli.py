@@ -3,8 +3,9 @@
 Commands: fib, alpha, entry-exponent, contract, verify, report-asymptotics,
 series.  Exit codes: 0 success, 1 check failure, 2 usage error, corrupt
 cache or a cache or --out file that cannot be opened (one `error:` line
-naming the path), 3 factorization budget exhausted, 141 stdout closed by
-its reader.
+naming the path), 3 factorization budget exhausted or an input past a
+check's scale (logprod's x, the series' N), 141 stdout closed by its
+reader.
 
 Cache path precedence: --cache flag, then the FIBDIRICHLET_CACHE environment
 variable, then no cache.  All emissions are byte-deterministic for a given

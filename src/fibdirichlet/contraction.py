@@ -71,12 +71,12 @@ def contributors(n: int) -> list[int]:
 def alpha_contract(f: ArithFn, n: int) -> object:
     """Contraction of f at n: Σ f(m) over m with rank(m) = n.
 
-    The m are streamed, never held in a list.  Empty sums are f.zero — in
+    The m are streamed, never held in a list.  Empty sums are 0 — in
     particular at n = 2, where F(2) = 1 has no divisor of rank 2.
     """
     if n < 1:
         raise ValueError("alpha_contract expects n >= 1")
-    return sum(map(f.fn, _rank_stream(n)), f.zero)
+    return sum(map(f.fn, _rank_stream(n)))
 
 
 # --- the μ-family as dilation forms ---
@@ -200,7 +200,7 @@ def alpha_contract_iter(f: ArithFn, depth: int, n: int) -> object:
     level = [n]
     for _ in range(depth - 1):
         level = [d for m in level for d in contributors(m)]
-    return sum((alpha_contract(f, m) for m in level), f.zero)
+    return sum(alpha_contract(f, m) for m in level)
 
 
 # --- closed forms ---
@@ -240,17 +240,15 @@ def summatory_T(f: ArithFn, x: float) -> object:
 
     Evaluated through the double-counting identity as Σ_{n≤x} (1*f)(F(n)),
     i.e. divisor sums over Fibonacci numbers, which avoids enumerating the
-    full rank-bounded set.  For Λ it is the log of F(1)·…·F(⌊x⌋).
+    full rank-bounded set.
     """
-    return sum((dirichlet_convolve(ONE, f, fib_factorization(n))
-                for n in range(1, math.floor(x) + 1)), f.zero)
+    return sum(dirichlet_convolve(ONE, f, fib_factorization(n))
+               for n in range(1, math.floor(x) + 1))
 
 
 def summatory_S(f: ArithFn, x: float) -> object:
     """Plain summatory function Σ_{rank(n)≤x} f(n).
 
-    Computed as the sum of contractions up to ⌊x⌋; for Λ it is the log of
-    lcm(F(1)..F(⌊x⌋)).
+    Computed as the sum of contractions up to ⌊x⌋.
     """
-    return sum((alpha_contract(f, n)
-                for n in range(1, math.floor(x) + 1)), f.zero)
+    return sum(alpha_contract(f, n) for n in range(1, math.floor(x) + 1))

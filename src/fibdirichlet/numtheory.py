@@ -306,16 +306,10 @@ def divisor_count(n: int) -> int:
     return out
 
 
-def mangoldt_base(n: int) -> int | None:
-    """The prime p when n = p^k (k ≥ 1), else None.
-
-    Λ(n) is then log p; MANGOLDT holds it as ExactLog(p), and one shared
-    ExactLog(1) where Λ(n) = 0.
-    """
+def mangoldt_base(n: int) -> int:
+    """e^Λ(n): the prime p when n = p^k (k ≥ 1), else 1."""
     fac = _prime_factors(n)
-    if len(fac) == 1:
-        return fac[0][0]
-    return None
+    return fac[0][0] if len(fac) == 1 else 1
 
 
 # --- the μ sieve ---
@@ -351,67 +345,17 @@ def mertens(x: float) -> int:
     return sum(mu_sieve(n))
 
 
-class ExactLog:
-    """log of an explicitly held positive integer, read as a float on demand.
-
-    Sums of logs are carried exactly as products: a + b multiplies the held
-    integers and k·a raises them to the power k ≥ 0.  Never mutated, so
-    1·a may be a itself.
-    """
-
-    __slots__ = ("integer_value",)
-
-    def __init__(self, integer_value: int) -> None:
-        if integer_value < 1:
-            raise ValueError("ExactLog holds logs of positive integers")
-        self.integer_value = integer_value
-
-    @property
-    def log_value(self) -> float:
-        # math.log on an int reads the bit length and the leading bits, so it
-        # is correct to a few ulps at any magnitude.
-        return math.log(self.integer_value)
-
-    def __add__(self, other: "ExactLog") -> "ExactLog":
-        if not isinstance(other, ExactLog):
-            return NotImplemented
-        return ExactLog(self.integer_value * other.integer_value)
-
-    def __mul__(self, k: int) -> "ExactLog":
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            raise ValueError("an ExactLog scales only by integers k >= 0")
-        if k == 1:
-            return self
-        return ExactLog(self.integer_value ** k)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExactLog):
-            return NotImplemented
-        return self.integer_value == other.integer_value
-
-    def __repr__(self) -> str:
-        return f"ExactLog({self.integer_value})"
-
-
 class ArithFn:
     """A named, deterministic, exact arithmetic function.
 
-    ``zero`` is the additive zero of its values, where every sum of them
-    starts: 0 for the integer-valued functions, ExactLog(1) for Λ.  Frozen,
-    and shown by (name, fn, zero).
+    Frozen, and shown by (name, fn).  Every sum of its values starts at 0.
     """
 
-    __slots__ = ("name", "fn", "zero")
+    __slots__ = ("name", "fn")
 
-    def __init__(self, name: str, fn: Callable[[int], object],
-                 zero: int | ExactLog = 0) -> None:
+    def __init__(self, name: str, fn: Callable[[int], object]) -> None:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "fn", fn)
-        object.__setattr__(self, "zero", zero)
 
     def __setattr__(self, attr: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {attr!r}")
@@ -423,7 +367,7 @@ class ArithFn:
         return self.fn(n)
 
     def __repr__(self) -> str:
-        return f"ArithFn(name={self.name!r}, fn={self.fn!r}, zero={self.zero!r})"
+        return f"ArithFn(name={self.name!r}, fn={self.fn!r})"
 
 
 MU = ArithFn("mu", mobius)
@@ -432,12 +376,12 @@ PHI = ArithFn("phi", euler_phi)
 ONE = ArithFn("one", lambda n: 1)
 DIVISOR_COUNT = ArithFn("divisor_count", divisor_count)
 IDENTITY = ArithFn("id", lambda n: n)
-_LOG_ONE = ExactLog(1)   # Λ(n) = 0, one object: an ExactLog is never mutated
-MANGOLDT = ArithFn("mangoldt", lambda n: ExactLog(p) if (p := mangoldt_base(n))
-                   else _LOG_ONE, zero=_LOG_ONE)
+# Λ as its base e^Λ(n): a sum Σ Λ(a)·k is the log of ∏ base(a)^k, so its
+# values are multiplied, never added
+MANGOLDT = ArithFn("mangoldt", mangoldt_base)
 
 NAMED_FUNCTIONS: dict[str, ArithFn] = {
-    f.name: f for f in (MU, LIOUVILLE, PHI, ONE, DIVISOR_COUNT, IDENTITY, MANGOLDT)
+    f.name: f for f in (MU, LIOUVILLE, PHI, ONE, DIVISOR_COUNT, IDENTITY)
 }
 
 
@@ -448,8 +392,7 @@ def dirichlet_convolve(f: ArithFn, g: ArithFn, n: int) -> object:
     from its own, and n/d is read from the other end of their list.
     """
     divs = divisors(n if isinstance(n, Factorization) else factorize(n))
-    return sum((f(d) * g(c) for d, c in zip(divs, reversed(divs))),
-               f.zero * g.zero)
+    return sum(f(d) * g(c) for d, c in zip(divs, reversed(divs)))
 
 
 def zeta_partial(s: float, n_terms: int) -> tuple[float, float]:

@@ -40,7 +40,6 @@ from .fib import (
 from .numtheory import (
     ArithFn,
     BudgetExceededError,
-    ExactLog,
     LIOUVILLE,
     MANGOLDT,
     MU,
@@ -150,11 +149,14 @@ def check_theorem1(f: ArithFn, g: ArithFn, x: float,
     the slots its readers gather from the divisor tables of F(1..⌊x⌋),
     built here unless a suite passes its own, and f and g are evaluated
     once per distinct divisor.  Exact equality is required; residual is an
-    exact integer difference, taken on the held integers when the values
-    are ExactLogs.  Building the tables refuses x < 1 and fails at once
-    when F(⌊x⌋) is beyond the budget's scale.
+    exact integer difference.  For f = Λ, carried as its base e^Λ, each
+    side is held as the integer ∏ base(a)^g(b), whose log is Σ Λ(a)·g(b),
+    and g must then be nonnegative and not Λ.  Building the tables refuses
+    x < 1 and fails at once when F(⌊x⌋) is beyond the budget's scale.
     """
     params = f"f={f.name}, g={g.name}, x={x}"
+    if g is MANGOLDT:
+        raise ValueError("Λ is carried as its base e^Λ; check it as f")
     if tables is None:
         tables = divisor_tables(x)
     elif tables.n_max != math.floor(x):
@@ -162,12 +164,15 @@ def check_theorem1(f: ArithFn, g: ArithFn, x: float,
                          f"not F(1..{math.floor(x)})")
     fv = list(map(f.fn, tables.values))
     gv = list(map(g.fn, tables.values))
-    zero = f.zero * g.zero
-    direct, weighted, swapped = [sum(map(mul, a(fv), b(gv)), zero)
-                                 for a, b in tables.readers]
-    sides = [v.integer_value if isinstance(v, ExactLog) else v
-             for v in (direct, weighted, swapped)]
-    residual = max(abs(sides[0] - sides[1]), abs(sides[0] - sides[2]))
+    if f is MANGOLDT:
+        if min(gv) < 0:
+            raise ValueError(f"Λ's sides are logs of integers; {g.name} "
+                             f"takes a negative value")
+        sides = [math.prod(map(pow, a(fv), b(gv))) for a, b in tables.readers]
+    else:
+        sides = [sum(map(mul, a(fv), b(gv))) for a, b in tables.readers]
+    direct, weighted, swapped = sides
+    residual = max(abs(direct - weighted), abs(direct - swapped))
     details = [{"side": "direct", "value": direct},
                {"side": "rank-weighted", "value": weighted},
                {"side": "swapped", "value": swapped}]
@@ -196,7 +201,7 @@ def check_corollary_completely_mult(f: ArithFn, g: ArithFn, n_max: int
                 f"{g.name}({m}) = 0; the quotient contraction is undefined")
         return Fraction(f(m), gm)
 
-    f_over_g = ArithFn(f"{f.name}/{g.name}", quotient, Fraction(0))
+    f_over_g = ArithFn(f"{f.name}/{g.name}", quotient)
     contracted = [alpha_contract(f_over_g, k) for k in range(1, n_max + 1)]
     params = f"f={f.name}, g={g.name}, N={n_max}"
     details = []
@@ -205,9 +210,7 @@ def check_corollary_completely_mult(f: ArithFn, g: ArithFn, n_max: int
         an = fib_factorization(n)
         lhs = Fraction(dirichlet_convolve(f, g, an))
         rhs = Fraction(g(an)) * sum(
-            (contracted[k - 1] for k in range(1, n + 1) if n % k == 0),
-            Fraction(0),
-        )
+            contracted[k - 1] for k in range(1, n + 1) if n % k == 0)
         diff = abs(lhs - rhs)
         worst = max(worst, diff)
         details.append({"n": n, "lhs": str(lhs), "rhs": str(rhs),
@@ -424,14 +427,17 @@ def euler_product_check(which: str, s: float, n_terms: int,
 def euler_product_checks(names: Sequence[str], s_values: Sequence[float],
                          n_terms: int) -> list[VerificationReport]:
     """euler_product_check of each name at each s, name by name, on one μ
-    sieve to N, built once N < 12, each s not > 1 and s = inf are refused;
-    each s's series_table is built after it and freed before the next s's."""
+    sieve to N, built once N < 12, each s not > 1 and s = inf are refused,
+    and N past SERIES_N_MAX raises the budget error; each s's series_table
+    is built after it and freed before the next s's."""
     if n_terms < 12:
         raise ValueError("need N >= 12 to see all polynomial terms")
     if not all(s > 1 for s in s_values):   # NaN fails this too
         raise ValueError("zeta_partial requires s > 1")
     if math.inf in s_values:   # every n**s would be inf, each series f(1)
         raise ValueError("n**s overflows a float at s=inf")
+    if n_terms > SERIES_N_MAX:   # before a byte of the tables is allocated
+        raise BudgetExceededError(f"the series checks stop at N={SERIES_N_MAX}")
     mu = mu_sieve(n_terms)
 
     def checks_at(s: float) -> list[VerificationReport]:
@@ -463,6 +469,11 @@ LOGPROD_TOLERANCE = 1e-8
 # logprod's float log of ∏_{n≤X} F(n) is about (log r / 2)·X² = 0.2406·X²; its
 # ulp passes 1e-9, a tenth of the tolerance, once it reaches 2²³
 LOGPROD_X_MAX = math.isqrt(int(2**23 / (math.log(GOLDEN_RATIO) / 2)))
+# the series checks hold about 10 bytes per term at their peak: μ(0..N) as
+# signed bytes (N), the n**s table of doubles (8N) and one form's values (N);
+# N = 10⁷, the largest N measured, took 7.6 s and peaked at 113.6 MB on a
+# 2-vCPU VM, so past it a run is refused
+SERIES_N_MAX = 10**7
 THEOREM1_RANDOM_PAIRS = 20
 RATIO_WINDOW_LCM = (0.9, 1.1)
 RATIO_WINDOW_EP = (0.8, 1.2)

@@ -25,7 +25,6 @@ from fibdirichlet.cache import (
 from fibdirichlet.numtheory import (
     ArithFn,
     BudgetExceededError,
-    ExactLog,
     Factorization,
 )
 from fibdirichlet.verify import VerificationReport, primitive_prime_totals
@@ -529,7 +528,7 @@ def test_report_rows_equal_the_standalone_sums(tmp_path):
     rows = {(r["kind"], r["x"]): r["exact"]
             for r in json.loads(out.read_text())["samples"]}
     for x, (count, product) in enumerate(primitive_prime_totals(60), 1):
-        assert rows[("ep_log_sum", x)] == ExactLog(product).log_value, x
+        assert rows[("ep_log_sum", x)] == math.log(product), x
         scaled = count * math.log(x) / (x * x) if x > 1 else 0.0
         assert rows[("pi_alpha_scaled", x)] == scaled, x
 
@@ -588,6 +587,22 @@ def test_series_refuses_infinite_s_before_sieving(argv, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: n**s overflows a float at s=inf\n"
+
+
+@pytest.mark.parametrize("argv", [["series"], ["verify", "euler-product"]])
+def test_series_refuses_n_past_its_scale_before_sieving(argv, monkeypatch,
+                                                        capsys):
+    # about 10 bytes per term: N = 10⁷ + 1 would hold over 100 MB
+    def no_sieve(n):
+        raise AssertionError(f"mu_sieve({n}) was called")
+
+    monkeypatch.setattr(verify, "mu_sieve", no_sieve)
+    n = verify.SERIES_N_MAX + 1
+    assert verify.SERIES_N_MAX == 10**7
+    assert run_cli(argv + ["--s", "3", "--n", str(n)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the series checks stop at N=10000000\n"
 
 
 @pytest.mark.parametrize("argv", [["series"], ["verify", "euler-product"]])

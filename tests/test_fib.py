@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fibdirichlet import fib as fib_module
-from fibdirichlet.contraction import alpha_contract, contributors
+from fibdirichlet.contraction import LAMBDA_ALPHA, alpha_contract, contributors
 from fibdirichlet.fib import (
     GOLDEN_RATIO,
     LCM_GROWTH_CONSTANT,
@@ -22,7 +22,6 @@ from fibdirichlet.fib import (
 from fibdirichlet.numtheory import (
     MU,
     BudgetExceededError,
-    ExactLog,
     Factorization,
     divisors,
     factor_budget,
@@ -186,6 +185,14 @@ def test_rank_of_prime_divides_p_minus_legendre(p):
     assert (p - _legendre5(p)) % rank(p) == 0
 
 
+def test_cohn_squares():
+    # 1 and 144 are the only square Fibonacci numbers, so the λ_α form,
+    # 1*λ = [square] pulled back along F, weighs exactly their indices
+    squares = [n for n in range(1, 1001) if math.isqrt(fib(n)) ** 2 == fib(n)]
+    assert squares == [1, 2, 12]
+    assert LAMBDA_ALPHA.weights == dict.fromkeys(squares, 1)
+
+
 def test_contributors_match_the_divisor_filter():
     for n in range(1, 121):
         literal = [d for d in divisors(fib_factorization(n))
@@ -231,16 +238,15 @@ def test_lcm_fib():
 
 
 def test_log_of_big():
-    assert ExactLog(1).log_value == 0.0
+    # the log of an exact product, as the reports read it: math.log on an
+    # int reads its bit length and leading bits, so it holds at any size
+    assert math.log(1) == 0.0
     for v, expected in ((30, 3.4011973816621555), (240, 5.480638923341991)):
-        log = ExactLog(v)
-        assert abs(log.log_value - expected) <= 1e-12 * expected
-        assert log.integer_value == v
-    huge = ExactLog(fib(5000))
-    assert abs(huge.log_value - 5000 * math.log(GOLDEN_RATIO)
+        assert abs(math.log(v) - expected) <= 1e-12 * expected
+    assert abs(math.log(fib(5000)) - 5000 * math.log(GOLDEN_RATIO)
                + math.log(math.sqrt(5.0))) < 1e-6
     with pytest.raises(ValueError):
-        ExactLog(0)
+        math.log(0)
 
 
 def test_constants():
@@ -254,9 +260,11 @@ def test_constants():
 
 
 def test_strong_divisibility():
-    fibs = [fib(n) for n in range(121)]
-    for m in range(1, 121):
-        for n in range(1, 121):
+    # fib_factorization and the rank stream divide out the F(n/q) on it;
+    # every pair up to 300, past the index cap, as the cap will move
+    fibs = [fib(n) for n in range(301)]
+    for m in range(1, 301):
+        for n in range(1, 301):
             assert math.gcd(fibs[m], fibs[n]) == fibs[math.gcd(m, n)]
 
 

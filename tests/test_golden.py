@@ -61,6 +61,11 @@ STDOUT_DIGESTS = {
 THEOREM1_REPORT_DIGEST = (
     "25b2b609f235472796cce8671237b6164afae354ea1afa5acfff9240e4a01bde")
 
+# The same report at the benchmark's x = 100, taken while Λ's values were
+# still held by a value type of their own.
+THEOREM1_X100_REPORT_DIGEST = (
+    "1718ee1b8195fa298efc706f51241dc29f584796f8dafce0d05e710f693f4f6e")
+
 # The report file of the euler-product suite, taken with the last digests
 # above; it pins the suite's name-major order and its residuals.
 EULER_PRODUCT_REPORT_DIGEST = (
@@ -98,6 +103,12 @@ def test_theorem1_report_file_is_golden(tmp_path, capsys):
     out = tmp_path / "r.csv"
     assert cli.main(["verify", "theorem1", "--x", "40", "--out", str(out)]) == 0
     assert _sha256(out.read_bytes()) == THEOREM1_REPORT_DIGEST
+
+
+def test_theorem1_report_file_at_the_benchmark_x_is_golden(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert cli.main(["verify", "theorem1", "--x", "100", "--out", str(out)]) == 0
+    assert _sha256(out.read_bytes()) == THEOREM1_X100_REPORT_DIGEST
 
 
 def test_euler_product_report_file_is_golden(tmp_path, capsys):

@@ -7,12 +7,12 @@ import random
 import types
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fibdirichlet import numtheory
 from fibdirichlet.numtheory import (
     ArithFn,
     BudgetExceededError,
-    ExactLog,
     MANGOLDT,
     MR_DETERMINISTIC_BOUND,
     dirichlet_convolve,
@@ -144,22 +144,9 @@ def test_classical_values():
 
 def test_mangoldt_base():
     assert mangoldt_base(8) == 2
-    assert mangoldt_base(12) is None
+    assert mangoldt_base(12) == 1   # Λ(12) = 0 = log 1
     assert mangoldt_base(89) == 89
-    assert mangoldt_base(1) is None
-
-
-def test_exact_log_arithmetic():
-    a, b = ExactLog(6), ExactLog(10)
-    assert a + b == ExactLog(60)
-    assert 3 * a == a * 3 == ExactLog(216)
-    assert 0 * a == ExactLog(1)
-    assert 1 * a is a * 1 is a   # never mutated, so no copy is needed
-    assert abs((a + b).log_value - math.log(60)) < 1e-15
-    with pytest.raises(ValueError):
-        a * -1
-    with pytest.raises(ValueError):
-        ExactLog(0)
+    assert mangoldt_base(1) == 1
 
 
 def test_arith_fn_is_frozen_and_shown_by_fields():
@@ -169,21 +156,16 @@ def test_arith_fn_is_frozen_and_shown_by_fields():
         MU.extra = 1
     with pytest.raises(AttributeError):
         del MU.fn
-    assert MU.name == "mu" and MU.fn is mobius and MU.zero == 0
-    assert repr(MANGOLDT).startswith("ArithFn(name='mangoldt', fn=")
-    assert repr(MANGOLDT).endswith(", zero=ExactLog(1))")
+    assert MU.name == "mu" and MU.fn is mobius
+    assert ArithFn.__slots__ == ("name", "fn")
+    assert repr(MANGOLDT) == f"ArithFn(name='mangoldt', fn={mangoldt_base!r})"
 
 
 def test_mangoldt_values():
-    assert MANGOLDT(8) == ExactLog(2)
-    assert MANGOLDT(12) == MANGOLDT(1) == MANGOLDT.zero == ExactLog(1)
-    assert MU.zero == 0
-
-
-def test_mangoldt_shares_its_zero():
-    # Λ(n) = 0 is the zero itself, not a new ExactLog(1) per divisor
-    assert MANGOLDT(6) is MANGOLDT.zero
-    assert MANGOLDT(1) is MANGOLDT.zero
+    # Λ is carried as its base e^Λ: the prime of a prime power, else 1
+    assert MANGOLDT.fn is mangoldt_base
+    assert MANGOLDT(8) == 2
+    assert MANGOLDT(12) == MANGOLDT(1) == 1
 
 
 def test_mertens_examples():
@@ -209,9 +191,15 @@ def test_dirichlet_convolve_examples():
 
 
 def test_mangoldt_convolved_with_one_is_log():
+    # Σ_{d|n} Λ(d) = log n, carried as ∏_{d|n} e^Λ(d) = n
     for n in range(1, 201):
-        assert dirichlet_convolve(MANGOLDT, ONE, n).integer_value == n
-        assert dirichlet_convolve(ONE, MANGOLDT, n).integer_value == n
+        assert math.prod(map(MANGOLDT, divisors(factorize(n)))) == n
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**6))
+def test_mangoldt_convolved_with_one_is_log_property(n):
+    assert math.prod(map(mangoldt_base, divisors(factorize(n)))) == n
 
 
 def test_dirichlet_convolve_reads_carried_factors(monkeypatch):

@@ -67,9 +67,12 @@ def test_theorem1_exact_mangoldt():
     prod = 1
     for n in range(1, 11):
         prod *= fib(n)
-    assert abs(report.details[0]["value"].log_value - math.log(prod)) < 1e-12
+    # each side is carried as the integer whose log it is: ∏ F(n)
+    assert [d["value"] for d in report.details] == [prod] * 3
     with pytest.raises(ValueError):
-        check_theorem1(MANGOLDT, MU, 5)
+        check_theorem1(MANGOLDT, MU, 5)   # μ(2) = −1 is no exponent
+    with pytest.raises(ValueError):
+        check_theorem1(ONE, MANGOLDT, 5)
 
 
 def test_theorem1_fails_fast_beyond_index_cap(monkeypatch):
@@ -94,9 +97,10 @@ def test_theorem1_sides_match_literal_oracle():
     tables = verify.divisor_tables(40)
     for f, g in pairs:
         for x in (1, 1.9, 12.5, 40):   # F(1) = 1 alone is one listing
-            oracle = sum((dirichlet_convolve(f, g, fib(n))
-                          for n in range(1, math.floor(x) + 1)),
-                         f.zero * g.zero)
+            indices = range(1, math.floor(x) + 1)
+            oracle = (math.prod(map(fib, indices)) if f is MANGOLDT
+                      else sum(dirichlet_convolve(f, g, fib(n))
+                               for n in indices))
             report = check_theorem1(f, g, x,
                                     tables=tables if x == 40 else None)
             assert [d["value"] for d in report.details] == [oracle] * 3, \
