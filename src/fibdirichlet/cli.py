@@ -215,13 +215,11 @@ def cmd_contract(args: argparse.Namespace) -> int:
             row["direct"] = alpha_contract_iter(f, depth, n)
         except BudgetExceededError:
             row["direct"] = "budget-exceeded"
+        row["closed_form"] = row["match"] = ""
         if closed is not None:
             row["closed_form"] = closed(n)
             row["match"] = ("yes" if row["direct"] == row["closed_form"]
                             else "no" if isinstance(row["direct"], int) else "")
-        else:
-            row["closed_form"] = ""
-            row["match"] = ""
         rows.append(row)
     emit_rows(rows, f"contract-{args.fn}-depth{depth}", args)
     mismatches = [row["n"] for row in rows if row["match"] == "no"]

@@ -5,10 +5,10 @@ m whose rank of apparition is exactly n.  By duality those m are precisely
 the divisors of F(n) that divide no earlier Fibonacci number, which makes the
 sum finite and exactly computable.
 
-The μ-family is held one way, as a Dilation {j: c_j} with
+A finite form is held one way, as a Dilation {j: c_j} with
 f(n) = Σ_{j|n} c_j·μ(n/j), on which contraction is the pull-back c ↦ c∘F:
-μ_α, μ_α² and μ_α³ are [n = 1] pulled back, λ_α is c = 1_{1,2,12} and the
-kernel element Δ₂₃ is c = −1_{4}.  The module also provides the
+μ's and λ's α-forms are pulled back to the fixed point c = 1_{1,2,3,4}, and
+the kernel element Δ₂₃ is c = −1_{4}.  The module also provides the
 floor-weighted (T) and plain (S) summatory functions.
 """
 
@@ -24,6 +24,8 @@ from .fib import fib_factorization
 from .numtheory import (
     ArithFn,
     Factorization,
+    LIOUVILLE,
+    MANGOLDT,
     MU,
     ONE,
     _prime_factors,
@@ -72,14 +74,17 @@ def alpha_contract(f: ArithFn, n: int) -> object:
     """Contraction of f at n: Σ f(m) over m with rank(m) = n.
 
     The m are streamed, never held in a list.  Empty sums are 0 — in
-    particular at n = 2, where F(2) = 1 has no divisor of rank 2.
+    particular at n = 2, where F(2) = 1 has no divisor of rank 2.  Λ is
+    refused, as a sum of its bases e^Λ is no log.
     """
     if n < 1:
         raise ValueError("alpha_contract expects n >= 1")
+    if f is MANGOLDT:
+        raise ValueError("Λ is carried as its base e^Λ; its sums are no logs")
     return sum(map(f.fn, _rank_stream(n)))
 
 
-# --- the μ-family as dilation forms ---
+# --- finite forms and their towers ---
 
 
 class Dilation:
@@ -166,70 +171,64 @@ class Dilation:
         return math.fsum(c * j ** -s for j, c in self.weights.items())
 
 
-def _mu_forms() -> tuple[Dilation, ...]:
-    """μ contracted once, twice, …: [n = 1] pulled back while that changes
-    the form, up to the fixed point that every deeper contraction equals."""
-    forms = [Dilation({1: 1}).pull_back()]
+def _tower(form: Dilation) -> tuple[Dilation, ...]:
+    """form, its pull-back, …, while that changes the form: the last is the
+    fixed point that every deeper contraction equals."""
+    forms = [form]
     while (pulled := forms[-1].pull_back()).weights != forms[-1].weights:
         forms.append(pulled)
     return tuple(forms)
 
 
-MU_ALPHA, MU_ALPHA2, MU_ALPHA3 = _MU_FORMS = _mu_forms()   # fixed at depth 3
-# one per depth (not per n), over the bound .at: no frame per contributor
-MU_ITERATES = tuple(ArithFn(f"mu_iter{depth}", form.at)
-                    for depth, form in enumerate(_MU_FORMS, 1))
+# f ↦ its forms f_α, f_α², … up to the fixed point, looked up by identity.
+#   μ_α  (c = 1_{1,2}) is [n = 1] pulled back, and multiplicative.
+#   λ_α  (c = 1_{1,2,12}): 1*λ is the indicator of the squares, and the
+#        only square Fibonacci numbers are F(1) = F(2) = 1 and F(12) = 144
+#        (Cohn, 1964).
+# Both reach c = 1_{1,2,3,4}, μ_α³, at depth 3.
+TOWERS = {MU: _tower(Dilation({1: 1}).pull_back()),
+          LIOUVILLE: _tower(Dilation({1: 1, 2: 1, 12: 1}))}
+MU_ALPHA, MU_ALPHA2, MU_ALPHA3 = TOWERS[MU]
+LAMBDA_ALPHA = TOWERS[LIOUVILLE][0]
+# Δ₂₃ = μ_α² − μ_α³ is −μ(n/4) on multiples of 4, else 0, and lies in the
+# kernel of the contraction operator.
+DELTA23 = Dilation({4: -1})
+
+# Each closed form is its Dilation's bound .at, and each iterate a bound
+# method of its own, one per depth (not per n): bench/layertrace.py, which
+# swaps functions by identity, counts only the calls made through closed_*.
+CLOSED_FORMS: dict[tuple[str, int], ArithFn] = {
+    (f.name, depth): ArithFn(f"{f.name}_alpha{depth}", form.at)
+    for f, forms in TOWERS.items() for depth, form in enumerate(forms, 1)}
+ITERATES = {f: tuple(ArithFn(f"{f.name}_iter{depth}", form.at)
+                     for depth, form in enumerate(forms, 1))
+            for f, forms in TOWERS.items()}
+MU_ITERATES = ITERATES[MU]
+closed_mu_alpha, closed_mu_alpha2, closed_mu_alpha3 = (
+    CLOSED_FORMS["mu", depth].fn for depth in (1, 2, 3))
+closed_lambda_alpha = CLOSED_FORMS["lambda", 1].fn
+closed_delta23 = DELTA23.at
 
 
 def alpha_contract_iter(f: ArithFn, depth: int, n: int) -> object:
     """depth-fold contraction of f at n.
 
-    For μ the inner iterate is read from its dilation form, so arbitrarily
-    large contributors stay cheap.  For other f the contributors are expanded
-    level by level, each level one list, and f_α is summed over the last.
-    Each m has one rank, so no m is listed twice in a level, and a loop, not
-    a recursion, walks the 1 → 1 and 5 → 5 chains to any depth.  An
-    unfactorable F(m) raises the budget error.
+    An f with a tower (μ or λ, found by identity) has its (depth − 1)-form,
+    past the fixed point its last, contracted once, so arbitrarily large
+    contributors stay cheap.  For other f the contributors are expanded
+    level by level, each level one list, and f is contracted at each m of
+    the last.  Each m has one rank, so no m is listed twice in a level, and a
+    loop, not a recursion, walks the 1 → 1 and 5 → 5 chains to any depth.
+    An unfactorable F(m) raises the budget error.
     """
     if depth < 1:
         raise ValueError("alpha_contract_iter expects depth >= 1")
-    if depth == 1:
-        return alpha_contract(f, n)
-    if f is MU:   # the (depth − 1)-fold iterate; past the fixed point, the last
-        return alpha_contract(MU_ITERATES[:depth - 1][-1], n)
+    if depth > 1 and f in ITERATES:
+        return alpha_contract(ITERATES[f][:depth - 1][-1], n)
     level = [n]
     for _ in range(depth - 1):
         level = [d for m in level for d in contributors(m)]
     return sum(alpha_contract(f, m) for m in level)
-
-
-# --- closed forms ---
-
-# Each closed form is its Dilation's bound .at; MU_ITERATES holds bound
-# methods of its own, so bench/layertrace.py, which swaps functions by
-# identity, counts only the calls made through these names.
-#   μ_α  (c = 1_{1,2}) is multiplicative.
-#   μ_α² is μ(n) plus μ(n/2) and μ(n/3) where those divide.
-#   μ_α³ (c = 1_{1,2,3,4}) is a fixed point of contraction.
-#   λ_α  (c = 1_{1,2,12}): 1*λ is the indicator of the squares, and the
-#        only square Fibonacci numbers are F(1) = F(2) = 1 and F(12) = 144
-#        (Cohn, 1964).
-#   Δ₂₃ = μ_α² − μ_α³ is −μ(n/4) on multiples of 4, else 0, and lies in the
-#        kernel of the contraction operator.
-LAMBDA_ALPHA = Dilation({1: 1, 2: 1, 12: 1})
-DELTA23 = Dilation({4: -1})
-closed_mu_alpha = MU_ALPHA.at
-closed_mu_alpha2 = MU_ALPHA2.at
-closed_mu_alpha3 = MU_ALPHA3.at
-closed_lambda_alpha = LAMBDA_ALPHA.at
-closed_delta23 = DELTA23.at
-
-CLOSED_FORMS: dict[tuple[str, int], ArithFn] = {
-    ("mu", 1): ArithFn("mu_alpha", closed_mu_alpha),
-    ("mu", 2): ArithFn("mu_alpha2", closed_mu_alpha2),
-    ("mu", 3): ArithFn("mu_alpha3", closed_mu_alpha3),
-    ("lambda", 1): ArithFn("lambda_alpha", closed_lambda_alpha),
-}
 
 
 # --- summatory functions ---

@@ -389,8 +389,11 @@ def dirichlet_convolve(f: ArithFn, g: ArithFn, n: int) -> object:
     """(f*g)(n) = Σ_{d|n} f(d)·g(n/d), exactly.
 
     A Factorization is not factored again: its divisors carry factors taken
-    from its own, and n/d is read from the other end of their list.
+    from its own, and n/d is read from the other end of their list.  Λ is
+    refused, as a sum of its bases e^Λ is no log.
     """
+    if MANGOLDT in (f, g):
+        raise ValueError("Λ is carried as its base e^Λ; its sums are no logs")
     divs = divisors(n if isinstance(n, Factorization) else factorize(n))
     return sum(f(d) * g(c) for d, c in zip(divs, reversed(divs)))
 

@@ -204,6 +204,26 @@ def test_contract_lambda_row(tmp_path):
     assert int(rows[1]["direct"]) == 0  # the empty contraction at n=2
 
 
+@pytest.mark.parametrize("depth", ["2", "3"])
+def test_contract_lambda_reads_its_tower(depth, tmp_path):
+    # λ's (depth − 1)-form is contracted once, so no row reaches past the
+    # index cap, as F(233) does on the literal path at depth 3
+    out = tmp_path / "la.csv"
+    assert run_cli(["contract", "lambda", depth, "120", "--out", str(out)]) == 0
+    rows = read_csv(out)
+    assert len(rows) == 120
+    assert all(r["match"] == "yes" for r in rows)
+
+
+def test_contract_lambda_past_its_fixed_point_is_mu_alpha3(tmp_path):
+    # λ_α³ and μ_α³ share the fixed form 1_{1,2,3,4}
+    la, mu = tmp_path / "la.csv", tmp_path / "mu.csv"
+    assert run_cli(["contract", "lambda", "5", "60", "--out", str(la)]) == 0
+    assert run_cli(["contract", "mu", "3", "60", "--out", str(mu)]) == 0
+    assert ([r["direct"] for r in read_csv(la)]
+            == [r["direct"] for r in read_csv(mu)])
+
+
 def test_contract_empty_sum_row(capsys):
     assert run_cli(["contract", "mu", "1", "2"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -3,16 +3,20 @@ import tracemalloc
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fibdirichlet import contraction
 from fibdirichlet.cli import CONTRACTIBLE
 from fibdirichlet.contraction import (
+    CLOSED_FORMS,
     DELTA23,
+    ITERATES,
     LAMBDA_ALPHA,
     MU_ALPHA,
     MU_ALPHA2,
     MU_ALPHA3,
     MU_ITERATES,
+    TOWERS,
     Dilation,
     alpha_contract,
     alpha_contract_iter,
@@ -126,6 +130,50 @@ def test_mu_fast_path_is_chosen_by_identity():
     impostor = ArithFn("mu", lambda n: 1)
     assert alpha_contract_iter(impostor, 2, 6) == alpha_contract_iter(ONE, 2, 6)
     assert alpha_contract_iter(impostor, 2, 6) != alpha_contract_iter(MU, 2, 6)
+
+
+def test_lambda_fast_path_is_chosen_by_identity():
+    impostor = ArithFn("lambda", lambda n: 1)
+    assert alpha_contract_iter(impostor, 2, 6) == alpha_contract_iter(ONE, 2, 6)
+    assert alpha_contract_iter(impostor, 2, 6) != alpha_contract_iter(
+        LIOUVILLE, 2, 6)
+
+
+def test_lambda_tower_is_its_three_forms():
+    # λ_α = 1_{1,2,12} → 1_{1,2,3} → 1_{1,2,3,4}, μ_α³'s form
+    assert [form.weights for form in TOWERS[LIOUVILLE]] == [
+        {1: 1, 2: 1, 12: 1}, {1: 1, 2: 1, 3: 1}, MU_ALPHA3.weights]
+    assert TOWERS[MU] == (MU_ALPHA, MU_ALPHA2, MU_ALPHA3)
+    assert TOWERS[LIOUVILLE][0] is LAMBDA_ALPHA
+
+
+def test_closed_forms_and_iterates_come_from_the_towers():
+    assert sorted(CLOSED_FORMS) == [("lambda", 1), ("lambda", 2),
+                                    ("lambda", 3), ("mu", 1), ("mu", 2),
+                                    ("mu", 3)]
+    assert ITERATES[MU] is MU_ITERATES
+    # the closed_* names are the very functions that CLOSED_FORMS holds, and
+    # each iterate calls a bound method of its own
+    closed = (closed_mu_alpha, closed_mu_alpha2, closed_mu_alpha3)
+    for depth, fn in enumerate(closed, 1):
+        assert CLOSED_FORMS["mu", depth].fn is fn
+    assert CLOSED_FORMS["lambda", 1].fn is closed_lambda_alpha
+    held = {id(f.fn) for f in CLOSED_FORMS.values()}
+    for f, iterates in ITERATES.items():
+        for depth, iterate in enumerate(iterates, 1):
+            assert id(iterate.fn) not in held
+            assert iterate.fn == CLOSED_FORMS[f.name, depth].fn
+
+
+def test_lambda_tower_matches_the_literal_path():
+    # depth 2 against λ contracted twice over its contributors (F(144) is
+    # past the index cap from n = 12 on), and past the fixed point μ_α³
+    for n in range(1, 12):
+        assert alpha_contract_iter(LIOUVILLE, 2, n) == sum(
+            alpha_contract(LIOUVILLE, m) for m in contributors(n)), n
+    for k in (4, 5, 300):
+        for n in range(1, 61):
+            assert alpha_contract_iter(LIOUVILLE, k, n) == closed_mu_alpha3(n)
 
 
 def test_closed_mu_alpha_agrees_with_divisor_sum():
@@ -279,6 +327,51 @@ def test_fixed_points_and_kernel_of_the_pull_back():
     assert MU_ALPHA3.pull_back().weights == MU_ALPHA3.weights
 
 
+# random finite forms: support in 1..24, coefficients in −3..3
+WEIGHT_MAPS = st.dictionaries(st.integers(1, 24), st.integers(-3, 3),
+                              max_size=8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(WEIGHT_MAPS, st.integers(1, 3000))
+def test_whole_array_reader_matches_at_on_random_forms(weights, n_max):
+    form = Dilation(weights)
+    values = form.values(mu_sieve(n_max))
+    assert list(values) == [form.at(n) for n in range(1, n_max + 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(WEIGHT_MAPS)
+def test_pull_back_is_the_literal_contraction_on_random_forms(weights):
+    form = Dilation(weights)
+    pulled = form.pull_back()
+    f = ArithFn(f"dilation{weights}", form.at)
+    for n in range(1, 61):
+        assert pulled.at(n) == alpha_contract(f, n), n
+
+
+FIBONACCI_VALUES_TO_24 = {1, 2, 3, 5, 8, 13, 21}
+# a fixed form a·1_{1,2,3,4} + b·1_{5}, with at most one entry drawn anew
+NEAR_FIXED_MAPS = st.builds(
+    lambda a, b, change: {1: a, 2: a, 3: a, 4: a, 5: b, **change},
+    st.integers(-3, 3), st.integers(-3, 3),
+    st.dictionaries(st.integers(1, 24), st.integers(-3, 3), max_size=1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(WEIGHT_MAPS, NEAR_FIXED_MAPS))
+def test_fixed_points_and_kernel_on_random_forms(weights):
+    # the component rule of test_fixed_points_and_kernel_of_the_pull_back
+    form = Dilation(weights)
+    c = form.weights   # with the zero coefficients dropped
+    pulled = form.pull_back().weights
+    fixed = (len({c.get(k, 0) for k in (1, 2, 3, 4)}) == 1
+             and all(k < 6 for k in c))
+    killed = not FIBONACCI_VALUES_TO_24 & c.keys()
+    assert (pulled == c) == fixed
+    assert (pulled == {}) == killed
+
+
 def test_fixed_points_and_kernel_on_the_literal_path():
     # μ(n/5)·[5 | n] is the fixed point besides μ_α³; Δ₂₃ = −1_{4} and
     # 1_{6} lie in the kernel
@@ -324,6 +417,18 @@ def test_generic_deep_iteration_exceeds_budget():
     # values whose Fibonacci numbers are far beyond factoring scale
     with pytest.raises(BudgetExceededError):
         alpha_contract_iter(PHI, 2, 40)
+
+
+def test_contraction_refuses_mangoldt():
+    # Λ is carried as its base e^Λ, so a sum of its values is no log: at 6,
+    # T would be 22 = Σ e^Λ, not log 240
+    for call in (lambda: alpha_contract(MANGOLDT, 6),
+                 lambda: alpha_contract_iter(MANGOLDT, 1, 6),
+                 lambda: alpha_contract_iter(MANGOLDT, 2, 6),
+                 lambda: summatory_T(MANGOLDT, 6),
+                 lambda: summatory_S(MANGOLDT, 6)):
+        with pytest.raises(ValueError, match="base e\\^Λ"):
+            call()
 
 
 def test_summatory_T_examples():

@@ -5,6 +5,7 @@ import math
 import pkgutil
 import random
 import types
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from fibdirichlet import numtheory
 from fibdirichlet.numtheory import (
     ArithFn,
     BudgetExceededError,
+    DIVISOR_COUNT,
     MANGOLDT,
     MR_DETERMINISTIC_BOUND,
     dirichlet_convolve,
@@ -177,11 +179,11 @@ def test_mertens_examples():
 def test_mertens_step_function():
     for x in (1.2, 3.9, 10.5, 99.99):
         assert mertens(x) == mertens(math.floor(x))
-    previous = 0
-    for n in range(1, 10_001):
-        value = mertens(n)
-        assert value - previous == mobius(n)
-        previous = value
+    # M(n) − M(n − 1) = μ(n): M against one running sum of μ, at every
+    # n ≤ 2000, past each sieve boundary p² with p ≤ 43, and then at a stride
+    running = list(accumulate(map(mobius, range(1, 10_001)), initial=0))
+    for n in (*range(2001), *range(2001, 10_000, 97), 10_000):
+        assert mertens(n) == running[n], n
 
 
 def test_dirichlet_convolve_examples():
@@ -204,7 +206,7 @@ def test_mangoldt_convolved_with_one_is_log_property(n):
 
 def test_dirichlet_convolve_reads_carried_factors(monkeypatch):
     from fibdirichlet.fib import fib_factorization
-    pairs = [(MU, ONE), (PHI, LIOUVILLE), (MANGOLDT, ONE)]
+    pairs = [(MU, ONE), (PHI, LIOUVILLE), (DIVISOR_COUNT, ONE)]
     plain = {(f.name, n): dirichlet_convolve(f, g, int(fib_factorization(n)))
              for f, g in pairs for n in range(1, 61)}
     calls = []
@@ -216,6 +218,13 @@ def test_dirichlet_convolve_reads_carried_factors(monkeypatch):
             value = dirichlet_convolve(f, g, fib_factorization(n))
             assert value == plain[(f.name, n)], (f.name, n)
     assert calls == []
+
+
+def test_dirichlet_convolve_refuses_mangoldt():
+    # Λ is carried as its base e^Λ: Σ_{d|12} e^Λ(d) is 10, not log 12
+    for f, g in ((MANGOLDT, ONE), (ONE, MANGOLDT), (MANGOLDT, MANGOLDT)):
+        with pytest.raises(ValueError, match="base e\\^Λ"):
+            dirichlet_convolve(f, g, 12)
 
 
 def test_dirichlet_convolve_commutative():

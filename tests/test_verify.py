@@ -234,6 +234,13 @@ def test_corollary_with_nontrivial_completely_multiplicative():
     assert check_corollary_completely_mult(PHI, IDENTITY, 15).passed
 
 
+def test_corollary_refuses_mangoldt():
+    # Λ is carried as its base e^Λ; its Dirichlet products are no logs
+    for f, g in ((MANGOLDT, ONE), (MU, MANGOLDT)):
+        with pytest.raises(ValueError, match="base e\\^Λ"):
+            check_corollary_completely_mult(f, g, 6)
+
+
 def test_logprod_closed_form():
     *_, (lhs, rhs, residual) = logprod_walk(2)
     assert lhs == 1 and abs(rhs) <= 1e-9
