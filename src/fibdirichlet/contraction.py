@@ -15,6 +15,7 @@ floor-weighted (T) and plain (S) summatory functions.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from collections.abc import Iterator, Sequence
 from functools import partial, reduce
 from itertools import repeat
@@ -25,14 +26,14 @@ from .numtheory import (
     ArithFn,
     Factorization,
     LIOUVILLE,
-    MANGOLDT,
     MU,
     ONE,
     _prime_factors,
     dirichlet_convolve,
-    divisor_stream,
+    divisor_halves,
     divisors,
     factorize,
+    refuse_mangoldt,
 )
 
 
@@ -49,19 +50,26 @@ def divisor_union_ranks(x: float) -> dict[int, int]:
     return ranks
 
 
-def _rank_stream(n: int) -> Iterator[Factorization]:
-    """The divisors of F(n) whose rank of apparition is exactly n, streamed.
-
-    By duality d | F(n) has rank n iff d divides no F(n/q) for a prime
-    q | n, that is iff F(n/q) % d is nonzero for each such q: one C-level
-    filter per q, and no divisor of an F(n/q) is listed.  F(n) is factored
-    first, so an n beyond the index cap raises before any F(n/q) enters the
-    memo, and every F(n/q) is factored before the first divisor is made.
+def _rank_halves(n: int) -> list[list[tuple[int, Factorization]]]:
+    """F(n)'s two coprime divisor halves, each divisor tagged with bit i
+    set when it divides F(n/q) for the i-th prime q | n.  By duality a·b
+    has rank n iff it divides no F(n/q), that is iff the tags of a and b
+    share no bit.  F(n) is factored first, so an n past the index cap
+    raises before any F(n/q) enters the memo, and each F(n/q) before any
+    divisor is made.
     """
-    stream = divisor_stream(fib_factorization(n))
-    for q, _ in factorize(n).factors:
-        stream = filter(fib_factorization(n // q).__mod__, stream)
-    return stream
+    whole = fib_factorization(n)
+    below = [fib_factorization(n // q) for q, _ in factorize(n).factors]
+    return [[(sum(1 << i for i, v in enumerate(below) if v % d == 0), d)
+             for d in half] for half in divisor_halves(whole)]
+
+
+def _rank_stream(n: int) -> Iterator[Factorization]:
+    """The divisors of F(n) of rank exactly n, each made from its pair of
+    tagged half-divisors when the stream reaches it, and none held."""
+    low, high = _rank_halves(n)
+    return (Factorization(a * b, a.factors + b.factors)
+            for s, a in low for t, b in high if not s & t)
 
 
 def contributors(n: int) -> list[int]:
@@ -79,19 +87,33 @@ def alpha_contract(f: ArithFn, n: int) -> object:
     """
     if n < 1:
         raise ValueError("alpha_contract expects n >= 1")
-    if f is MANGOLDT:
-        raise ValueError("Λ is carried as its base e^Λ; its sums are no logs")
+    refuse_mangoldt(f)
     return sum(map(f.fn, _rank_stream(n)))
 
 
 # --- finite forms and their towers ---
 
 
+def _mu_over(n: int, factors: tuple, m: int, dilate: dict[int, int]) -> int:
+    """[m | n]·μ(n/m), from n's factors less m's exponents."""
+    if n % m:
+        return 0
+    sign = 1
+    for p, e in factors:
+        e -= dilate.get(p, 0)
+        if e > 1:
+            return 0   # n/m is not squarefree
+        if e:
+            sign = -sign
+    return sign
+
+
 class Dilation:
     """f(n) = Σ_{j|n} c_j·μ(n/j) for a finite map {j: c_j}, so that 1*f = c.
 
     By duality Σ_{k|n} f_α(k) = Σ_{d|F(n)} f(d) = c(F(n)): contraction is the
-    pull-back c ↦ c∘F, and it keeps this shape.
+    pull-back c ↦ c∘F, and it keeps this shape.  `contract` reads f_α(n) off
+    the divisors of rank n instead, with neither that sum nor the pull-back.
     """
 
     __slots__ = ("weights", "_terms")
@@ -114,20 +136,27 @@ class Dilation:
     def at(self, n: int) -> int:
         """f(n); a plain int n is factored once, and no quotient is built."""
         factors = _prime_factors(n)
-        total = 0
+        return sum(c * _mu_over(n, factors, m, dilate)
+                   for m, dilate, c in self._terms)
+
+    def contract(self, n: int) -> int:
+        """f_α(n), summed per tag on F(n)'s two divisor halves, with no
+        rank-n divisor made: for j | F(n) with parts j_A, j_B on the halves,
+        [j | a·b]·μ(a·b/j) = [j_A | a]·μ(a/j_A)·[j_B | b]·μ(b/j_B), so c_j
+        adds c_j·Σ U[s]·V[t] over the tags s, t that share no bit, with U[s]
+        the sum of [j_A | a]·μ(a/j_A) over the a tagged s, V[t] likewise.
+        """
+        total, halves = 0, _rank_halves(n)
         for m, dilate, c in self._terms:
-            if n % m:
-                continue
-            # μ(n/m) from n's exponents less m's: squarefree test and sign
-            sign = c
-            for p, e in factors:
-                e -= dilate.get(p, 0)
-                if e > 1:
-                    break  # n/m is not squarefree: μ(n/m) = 0
-                if e:
-                    sign = -sign
-            else:
-                total += sign
+            parts = [math.gcd(m, half[-1][1]) for half in halves]
+            if parts[0] * parts[1] != m:
+                continue   # m ∤ F(n)
+            low, high = defaultdict(int), defaultdict(int)
+            for part, half, sums in zip(parts, halves, (low, high)):
+                for tag, d in half:
+                    sums[tag] += _mu_over(d, d.factors, part, dilate)
+            total += c * sum(u * v for s, u in low.items()
+                             for t, v in high.items() if not s & t)
         return total
 
     def values(self, mu: Sequence[int]) -> Sequence[int]:
@@ -194,16 +223,14 @@ LAMBDA_ALPHA = TOWERS[LIOUVILLE][0]
 # kernel of the contraction operator.
 DELTA23 = Dilation({4: -1})
 
-# Each closed form is its Dilation's bound .at, and each iterate a bound
+# Each closed form is its Dilation's bound .at, and each μ iterate a bound
 # method of its own, one per depth (not per n): bench/layertrace.py, which
 # swaps functions by identity, counts only the calls made through closed_*.
 CLOSED_FORMS: dict[tuple[str, int], ArithFn] = {
     (f.name, depth): ArithFn(f"{f.name}_alpha{depth}", form.at)
     for f, forms in TOWERS.items() for depth, form in enumerate(forms, 1)}
-ITERATES = {f: tuple(ArithFn(f"{f.name}_iter{depth}", form.at)
-                     for depth, form in enumerate(forms, 1))
-            for f, forms in TOWERS.items()}
-MU_ITERATES = ITERATES[MU]
+MU_ITERATES = tuple(ArithFn(f"mu_iter{depth}", form.at)
+                    for depth, form in enumerate(TOWERS[MU], 1))
 closed_mu_alpha, closed_mu_alpha2, closed_mu_alpha3 = (
     CLOSED_FORMS["mu", depth].fn for depth in (1, 2, 3))
 closed_lambda_alpha = CLOSED_FORMS["lambda", 1].fn
@@ -214,17 +241,19 @@ def alpha_contract_iter(f: ArithFn, depth: int, n: int) -> object:
     """depth-fold contraction of f at n.
 
     An f with a tower (μ or λ, found by identity) has its (depth − 1)-form,
-    past the fixed point its last, contracted once, so arbitrarily large
-    contributors stay cheap.  For other f the contributors are expanded
-    level by level, each level one list, and f is contracted at each m of
-    the last.  Each m has one rank, so no m is listed twice in a level, and a
-    loop, not a recursion, walks the 1 → 1 and 5 → 5 chains to any depth.
-    An unfactorable F(m) raises the budget error.
+    past the fixed point its last, contracted once on the tagged halves of
+    F(n)'s divisors (Dilation.contract), so no contributor is made.  For
+    other f the contributors are expanded level by level, each level one
+    list, and f is contracted at each m of the last.  Each m has one rank,
+    so no m is listed twice in a level, and a loop, not a recursion, walks
+    the 1 → 1 and 5 → 5 chains to any depth.  Λ is refused before any
+    work; an unfactorable F(m) raises the budget error.
     """
     if depth < 1:
         raise ValueError("alpha_contract_iter expects depth >= 1")
-    if depth > 1 and f in ITERATES:
-        return alpha_contract(ITERATES[f][:depth - 1][-1], n)
+    refuse_mangoldt(f)
+    if depth > 1 and f in TOWERS:
+        return TOWERS[f][:depth - 1][-1].contract(n)
     level = [n]
     for _ in range(depth - 1):
         level = [d for m in level for d in contributors(m)]

@@ -247,21 +247,19 @@ def divisors(f: Factorization) -> list[Factorization]:
     return out
 
 
-def divisor_stream(f: Factorization) -> Iterator[Factorization]:
-    """The divisors of f, each carrying its factors, in no fixed order.
+def divisor_halves(f: Factorization) -> tuple[list[Factorization], ...]:
+    """The divisors of f's smaller primes, taken until their count reaches
+    the square root of d(f), and those of the rest, each with its factors.
 
-    Only the divisors of f's smaller primes, taken until their count reaches
-    the square root of d(f), and those of the rest are listed; each divisor
-    is made from one of either when the stream reaches it, and none is held.
+    The two are coprime, and each divisor of f is one product a·b of them;
+    each list starts at 1 and ends at its half's whole part of f.
     """
     factors, total = f.factors, divisor_count(f)
     count, split = 1, 0
     while count * count < total:
         count *= factors[split][1] + 1
         split += 1
-    low, high = _divisor_list(factors[:split]), _divisor_list(factors[split:])
-    return (Factorization(a * b, a.factors + b.factors)
-            for a in low for b in high)
+    return _divisor_list(factors[:split]), _divisor_list(factors[split:])
 
 
 def _prime_factors(n: int) -> tuple[tuple[int, int], ...]:
@@ -385,6 +383,12 @@ NAMED_FUNCTIONS: dict[str, ArithFn] = {
 }
 
 
+def refuse_mangoldt(*fns: ArithFn) -> None:
+    """Raise if Λ is among fns: a sum of its bases e^Λ is no log."""
+    if MANGOLDT in fns:
+        raise ValueError("Λ is carried as its base e^Λ; its sums are no logs")
+
+
 def dirichlet_convolve(f: ArithFn, g: ArithFn, n: int) -> object:
     """(f*g)(n) = Σ_{d|n} f(d)·g(n/d), exactly.
 
@@ -392,8 +396,7 @@ def dirichlet_convolve(f: ArithFn, g: ArithFn, n: int) -> object:
     from its own, and n/d is read from the other end of their list.  Λ is
     refused, as a sum of its bases e^Λ is no log.
     """
-    if MANGOLDT in (f, g):
-        raise ValueError("Λ is carried as its base e^Λ; its sums are no logs")
+    refuse_mangoldt(f, g)
     divs = divisors(n if isinstance(n, Factorization) else factorize(n))
     return sum(f(d) * g(c) for d, c in zip(divs, reversed(divs)))
 

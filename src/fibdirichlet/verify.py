@@ -51,6 +51,7 @@ from .numtheory import (
     euler_phi,
     factorize,
     mu_sieve,
+    refuse_mangoldt,
     zeta_partial,
 )
 
@@ -186,10 +187,11 @@ def check_corollary_completely_mult(f: ArithFn, g: ArithFn, n_max: int
     g must be completely multiplicative and nonzero up to F(N); the quotient
     contraction is alpha_contract of f/g, in exact rationals, once per k ≤ N.
     With g = 1 this is precisely the specialization (1*f)(F(n)) = (1*f_α)(n).
-    N < 1 is refused, and an F(N) beyond the budget's scale fails at once.
+    N < 1 and Λ are refused, and an F(N) past the budget's scale fails at once.
     """
     if n_max < 1:
         raise ValueError(f"corollary-mult expects N >= 1, got {n_max}")
+    refuse_mangoldt(f, g)
     require_factorable(n_max)
     # imported here, so that commands which never run this check do not load
     # fractions with its decimal and numbers modules

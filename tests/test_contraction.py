@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fibdirichlet import contraction
+from fibdirichlet import fib as fib_module
 from fibdirichlet.cli import CONTRACTIBLE
 from fibdirichlet.contraction import (
     CLOSED_FORMS,
     DELTA23,
-    ITERATES,
     LAMBDA_ALPHA,
     MU_ALPHA,
     MU_ALPHA2,
@@ -30,7 +30,7 @@ from fibdirichlet.contraction import (
     summatory_S,
     summatory_T,
 )
-from fibdirichlet.fib import fib_factorization, rank
+from fibdirichlet.fib import divisor_has_rank, fib_factorization, rank
 from fibdirichlet.numtheory import (
     ArithFn,
     BudgetExceededError,
@@ -41,6 +41,7 @@ from fibdirichlet.numtheory import (
     ONE,
     PHI,
     divisors,
+    factorize,
     mertens,
     mobius,
     mu_sieve,
@@ -151,7 +152,6 @@ def test_closed_forms_and_iterates_come_from_the_towers():
     assert sorted(CLOSED_FORMS) == [("lambda", 1), ("lambda", 2),
                                     ("lambda", 3), ("mu", 1), ("mu", 2),
                                     ("mu", 3)]
-    assert ITERATES[MU] is MU_ITERATES
     # the closed_* names are the very functions that CLOSED_FORMS holds, and
     # each iterate calls a bound method of its own
     closed = (closed_mu_alpha, closed_mu_alpha2, closed_mu_alpha3)
@@ -159,10 +159,9 @@ def test_closed_forms_and_iterates_come_from_the_towers():
         assert CLOSED_FORMS["mu", depth].fn is fn
     assert CLOSED_FORMS["lambda", 1].fn is closed_lambda_alpha
     held = {id(f.fn) for f in CLOSED_FORMS.values()}
-    for f, iterates in ITERATES.items():
-        for depth, iterate in enumerate(iterates, 1):
-            assert id(iterate.fn) not in held
-            assert iterate.fn == CLOSED_FORMS[f.name, depth].fn
+    for depth, iterate in enumerate(MU_ITERATES, 1):
+        assert id(iterate.fn) not in held
+        assert iterate.fn == CLOSED_FORMS["mu", depth].fn
 
 
 def test_lambda_tower_matches_the_literal_path():
@@ -350,6 +349,51 @@ def test_pull_back_is_the_literal_contraction_on_random_forms(weights):
         assert pulled.at(n) == alpha_contract(f, n), n
 
 
+def literal_rank_divisors(n):
+    """The divisors of F(n) of rank n by the literal filter, one rank test
+    per divisor, and none of the tagged halves."""
+    index = factorize(n)
+    return [d for d in divisors(fib_factorization(n))
+            if divisor_has_rank(d, index)]
+
+
+@pytest.fixture(scope="module")
+def literal_to_60():
+    return {n: literal_rank_divisors(n) for n in range(1, 61)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(WEIGHT_MAPS)
+def test_halves_contraction_is_the_literal_sum_on_random_forms(literal_to_60,
+                                                               weights):
+    form = Dilation(weights)
+    pulled = form.pull_back()
+    for n, literal in literal_to_60.items():
+        literal_sum = sum(map(form.at, literal))
+        assert form.contract(n) == literal_sum == pulled.at(n), n
+
+
+def test_halves_contraction_of_every_tower_form_to_120():
+    # every form of both towers, the kernel element Δ₂₃ and the fixed point
+    # 1_{5}, at each n up to the index cap
+    forms = [*TOWERS[MU], *TOWERS[LIOUVILLE], DELTA23, Dilation({5: 1})]
+    forms = {tuple(form.weights.items()): form for form in forms}.values()
+    pulled = [form.pull_back() for form in forms]
+    for n in range(1, 121):
+        literal = literal_rank_divisors(n)
+        for form, pulled_form in zip(forms, pulled):
+            assert form.contract(n) == sum(map(form.at, literal)) == \
+                pulled_form.at(n), (form.weights, n)
+
+
+def test_tower_contraction_past_the_index_cap_factors_nothing(monkeypatch):
+    # F(130) is refused before any F(130/q) enters the memo
+    monkeypatch.setattr(fib_module, "FIB_FACTORS", {})
+    with pytest.raises(BudgetExceededError, match="F\\(130\\)"):
+        alpha_contract_iter(MU, 3, 130)
+    assert fib_module.FIB_FACTORS == {}
+
+
 FIBONACCI_VALUES_TO_24 = {1, 2, 3, 5, 8, 13, 21}
 # a fixed form a·1_{1,2,3,4} + b·1_{5}, with at most one entry drawn anew
 NEAR_FIXED_MAPS = st.builds(
@@ -392,16 +436,18 @@ def test_streamed_contraction_equals_the_sum_over_contributors():
 
 
 def test_contraction_holds_no_list_of_contributors():
-    # F(120) has 36,864 divisors, about 12.6 MB as a list of Factorizations
-    f = MU_ITERATES[1]
-    expected = alpha_contract(f, 120)   # the memo is warm from here on
-    tracemalloc.start()
-    try:
-        assert alpha_contract(f, 120) == expected
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
+    # F(120) has 36,864 divisors, about 12.6 MB as a list of Factorizations;
+    # the generic path and the tower form hold only its 288 + 128 halves
+    for contract in (lambda: alpha_contract(MU_ITERATES[1], 120),
+                     lambda: MU_ALPHA2.contract(120)):
+        expected = contract()   # the memo is warm from here on
+        tracemalloc.start()
+        try:
+            assert contract() == expected
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 def test_level_by_level_contraction_equals_the_nested_sum():
@@ -422,9 +468,13 @@ def test_generic_deep_iteration_exceeds_budget():
 def test_contraction_refuses_mangoldt():
     # Λ is carried as its base e^Λ, so a sum of its values is no log: at 6,
     # T would be 22 = Σ e^Λ, not log 240
+    # at depth ≥ 2 before any contributor is listed: F(2) = 1 has none, and
+    # 7 → 13 → 233 would reach F(233), past the index cap
     for call in (lambda: alpha_contract(MANGOLDT, 6),
                  lambda: alpha_contract_iter(MANGOLDT, 1, 6),
                  lambda: alpha_contract_iter(MANGOLDT, 2, 6),
+                 lambda: alpha_contract_iter(MANGOLDT, 2, 2),
+                 lambda: alpha_contract_iter(MANGOLDT, 4, 7),
                  lambda: summatory_T(MANGOLDT, 6),
                  lambda: summatory_S(MANGOLDT, 6)):
         with pytest.raises(ValueError, match="base e\\^Λ"):

@@ -55,6 +55,12 @@ STDOUT_DIGESTS = {
         "64b24b1ee5653ff7fc4648366c0347ed64507c53cca45f4378abbf53db510a5c",
     ("series", "--s", "258.9", "--n", "16"):
         "fb781202d3af14c41c491a7c4952bab612f48640eb7cfa592c78852b56538b83",
+    # taken before the rank-n divisors were tagged on F(n)'s two divisor
+    # halves: the λ tower to the index cap, and the generic stream there
+    ("contract", "lambda", "2", "120"):
+        "dd54831bec0f68ec832aa905c8dc065f7fe41f163c662ec6c0296cf0a45853a2",
+    ("contract", "phi", "1", "120"):
+        "9a284ab1afb293dc5c7c4c663d200e33056e5c18b95b97192fe07a293ae57ac1",
 }
 
 # The report file of the theorem1 suite, whose rows include the Λ residual.

@@ -19,7 +19,7 @@ from fibdirichlet.numtheory import (
     MR_DETERMINISTIC_BOUND,
     dirichlet_convolve,
     divisor_count,
-    divisor_stream,
+    divisor_halves,
     divisors,
     euler_phi,
     factor_budget,
@@ -125,9 +125,14 @@ def test_divisor_lists_of_fibonacci_and_high_exponent_values():
         divs = divisors(fac)
         assert len(divs) == divisor_count(fac)
         assert_divisor_list(fac, divs)
-        streamed = sorted(divisor_stream(fac))   # the same, in no fixed order
-        assert streamed == divs
-        assert [d.factors for d in streamed] == [d.factors for d in divs]
+        # each divisor is exactly one product a·b of coprime halves, and it
+        # carries a.factors + b.factors
+        low, high = divisor_halves(fac)
+        assert low[0] == high[0] == 1 and low[-1] * high[-1] == fac
+        assert math.gcd(low[-1], high[-1]) == 1
+        products = sorted((a * b, a.factors + b.factors)
+                          for a in low for b in high)
+        assert products == [(d, d.factors) for d in divs]
 
 
 def test_factors_strictly_increasing():

@@ -234,11 +234,16 @@ def test_corollary_with_nontrivial_completely_multiplicative():
     assert check_corollary_completely_mult(PHI, IDENTITY, 15).passed
 
 
-def test_corollary_refuses_mangoldt():
-    # Λ is carried as its base e^Λ; its Dirichlet products are no logs
-    for f, g in ((MANGOLDT, ONE), (MU, MANGOLDT)):
+def test_corollary_refuses_mangoldt(monkeypatch):
+    # Λ is carried as its base e^Λ; its Dirichlet products are no logs.  It
+    # is refused before the scale check and before any contraction, so no
+    # F(n) is factored, and an N past the index cap is still the Λ error
+    monkeypatch.setattr(fib_module, "FIB_FACTORS", {})
+    for f, g, n_max in ((MANGOLDT, ONE, 6), (MU, MANGOLDT, 6),
+                        (MANGOLDT, ONE, 130)):
         with pytest.raises(ValueError, match="base e\\^Λ"):
-            check_corollary_completely_mult(f, g, 6)
+            check_corollary_completely_mult(f, g, n_max)
+    assert fib_module.FIB_FACTORS == {}
 
 
 def test_logprod_closed_form():
