@@ -16,10 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from collections.abc import Iterator, Sequence
-from functools import partial, reduce
-from itertools import repeat
-from operator import add, mul
+from collections.abc import Iterator
 
 from .fib import fib_factorization
 from .numtheory import (
@@ -108,6 +105,10 @@ def _mu_over(n: int, factors: tuple, m: int, dilate: dict[int, int]) -> int:
     return sign
 
 
+# Dilation.values sums f(1..N) this many n at a time, so no lane is N long
+_BLOCK = 1 << 16
+
+
 class Dilation:
     """f(n) = Σ_{j|n} c_j·μ(n/j) for a finite map {j: c_j}, so that 1*f = c.
 
@@ -159,41 +160,36 @@ class Dilation:
                              for t, v in high.items() if not s & t)
         return total
 
-    def values(self, mu: Sequence[int]) -> Sequence[int]:
-        """f(1..N) in a signed-byte view, from mu = μ(0..N), walking n by
-        its class mod M.
+    def values(self, mu: memoryview) -> memoryview:
+        """f(1..N) from mu = μ(0..N), each a signed-byte view, summed a
+        block of _BLOCK values of n at a time.
 
-        With M = lcm(j)², n/k ≡ first/k (mod M/k) on a class, so two facts
-        hold on all of it at once: μ(n/j) = μ(k/j)·μ(n/k) for j | k with
-        k/j prime to first/k, which folds c_j into c_k, and μ(n/j) = 0 where
-        gcd(first/j, M/j) is not squarefree; both μ are read from mu.  Each
-        remaining μ(n/j) is one strided slice of mu; a lone one with c_j = 1
-        is copied.
+        Term j's lane holds |c_j| + c_j·μ(n/j) at each multiple n of j, from
+        one slice of mu, and |c_j| elsewhere, one byte per n.  Added as
+        little-endian integers, the lanes leave S + f(n) in n's byte, with
+        S = Σ|c_j| and no carry as 2S ≤ 254; one translate takes S off.
         """
-        if sum(map(abs, self.weights.values())) > 127:
+        total = sum(map(abs, self.weights.values()))
+        if total > 127:
             raise ValueError(f"{self.weights} may leave a signed byte")
-        from array import array   # here, as loading it adds 0.2 MB of peak RSS
         n_max = len(mu) - 1
-        m = math.lcm(*self.weights) ** 2
-        out = memoryview(bytearray(n_max)).cast("b")
-        for first in range(1, min(m, n_max) + 1):   # out[first - 1::m]
-            coeffs = {j: c for j, c in self.weights.items() if first % j == 0}
-            for j in list(coeffs):
-                k = next((k for k in coeffs if k > j and k % j == 0
-                          and math.gcd(k // j, first // k) == 1), None)
-                if k is not None:
-                    coeffs[k] += mu[k // j] * coeffs.pop(j)
-            columns = []
-            for j, c in coeffs.items():
-                if c and mu[math.gcd(first // j, m // j)]:
-                    column = mu[first // j:n_max // j + 1:m // j]
-                    columns.append(column if c == 1
-                                   else map(mul, column, repeat(c)))
-            if columns:   # summed lazily, written in one pass
-                column = reduce(partial(map, add), columns)
-                out[first - 1::m] = (column if isinstance(column, memoryview)
-                                     else array("b", column))
-        return out
+        less_total = bytes((b - total) % 256 for b in range(256))
+        out = bytearray(n_max)
+        for low in range(1, n_max + 1, _BLOCK):
+            high = min(low + _BLOCK, n_max + 1)   # this block's n < high
+            lanes = 0
+            for j, c in self.weights.items():
+                # μ's bytes 0, 1 and 0xff (−1) to |c| + c·μ
+                weigh = bytes.maketrans(b"\0\1\xff",
+                                        bytes(abs(c) + c * m for m in (0, 1, -1)))
+                lane = bytearray([abs(c)]) * (high - low)
+                k = -(-low // j)   # the least k with j·k in the block
+                lane[j * k - low::j] = (
+                    mu[k:(high - 1) // j + 1].tobytes().translate(weigh))
+                lanes += int.from_bytes(lane, "little")
+            out[low - 1:high - 1] = lanes.to_bytes(
+                high - low, "little").translate(less_total)
+        return memoryview(out).cast("b")
 
     def polynomial(self, s: float) -> float:
         """Σ c_j·j^−s, which ζ(s)·Σ f(n)/n^s equals."""

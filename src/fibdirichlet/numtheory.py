@@ -117,13 +117,11 @@ class _Budget:
 
 
 def _brent_rho(n: int, meter: _Budget) -> int:
-    """Deterministic Brent-cycle Pollard rho: returns a proper factor of composite n.
+    """Deterministic Brent-cycle Pollard rho: a proper factor of odd composite n.
 
     Polynomial constants are tried in a fixed order, so repeated runs split
     identically.  Work is charged per iteration.
     """
-    if n % 2 == 0:
-        return 2
     # expected iterations ~ n**(1/4); refuse hopeless inputs up front
     expected = math.isqrt(math.isqrt(n)) + 1
     if expected > meter.remaining:
@@ -173,8 +171,6 @@ def _factor_into(n: int, out: dict[int, int], meter: _Budget) -> None:
     stack = [n]
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         meter.spend(m.bit_length())
         if is_prime(m):
             out[m] = out.get(m, 0) + 1

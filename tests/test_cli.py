@@ -728,6 +728,35 @@ def test_cache_rejects_corruption(tmp_path):
         load_cache_file(path)
 
 
+# F(100) + 2^64 − 59 has F(100)'s size to within a bit and its residue mod
+# the prime 2^64 − 59, so only the product of its primes tells it apart
+@pytest.mark.parametrize("record, complaint, tested", [
+    ("n=5 fib=5 alpha=5 e", "malformed token 'e'", []),
+    ("n=5 fib=5 alpha=5 f=1",
+     "expected fields n, fib, alpha, e; got ['alpha', 'f', 'fib', 'n']", []),
+    ("n=1 fib=1 alpha=1 e=1", "records start at n=2, got n=1", []),
+    ("n=10 fib=5*13 alpha=15 e=1", "factorization does not reconstruct F(10)",
+     []),
+    ("n=100 fib=2^3*127*366802748280483727 alpha=150 e=2",
+     "factorization does not reconstruct F(100)",
+     [2, 127, 366802748280483727]),
+], ids=["no-equals-sign", "wrong-fields", "n-below-2", "residue", "product"])
+def test_cache_refusal_names_its_path_and_line(tmp_path, monkeypatch, record,
+                                               complaint, tested):
+    # lines 2 and 3 are blank, so skipped but counted; the residue is
+    # checked before any primality test, and the product after them
+    calls = []
+    is_prime = cache_module.is_prime
+    monkeypatch.setattr(cache_module, "is_prime",
+                        lambda p: calls.append(p) or is_prime(p))
+    path = tmp_path / "cache.txt"
+    path.write_text("n=2 fib=1 alpha=3 e=1\n\n  \n" + record + "\n")
+    with pytest.raises(ValueError) as refusal:
+        load_cache_file(path)
+    assert str(refusal.value) == f"{path}: line 4: {complaint}"
+    assert calls == tested
+
+
 @pytest.mark.parametrize("record, complaint", [
     ("n=12 fib=2^4*3^2 alpha=6 e=5", "alpha=6 is not the rank"),
     ("n=12 fib=2^4*3^2 alpha=24 e=2", "alpha=24 is not the rank"),

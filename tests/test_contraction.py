@@ -254,22 +254,40 @@ def test_derived_forms_and_their_polynomials():
     assert DELTA23.polynomial(2) == -1 / 16
 
 
+# the closed forms beside their Dilations, and a form with coefficients of
+# both signs and of sizes other than 1, on dilates that share multiples
+EXTRA_FORM = Dilation({1: 2, 2: -1, 4: 3, 6: 1, 8: 1, 9: -2})
+READER_CASES = ((MU_ALPHA, closed_mu_alpha), (MU_ALPHA2, closed_mu_alpha2),
+                (MU_ALPHA3, closed_mu_alpha3),
+                (LAMBDA_ALPHA, closed_lambda_alpha),
+                (DELTA23, closed_delta23), (EXTRA_FORM, EXTRA_FORM.at))
+
+
 @pytest.mark.parametrize("n_max", [12, 13, 47, 5000, 50_000])
 def test_whole_array_reader_matches_the_scalar_closed_forms(n_max):
-    # most n_max are not multiples of the class moduli 4, 36, 144 and 5184;
-    # the last form has coefficients other than 1 and chains 1 | 2 | 4 | 8
-    # along which the reader folds columns
-    extra = Dilation({1: 2, 2: -1, 4: 3, 6: 1, 8: 1, 9: -2})
-    for form, closed in ((MU_ALPHA, closed_mu_alpha),
-                         (MU_ALPHA2, closed_mu_alpha2),
-                         (MU_ALPHA3, closed_mu_alpha3),
-                         (LAMBDA_ALPHA, closed_lambda_alpha),
-                         (DELTA23, closed_delta23),
-                         (extra, extra.at)):
+    for form, closed in READER_CASES:
         values = form.values(mu_sieve(n_max))
         assert len(values) == n_max
         for n in range(1, n_max + 1):
             assert values[n - 1] == closed(n), (form.weights, n)
+
+
+def test_whole_array_reader_across_its_blocks():
+    # N = 2·_BLOCK + 3 ends 3 values into a third block of the reader: f is
+    # read against the scalar form on 600 n each side of each block edge,
+    # and summed against Σ_{n≤N} f(n) = Σ_j c_j·M(N/j) over all of them
+    block = contraction._BLOCK
+    n_max = 2 * block + 3
+    mu = mu_sieve(n_max)
+    near_edges = [n for edge in (0, block, 2 * block)
+                  for n in range(max(edge - 599, 1), min(edge + 601, n_max + 1))]
+    for form, closed in READER_CASES:
+        values = form.values(mu)
+        assert len(values) == n_max
+        for n in near_edges:
+            assert values[n - 1] == closed(n), (form.weights, n)
+        assert sum(values) == sum(c * mertens(n_max // j)
+                                  for j, c in form.weights.items())
 
 
 def test_whole_array_reader_refuses_values_past_a_signed_byte():
@@ -331,11 +349,15 @@ WEIGHT_MAPS = st.dictionaries(st.integers(1, 24), st.integers(-3, 3),
                               max_size=8)
 
 
+@pytest.mark.parametrize("block", [1, 7, 64, contraction._BLOCK])
 @settings(max_examples=40, deadline=None)
 @given(WEIGHT_MAPS, st.integers(1, 3000))
-def test_whole_array_reader_matches_at_on_random_forms(weights, n_max):
+def test_whole_array_reader_matches_at_on_random_forms(block, weights, n_max):
+    # small blocks put the block edges among the multiples of every dilate
     form = Dilation(weights)
-    values = form.values(mu_sieve(n_max))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(contraction, "_BLOCK", block)
+        values = form.values(mu_sieve(n_max))
     assert list(values) == [form.at(n) for n in range(1, n_max + 1)]
 
 

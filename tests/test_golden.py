@@ -82,7 +82,8 @@ CACHE_FILE_DIGEST = (
     "7721961bc714d72151cc12f8b5b6a974a1a11b6baf826d4d294e001d7a110c7e")
 
 # The benchmark's own digests, among them those of the cache files it writes.
-BENCH_GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
+BENCH_GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "bench"
+                           / "golden.json").read_text())
 
 
 def _sha256(data: bytes) -> str:
@@ -115,6 +116,19 @@ def test_theorem1_report_file_at_the_benchmark_x_is_golden(tmp_path, capsys):
     out = tmp_path / "r.csv"
     assert cli.main(["verify", "theorem1", "--x", "100", "--out", str(out)]) == 0
     assert _sha256(out.read_bytes()) == THEOREM1_X100_REPORT_DIGEST
+    assert (_sha256(capsys.readouterr().out.encode())
+            == BENCH_GOLDEN["stdout"]["verify theorem1 --x 100"])
+
+
+# the benchmark's other invocations, whose stdout is all they leave; the
+# series one is the only pinned run past Dilation.values' first block
+@pytest.mark.parametrize("command", [
+    "fib 1", "alpha 10214411", "alpha 10579363", "alpha 10792519",
+    "series --s 3 --n 200000"])
+def test_benchmark_stdout_is_golden(command, capsys):
+    assert cli.main(command.split()) == 0
+    assert (_sha256(capsys.readouterr().out.encode())
+            == BENCH_GOLDEN["stdout"][command])
 
 
 def test_euler_product_report_file_is_golden(tmp_path, capsys):
@@ -137,9 +151,11 @@ def test_cache_file_is_golden(tmp_path, capsys, monkeypatch):
                                             ("verify pi-alpha --x 120", 3)])
 def test_benchmark_cache_files_are_golden_and_load(command, first, tmp_path,
                                                    capsys, monkeypatch):
-    golden = json.loads(BENCH_GOLDEN.read_text())["cache_file"]
+    key = command + " --cache {cache}"
     monkeypatch.setattr(fib_module, "FIB_FACTORS", {})
     cache = tmp_path / "cache.txt"
     assert cli.main(command.split() + ["--cache", str(cache)]) == 0
-    assert _sha256(cache.read_bytes()) == golden[command + " --cache {cache}"]
+    assert _sha256(cache.read_bytes()) == BENCH_GOLDEN["cache_file"][key]
+    assert (_sha256(capsys.readouterr().out.encode())
+            == BENCH_GOLDEN["stdout"][key])
     assert [r.n for r in load_cache_file(cache)] == list(range(first, 121))

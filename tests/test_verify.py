@@ -412,6 +412,38 @@ def test_check_T_tables():
     assert report.details[0]["value"] == 1
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: fib(-1), ValueError, "fib expects n >= 0"),
+    (lambda: fib_module.rank(0), ValueError, "rank expects n >= 1"),
+    (lambda: fib_module.primitive_primes(0), ValueError,
+     "primitive_primes expects n >= 1"),
+    (lambda: lcm_fib(0.5), ValueError, "lcm_fib expects x >= 1"),
+    (lambda: numtheory.factorize(0), ValueError,
+     "factorize expects n >= 1, got 0"),
+    (lambda: numtheory.valuation(0, 3), ValueError,
+     "valuation expects n >= 2 and v >= 1, got 3, 0"),
+    (lambda: zeta_partial(2.0, 0), ValueError, "zeta_partial requires N >= 1"),
+    (lambda: contraction.alpha_contract(MU, 0), ValueError,
+     "alpha_contract expects n >= 1"),
+    (lambda: constant_c(0), ValueError, "constant_c expects N >= 1"),
+    (lambda: next(primitive_prime_totals(0)), ValueError,
+     "primitive-prime totals expect x >= 1, got 0"),
+    (lambda: phi_recursive_fib(-1), ValueError,
+     "phi_recursive_fib expects x_max >= 0"),
+    (lambda: check_T_tables(4, 10), ValueError, "depth must be 1, 2 or 3"),
+    # the corollary divides by g(m) at each m of rank ≤ N, and 4 has rank 6
+    (lambda: check_corollary_completely_mult(PHI, MU, 6), ZeroDivisionError,
+     "mu(4) = 0; the quotient contraction is undefined"),
+], ids=["fib", "rank", "primitive_primes", "lcm_fib", "factorize",
+        "valuation", "zeta_partial", "alpha_contract", "constant_c",
+        "primitive_prime_totals", "phi_recursive_fib", "check_T_tables",
+        "corollary-divides-by-zero"])
+def test_arguments_out_of_range_are_refused(call, error, message):
+    with pytest.raises(error) as refusal:
+        call()
+    assert str(refusal.value) == message
+
+
 def test_every_check_takes_keyword_only_flags():
     # cmd_verify reads each check's flags, and which are integral, from these
     for name, check in verify.SUITE.items():
