@@ -205,13 +205,16 @@ def _tower(form: Dilation) -> tuple[Dilation, ...]:
     return tuple(forms)
 
 
+# f ↦ its own form, where f has one: μ's is c = [n = 1], as 1*μ is.  λ has
+# none, as 1*λ, the indicator of the squares, has infinite support.
+BASE_FORMS = {MU: Dilation({1: 1})}
 # f ↦ its forms f_α, f_α², … up to the fixed point, looked up by identity.
 #   μ_α  (c = 1_{1,2}) is [n = 1] pulled back, and multiplicative.
 #   λ_α  (c = 1_{1,2,12}): 1*λ is the indicator of the squares, and the
 #        only square Fibonacci numbers are F(1) = F(2) = 1 and F(12) = 144
 #        (Cohn, 1964).
 # Both reach c = 1_{1,2,3,4}, μ_α³, at depth 3.
-TOWERS = {MU: _tower(Dilation({1: 1}).pull_back()),
+TOWERS = {MU: _tower(BASE_FORMS[MU].pull_back()),
           LIOUVILLE: _tower(Dilation({1: 1, 2: 1, 12: 1}))}
 MU_ALPHA, MU_ALPHA2, MU_ALPHA3 = TOWERS[MU]
 LAMBDA_ALPHA = TOWERS[LIOUVILLE][0]
@@ -236,10 +239,11 @@ closed_delta23 = DELTA23.at
 def alpha_contract_iter(f: ArithFn, depth: int, n: int) -> object:
     """depth-fold contraction of f at n.
 
-    An f with a tower (μ or λ, found by identity) has its (depth − 1)-form,
-    past the fixed point its last, contracted once on the tagged halves of
-    F(n)'s divisors (Dilation.contract), so no contributor is made.  For
-    other f the contributors are expanded level by level, each level one
+    An f with a (depth − 1)-form, found by identity (μ's own form at depth
+    1; a tower's form, past the fixed point its last, deeper), has that
+    form contracted once on the tagged halves of F(n)'s divisors
+    (Dilation.contract), so no contributor is made.  For other f, and λ at
+    depth 1, the contributors are expanded level by level, each level one
     list, and f is contracted at each m of the last.  Each m has one rank,
     so no m is listed twice in a level, and a loop, not a recursion, walks
     the 1 → 1 and 5 → 5 chains to any depth.  Λ is refused before any
@@ -248,8 +252,9 @@ def alpha_contract_iter(f: ArithFn, depth: int, n: int) -> object:
     if depth < 1:
         raise ValueError("alpha_contract_iter expects depth >= 1")
     refuse_mangoldt(f)
-    if depth > 1 and f in TOWERS:
-        return TOWERS[f][:depth - 1][-1].contract(n)
+    form = (BASE_FORMS.get(f), *TOWERS.get(f, ()))[:depth][-1]
+    if form is not None:
+        return form.contract(n)
     level = [n]
     for _ in range(depth - 1):
         level = [d for m in level for d in contributors(m)]

@@ -69,14 +69,29 @@ class VerificationReport:
         self.details = [] if details is None else details
 
 
-def small_integer_fn(seed: int) -> ArithFn:
-    """A deterministic pseudo-random arithmetic function with values in −3..3."""
+# A seeded value ((n·K + o) >> 7) mod 7 reads n·K + o only mod 7·2⁷: with
+# n·K + o = 896a + b, ⌊(n·K + o)/2⁷⌋ = 7a + ⌊b/2⁷⌋, which is ⌊b/2⁷⌋ mod 7.
+SMALL_INTEGER_PERIOD = 7 << 7
+
+
+def small_integer_table(seed: int) -> tuple[int, ...]:
+    """small_integer_fn(seed) at n = 0..SMALL_INTEGER_PERIOD − 1."""
     offset = seed * 40503
+    return tuple(((n * 2654435761 + offset) >> 7) % 7 - 3
+                 for n in range(SMALL_INTEGER_PERIOD))
 
-    def evaluate(n: int) -> int:
-        return ((n * 2654435761 + offset) >> 7) % 7 - 3
 
-    return ArithFn(f"seed{seed}", evaluate)
+def small_integer_fn(seed: int) -> ArithFn:
+    """A deterministic pseudo-random arithmetic function with values in −3..3,
+    ((n·2654435761 + 40503·seed) >> 7) mod 7 − 3.
+
+    It has period SMALL_INTEGER_PERIOD = 7·2⁷ = 896 in n, as the shift by 7
+    and the mod 7 read n·2654435761 + 40503·seed only mod 7·2⁷, so f(n) is
+    the entry n mod 896 of small_integer_table(seed).
+    """
+    table = small_integer_table(seed)
+    return ArithFn(f"seed{seed}",
+                   lambda n: table[n % SMALL_INTEGER_PERIOD])
 
 
 # --- the double-counting identity ---
@@ -165,13 +180,23 @@ def check_theorem1(f: ArithFn, g: ArithFn, x: float,
                          f"not F(1..{math.floor(x)})")
     fv = list(map(f.fn, tables.values))
     gv = list(map(g.fn, tables.values))
-    if f is MANGOLDT:
-        if min(gv) < 0:
-            raise ValueError(f"Λ's sides are logs of integers; {g.name} "
-                             f"takes a negative value")
-        sides = [math.prod(map(pow, a(fv), b(gv))) for a, b in tables.readers]
+    if f is MANGOLDT and min(gv) < 0:
+        raise ValueError(f"Λ's sides are logs of integers; {g.name} "
+                         f"takes a negative value")
+    return _theorem1_report(params, tables.readers, fv, gv,
+                            as_product=f is MANGOLDT)
+
+
+def _theorem1_report(params: str, readers: tuple, fv: list, gv: list,
+                     as_product: bool) -> VerificationReport:
+    """Theorem 1's report from f's values fv and g's values gv on the
+    tables' values: each side one gather by its readers and one sum of
+    f(a)·g(b), or, for f = Λ carried as its base, one product of
+    base(a)^g(b)."""
+    if as_product:
+        sides = [math.prod(map(pow, a(fv), b(gv))) for a, b in readers]
     else:
-        sides = [sum(map(mul, a(fv), b(gv))) for a, b in tables.readers]
+        sides = [sum(map(mul, a(fv), b(gv))) for a, b in readers]
     direct, weighted, swapped = sides
     residual = max(abs(direct - weighted), abs(direct - swapped))
     details = [{"side": "direct", "value": direct},
@@ -485,11 +510,19 @@ def _suite_theorem1(*, x: float = 25.0) -> list[VerificationReport]:
     tables = divisor_tables(x)
     reports = [check_theorem1(f, ONE, x, tables)
                for f in (MU, PHI, LIOUVILLE, MANGOLDT)]
+    # each seeded function is its table read at n mod its period, so n's
+    # residue is taken once here and each value list is one C-level map
+    residues = [n % SMALL_INTEGER_PERIOD for n in tables.values]
+
+    def values(seed: int) -> list[int]:
+        return list(map(small_integer_table(seed).__getitem__, residues))
+
     details = []
     worst = 0
     for seed in range(THEOREM1_RANDOM_PAIRS):
-        rep = check_theorem1(small_integer_fn(seed), small_integer_fn(1000 + seed),
-                             x, tables)
+        rep = _theorem1_report(f"f=seed{seed}, g=seed{1000 + seed}, x={x}",
+                               tables.readers, values(seed),
+                               values(1000 + seed), as_product=False)
         worst = max(worst, rep.residual)
         details.append({"seed": seed, "passed": rep.passed})
     reports.append(VerificationReport(

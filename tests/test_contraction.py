@@ -9,6 +9,7 @@ from fibdirichlet import contraction
 from fibdirichlet import fib as fib_module
 from fibdirichlet.cli import CONTRACTIBLE
 from fibdirichlet.contraction import (
+    BASE_FORMS,
     CLOSED_FORMS,
     DELTA23,
     LAMBDA_ALPHA,
@@ -406,6 +407,28 @@ def test_halves_contraction_of_every_tower_form_to_120():
         for form, pulled_form in zip(forms, pulled):
             assert form.contract(n) == sum(map(form.at, literal)) == \
                 pulled_form.at(n), (form.weights, n)
+
+
+def test_mu_depth_one_contracts_its_own_form(monkeypatch):
+    # μ is its own form c = [n = 1], so `contract mu 1` reads it off the
+    # halves and makes no rank-n divisor; λ has no such form, as 1*λ is the
+    # indicator of the squares, and an impostor named mu is not looked up
+    assert list(BASE_FORMS) == [MU]
+    assert BASE_FORMS[MU].weights == {1: 1}
+    assert BASE_FORMS[MU].pull_back().weights == MU_ALPHA.weights
+    assert all(BASE_FORMS[MU].at(n) == mobius(n) for n in range(1, 1001))
+    literal = {n: sum(map(mobius, literal_rank_divisors(n)))
+               for n in range(1, 121)}
+    impostor = ArithFn("mu", mobius)
+    generic = []
+    monkeypatch.setattr(contraction, "alpha_contract",
+                        lambda f, n: generic.append(f) or alpha_contract(f, n))
+    assert [alpha_contract_iter(MU, 1, n) for n in literal] == \
+        list(literal.values())
+    assert generic == []
+    assert alpha_contract_iter(impostor, 1, 30) == literal[30]
+    alpha_contract_iter(LIOUVILLE, 1, 12)
+    assert generic == [impostor, LIOUVILLE]
 
 
 def test_tower_contraction_past_the_index_cap_factors_nothing(monkeypatch):

@@ -20,6 +20,7 @@ from fibdirichlet.fib import (
     rank,
 )
 from fibdirichlet.numtheory import (
+    FACTOR_BUDGET,
     MU,
     BudgetExceededError,
     Factorization,
@@ -183,6 +184,32 @@ def test_rank_lcm_law(a, b):
 @given(st.integers(7, 10**12).map(_next_prime))
 def test_rank_of_prime_divides_p_minus_legendre(p):
     assert (p - _legendre5(p)) % rank(p) == 0
+
+
+def _two_adic_valuation_of_fib(n):
+    """v₂(F(n)) by Lengyel's rule (Fib. Quart. 33, 1995)."""
+    return 0 if n % 3 else 1 if n % 6 == 3 else valuation(n, 2) + 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, max_factorable_index(FACTOR_BUDGET.get())))
+def test_lifting_law(n):
+    # v_p(F(m·rank(p))) = v_p(F(rank(p))) + v_p(m) for odd p, with
+    # v₅(F(n)) = v₅(n), and Lengyel's rule for p = 2; drawn up to the index
+    # cap, so it reaches as far as the memo of factored F(n) does
+    exponents = dict(fib_factorization(n).factors)
+    assert exponents.get(2, 0) == _two_adic_valuation_of_fib(n)
+    assert exponents.get(5, 0) == valuation(n, 5)
+    for p, e in exponents.items():
+        if p == 2:
+            continue
+        # rank(p) is the least index d | n with p | F(d), read off the memo
+        r = min(d for d in divisors(factorize(n))
+                if fib_factorization(d) % p == 0)
+        entry = dict(fib_factorization(r).factors)[p]
+        assert e == entry + valuation(n // r, p), (n, p)
+        # primitive_primes gives p at its rank with that entry exponent
+        assert (p, entry) in primitive_primes(r), (n, p)
 
 
 def test_cohn_squares():

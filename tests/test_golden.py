@@ -61,6 +61,10 @@ STDOUT_DIGESTS = {
         "dd54831bec0f68ec832aa905c8dc065f7fe41f163c662ec6c0296cf0a45853a2",
     ("contract", "phi", "1", "120"):
         "9a284ab1afb293dc5c7c4c663d200e33056e5c18b95b97192fe07a293ae57ac1",
+    # taken while μ's depth-1 contraction still summed μ over every rank-n
+    # divisor, before it was read off μ's own form on the halves
+    ("contract", "mu", "1", "120"):
+        "b947a97204530d448aba4a6c1d45a2534de2687d09f23ecfdd4a7a88162d0d96",
 }
 
 # The report file of the theorem1 suite, whose rows include the Λ residual.

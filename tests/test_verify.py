@@ -4,6 +4,7 @@ from itertools import groupby
 from operator import itemgetter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fibdirichlet import contraction
 from fibdirichlet import fib as fib_module
@@ -19,6 +20,7 @@ from fibdirichlet.numtheory import (
     MU,
     ONE,
     PHI,
+    dirichlet_convolve,
     factor_budget,
     zeta_partial,
 )
@@ -175,6 +177,64 @@ def test_small_integer_fn_is_the_literal_formula():
         assert [f(n) for n in range(1, 1001)] == \
             [((n * 2654435761 + seed * 40503) >> 7) % 7 - 3
              for n in range(1, 1001)], seed
+
+
+def _literal_small_integer(seed):
+    return lambda n: ((n * 2654435761 + seed * 40503) >> 7) % 7 - 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2000), st.integers(0, 2**256))
+def test_small_integer_fn_reads_its_period_table(seed, n):
+    assert small_integer_fn(seed)(n) == _literal_small_integer(seed)(n)
+
+
+@pytest.fixture(scope="module")
+def theorem1_values_to_100():
+    return verify.divisor_tables(100).values
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2000))
+def test_small_integer_fn_on_the_theorem1_values(theorem1_values_to_100,
+                                                 seed):
+    values = theorem1_values_to_100
+    assert list(map(small_integer_fn(seed), values)) == \
+        list(map(_literal_small_integer(seed), values))
+
+
+@pytest.mark.parametrize("x", [1, 1.9, 40])
+def test_theorem1_suite_sums_the_seeded_pairs_of_check_theorem1(
+        x, monkeypatch):
+    # the suite reads each seeded pair's values from its table through one
+    # list of residues; every side must be the one that check_theorem1 and
+    # the literal Σ_{n≤x} (f*g)(F(n)) give, at x < 2 on one-item slices too
+    seen = []
+    original = verify._theorem1_report
+
+    def recording(*args, **kwargs):
+        seen.append(original(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(verify, "_theorem1_report", recording)
+    *named, random_pairs = verify._suite_theorem1(x=x)
+    monkeypatch.undo()
+    seeded = seen[len(named):]
+    assert len(seeded) == verify.THEOREM1_RANDOM_PAIRS
+    tables = verify.divisor_tables(x)
+    for seed, report in enumerate(seeded):
+        f, g = small_integer_fn(seed), small_integer_fn(1000 + seed)
+        public = check_theorem1(f, g, x, tables)
+        assert vars(report) == vars(public), seed
+        f, g = _literal_small_integer(seed), _literal_small_integer(1000 + seed)
+        literal = sum(dirichlet_convolve(
+            numtheory.ArithFn("f", f), numtheory.ArithFn("g", g), fib(n))
+            for n in range(1, math.floor(x) + 1))
+        assert [d["value"] for d in report.details] == [literal] * 3, seed
+    assert random_pairs.details == [{"seed": seed, "passed": r.passed}
+                                    for seed, r in enumerate(seeded)]
+    assert random_pairs.residual == max(r.residual for r in seeded)
+    assert random_pairs.passed
 
 
 def test_theorem1_suite_lists_divisors_once(monkeypatch):
