@@ -13,6 +13,7 @@ from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
 from itertools import compress, repeat
+from operator import itemgetter
 
 
 class BudgetExceededError(Exception):
@@ -234,13 +235,25 @@ def _divisor_list(factors: tuple[tuple[int, int], ...]) -> list[Factorization]:
     return out
 
 
+def divisor_listing(factors: tuple) -> tuple[tuple[int, ...], ...]:
+    """The divisors d of ∏ p**e over factors as plain ints, ascending, then
+    the LISTED μ(d), φ(d), λ(d) and e^Λ(d), built by f(d·p^k) = f(d)·f(p^k),
+    but e^Λ(d·p^k) = 1 at d > 1, as d and p^k are coprime."""
+    rows = [(1, 1, 1, 1, 1)]
+    for p, e in factors:
+        powers = [(p**k, -(k == 1), p**k - p**(k - 1), (-1)**k, p)
+                  for k in range(1, e + 1)]
+        rows += [(d * q, m * mq, t * tq, s * sq, b if d == 1 else 1)
+                 for d, m, t, s, _ in rows for q, mq, tq, sq, b in powers]
+    rows.sort(key=itemgetter(0))
+    return tuple(zip(*rows))
+
+
 def divisors(f: Factorization) -> list[Factorization]:
     """All divisors of f in increasing order, ∏(eᵢ+1) of them, each carrying
     its factors, held in one list.  Listed this way, the i-th from the end
     is f over the i-th."""
-    out = _divisor_list(f.factors)
-    out.sort()
-    return out
+    return sorted(_divisor_list(f.factors))
 
 
 def divisor_halves(f: Factorization) -> tuple[list[Factorization], ...]:
@@ -270,18 +283,12 @@ def mobius(n: int) -> int:
     μ on all of 0..N at once.
     """
     fac = _prime_factors(n)
-    for _, e in fac:
-        if e > 1:
-            return 0
-    return -1 if len(fac) % 2 else 1
+    return 0 if any(e > 1 for _, e in fac) else -1 if len(fac) % 2 else 1
 
 
 def liouville(n: int) -> int:
     """λ(n) = (−1)^Ω(n) with Ω counting prime factors with multiplicity."""
-    omega = 0
-    for _, e in _prime_factors(n):
-        omega += e
-    return -1 if omega % 2 else 1
+    return -1 if sum(e for _, e in _prime_factors(n)) % 2 else 1
 
 
 def euler_phi(n: int) -> int:
@@ -294,10 +301,7 @@ def euler_phi(n: int) -> int:
 
 def divisor_count(n: int) -> int:
     """d(n) = ∏(eᵢ+1) over the prime factorization."""
-    out = 1
-    for _, e in _prime_factors(n):
-        out *= e + 1
-    return out
+    return math.prod(e + 1 for _, e in _prime_factors(n))
 
 
 def mangoldt_base(n: int) -> int:
@@ -373,6 +377,7 @@ IDENTITY = ArithFn("id", lambda n: n)
 # Λ as its base e^Λ(n): a sum Σ Λ(a)·k is the log of ∏ base(a)^k, so its
 # values are multiplied, never added
 MANGOLDT = ArithFn("mangoldt", mangoldt_base)
+LISTED = (MU, PHI, LIOUVILLE, MANGOLDT)   # divisor_listing's value columns
 
 NAMED_FUNCTIONS: dict[str, ArithFn] = {
     f.name: f for f in (MU, LIOUVILLE, PHI, ONE, DIVISOR_COUNT, IDENTITY)

@@ -25,7 +25,7 @@ from .contraction import (
     MU_ITERATES,
     Dilation,
     alpha_contract,
-    divisor_union_ranks,
+    divisor_union,
     summatory_T,
 )
 from .fib import (
@@ -47,8 +47,7 @@ from .numtheory import (
     PHI,
     IDENTITY,
     dirichlet_convolve,
-    divisors,
-    euler_phi,
+    divisor_listing,
     factorize,
     mu_sieve,
     refuse_mangoldt,
@@ -98,15 +97,15 @@ def small_integer_fn(seed: int) -> ArithFn:
 
 
 # The divisors of F(1..n_max), each held once, with readers over them.
-# ``values`` holds each n with rank(n) ≤ n_max once, in the order that the
-# divisors of F(1), then of F(2), and so on, first list them; n's position
-# there is its id.  ``readers`` holds three (left, right) pairs of
-# itemgetters over ids, each pair picking one side's terms, slot for slot,
-# from a list of f's values and one of g's on ``values``: the direct pairs
-# (d, F(k)/d) for each d | F(k), k ≤ n_max; the rank-weighted pairs
-# (n, F(k)/n) for each n and each multiple k of rank(n) up to n_max; and
-# these swapped.  So each pair (k, d | F(k)) is one slot of every side.
-DivisorTables = namedtuple("DivisorTables", "n_max values readers")
+# ``values`` holds each n with rank(n) ≤ n_max once, a plain int placed at
+# its id in divisor_union, and ``listed`` the LISTED functions' values on
+# them.  ``readers`` holds three (left, right) pairs of itemgetters over ids,
+# each pair picking one side's terms, slot for slot, from a list of f's
+# values and one of g's on ``values``: the direct pairs (d, F(k)/d) for each
+# d | F(k), k ≤ n_max; the rank-weighted pairs (n, F(k)/n) for each n and
+# each multiple k of rank(n) up to n_max; and these swapped.  So each pair
+# (k, d | F(k)) is one slot of every side.
+DivisorTables = namedtuple("DivisorTables", "n_max values listed readers")
 
 
 def _gather(ids: list[int]) -> Callable:
@@ -127,30 +126,22 @@ def divisor_tables(x: float) -> DivisorTables:
     if x < 1:
         raise ValueError(f"theorem1 expects x >= 1, got {x}")
     n_max = math.floor(x)
-    require_factorable(n_max)
-    ids: dict[int, int] = {}
-    runs = []   # (F(k)'s first new id, the ids of its divisors ascending)
-    for k in range(1, n_max + 1):
-        runs.append((len(ids), [ids.setdefault(d, len(ids))
-                                for d in divisors(fib_factorization(k))]))
+    ids, ranks, runs, listed = divisor_union(n_max)
     values = list(ids)
-    del ids
     direct = _gather([i for _, run in runs for i in run])
     mirror = _gather([i for _, run in runs for i in reversed(run)])
     owners, slots = [], []
-    for m, (first, run) in enumerate(runs, 1):
-        for n_id in [i for i in run if i >= first]:   # rank(n) = m
-            n = values[n_id]
-            for k in range(m, n_max + 1, m):
-                row = runs[k - 1][1]
-                i = bisect_left(row, n, key=values.__getitem__)
-                if i == len(row) or row[i] != n_id:
-                    raise RuntimeError(f"{n} has rank {m} but does not "
-                                       f"divide F({k})")
-                owners.append(n_id)
-                slots.append(row[~i])
+    for (n, n_id), m in zip(ids.items(), ranks):
+        for k in range(m, n_max + 1, m):
+            listing, row = runs[k - 1]
+            i = bisect_left(listing, n)
+            if i == len(row) or row[i] != n_id:
+                raise RuntimeError(f"{n} has rank {m} but does not "
+                                   f"divide F({k})")
+            owners.append(n_id)
+            slots.append(row[~i])
     weighted = _gather(owners), _gather(slots)
-    return DivisorTables(n_max, values,
+    return DivisorTables(n_max, values, listed,
                          ((direct, mirror), weighted, weighted[::-1]))
 
 
@@ -163,9 +154,10 @@ def check_theorem1(f: ArithFn, g: ArithFn, x: float,
     ⌊x⌋ Fibonacci numbers) and sum f(n)·g(F(k)/n), then f(F(k)/n)·g(n),
     over the multiples k of rank(n) up to x.  Each side is one pass over
     the slots its readers gather from the divisor tables of F(1..⌊x⌋),
-    built here unless a suite passes its own, and f and g are evaluated
-    once per distinct divisor.  Exact equality is required; residual is an
-    exact integer difference.  For f = Λ, carried as its base e^Λ, each
+    built here unless a suite passes its own, which hold the LISTED μ, φ, λ
+    and Λ's base; any other f or g, a look-alike too, is mapped over their
+    plain ints and factors them again.  Exact equality is required; residual
+    is an exact integer difference.  For f = Λ, carried as its base e^Λ, each
     side is held as the integer ∏ base(a)^g(b), whose log is Σ Λ(a)·g(b),
     and g must then be nonnegative and not Λ.  Building the tables refuses
     x < 1 and fails at once when F(⌊x⌋) is beyond the budget's scale.
@@ -178,8 +170,8 @@ def check_theorem1(f: ArithFn, g: ArithFn, x: float,
     elif tables.n_max != math.floor(x):
         raise ValueError(f"the tables list F(1..{tables.n_max}), "
                          f"not F(1..{math.floor(x)})")
-    fv = list(map(f.fn, tables.values))
-    gv = list(map(g.fn, tables.values))
+    fv, gv = [tables.listed.get(h) or list(map(h.fn, tables.values))
+              for h in (f, g)]
     if f is MANGOLDT and min(gv) < 0:
         raise ValueError(f"Λ's sides are logs of integers; {g.name} "
                          f"takes a negative value")
@@ -359,18 +351,17 @@ def pi_alpha_bound_report(x_values: Sequence[int]) -> list[dict]:
 
 
 def _phi_rank_sums(x: float) -> list[int]:
-    """[Σ_{rank(n)≤k} φ(n)·⌊k/rank(n)⌋ for k = 0..⌊x⌋] from one rank map.
+    """[Σ_{rank(n)≤k} φ(n)·⌊k/rank(n)⌋ for k = 0..⌊x⌋] from divisor_union.
 
     φ is summed per rank once; each k then weights those ⌊x⌋ totals.
-    x < 1 is refused.
+    x < 1 is refused, and an F(⌊x⌋) past the index cap before it is listed.
     """
     if x < 1:
         raise ValueError(f"phi-identity expects x >= 1, got {x}")
-    # listed first: past the index cap it raises before x sizes by_rank
-    ranks = divisor_union_ranks(x)
+    _, ranks, _, listed = divisor_union(x)
     by_rank = [0] * (math.floor(x) + 1)
-    for n, m in ranks.items():
-        by_rank[m] += euler_phi(n)
+    for m, phi in zip(ranks, listed[PHI]):
+        by_rank[m] += phi
     return [sum(by_rank[m] * (k // m) for m in range(1, k + 1))
             for k in range(len(by_rank))]
 
@@ -386,12 +377,13 @@ def phi_recursive_fib(x_max: int) -> list[int]:
     if x_max < 0:
         raise ValueError("phi_recursive_fib expects x_max >= 0")
     seq = [1]
-    ranks: dict[int, int] = {}
+    firsts: dict[int, tuple[int, int]] = {}   # n ↦ (rank(n), φ(n))
     for x in range(0, x_max + 1):
         if x >= 1:
-            for d in divisors(factorize(seq[x - 1])):
-                ranks.setdefault(d, x)
-        seq.append(1 + sum(euler_phi(n) * (x // m) for n, m in ranks.items()))
+            ds, _, phis, *_ = divisor_listing(factorize(seq[x - 1]).factors)
+            for n, phi in zip(ds, phis):
+                firsts.setdefault(n, (x, phi))
+        seq.append(1 + sum(phi * (x // m) for m, phi in firsts.values()))
     return seq
 
 

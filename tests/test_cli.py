@@ -368,8 +368,8 @@ def test_verify_refuses_an_empty_range(argv, capsys):
 def test_verify_theorem1_refuses_x_below_1_before_any_table(x, monkeypatch,
                                                             capsys):
     listed = []
-    for name in ("divisors", "fib_factorization"):
-        monkeypatch.setattr(verify, name, lambda *a: listed.append(a))
+    for name in ("divisor_listing", "fib_factorization"):
+        monkeypatch.setattr(contraction, name, lambda *a: listed.append(a))
     assert run_cli(["verify", "theorem1", "--x", x]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and listed == []
@@ -390,6 +390,15 @@ def test_verify_corollary_mult_past_the_cap_exits_3_at_once(n, monkeypatch,
     monkeypatch.setattr(fib_module, "FIB_FACTORS", {})
     assert run_cli(["verify", "corollary-mult", "--n", n]) == 3
     assert f"F({n})" in capsys.readouterr().err
+    assert fib_module.FIB_FACTORS == {}
+
+
+@pytest.mark.parametrize("x", ["121", "1000"])
+def test_verify_phi_identity_past_the_cap_exits_3_at_once(x, monkeypatch,
+                                                          capsys):
+    monkeypatch.setattr(fib_module, "FIB_FACTORS", {})
+    assert run_cli(["verify", "phi-identity", "--x", x]) == 3
+    assert f"F({x})" in capsys.readouterr().err
     assert fib_module.FIB_FACTORS == {}
 
 

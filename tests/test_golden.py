@@ -65,6 +65,10 @@ STDOUT_DIGESTS = {
     # divisor, before it was read off μ's own form on the halves
     ("contract", "mu", "1", "120"):
         "b947a97204530d448aba4a6c1d45a2534de2687d09f23ecfdd4a7a88162d0d96",
+    # taken while the divisor tables of theorem 1 still held Factorizations,
+    # before μ, φ, λ and Λ's base were read off a plain-int listing
+    ("verify", "theorem1", "--x", "120"):
+        "e7834422fb5211bda8503783eca510799c4e949d36060a3841afe306969c55fd",
 }
 
 # The report file of the theorem1 suite, whose rows include the Λ residual.
@@ -75,6 +79,11 @@ THEOREM1_REPORT_DIGEST = (
 # still held by a value type of their own.
 THEOREM1_X100_REPORT_DIGEST = (
     "1718ee1b8195fa298efc706f51241dc29f584796f8dafce0d05e710f693f4f6e")
+
+# The report file of phi-identity at the index cap, taken with the theorem1
+# stdout digest above, while its ranks were read off Factorization divisors.
+PHI_IDENTITY_X120_REPORT_DIGEST = (
+    "e9ba7b7dcc22eaf849f9e568a11b90b81c39716c4785d95ebd979d0d4eb8343f")
 
 # The report file of the euler-product suite, taken with the last digests
 # above; it pins the suite's name-major order and its residuals.
@@ -133,6 +142,14 @@ def test_benchmark_stdout_is_golden(command, capsys):
     assert cli.main(command.split()) == 0
     assert (_sha256(capsys.readouterr().out.encode())
             == BENCH_GOLDEN["stdout"][command])
+
+
+def test_phi_identity_report_file_at_the_index_cap_is_golden(tmp_path,
+                                                            capsys):
+    out = tmp_path / "r.csv"
+    assert cli.main(["verify", "phi-identity", "--x", "120",
+                     "--out", str(out)]) == 0
+    assert _sha256(out.read_bytes()) == PHI_IDENTITY_X120_REPORT_DIGEST
 
 
 def test_euler_product_report_file_is_golden(tmp_path, capsys):

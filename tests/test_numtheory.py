@@ -135,6 +135,35 @@ def test_divisor_lists_of_fibonacci_and_high_exponent_values():
         assert products == [(d, d.factors) for d in divs]
 
 
+def assert_listing_is_the_oracle(fac):
+    """divisor_listing of fac's factors is divisors(fac) as plain ints, and
+    its value columns are the LISTED functions on those Factorizations."""
+    listing, *columns = numtheory.divisor_listing(fac.factors)
+    divs = divisors(fac)
+    assert listing == tuple(divs)
+    assert all(type(d) is int for d in listing)
+    oracles = (mobius, euler_phi, liouville, mangoldt_base)
+    assert [f.fn for f in numtheory.LISTED] == list(oracles)
+    for column, oracle in zip(columns, oracles):
+        assert column == tuple(map(oracle, divs)), oracle.__name__
+
+
+def test_divisor_listing_of_fibonacci_numbers_is_the_oracle():
+    from fibdirichlet.fib import fib_factorization
+
+    for k in range(1, 121):
+        assert_listing_is_the_oracle(fib_factorization(k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from([2, 3, 5, 7, 11, 13, 97, 2**61 - 1]),
+                       st.integers(1, 5), max_size=5))
+def test_divisor_listing_of_random_factors_is_the_oracle(exponents):
+    factors = tuple(sorted(exponents.items()))
+    assert_listing_is_the_oracle(
+        numtheory.Factorization(math.prod(p**e for p, e in factors), factors))
+
+
 def test_factors_strictly_increasing():
     for n in (360, 5040, 96577):
         primes = [p for p, _ in factorize(n).factors]

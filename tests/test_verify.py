@@ -111,6 +111,28 @@ def test_theorem1_sides_match_literal_oracle():
         check_theorem1(MU, ONE, 39, tables=tables)
 
 
+def test_theorem1_look_alikes_of_listed_functions_give_the_same_reports():
+    # MU and PHI are read off the tables' listing; a look-alike with the same
+    # name and function is mapped over the tables' plain ints instead
+    tables = verify.divisor_tables(40)
+    assert list(tables.listed) == list(numtheory.LISTED)
+    seen = []
+
+    def counted(fn):
+        return lambda n: seen.append(type(n)) or fn(n)
+
+    mu_like = numtheory.ArithFn("mu", counted(numtheory.mobius))
+    phi_like = numtheory.ArithFn("phi", counted(numtheory.euler_phi))
+    pairs = [((MU, ONE), (mu_like, ONE)), ((PHI, ONE), (phi_like, ONE)),
+             ((ONE, MU), (ONE, mu_like)), ((MU, PHI), (mu_like, phi_like))]
+    for listed, alike in pairs:
+        a, b = (check_theorem1(f, g, 40, tables) for f, g in (listed, alike))
+        assert a.passed and b.passed
+        assert ((a.check_name, a.parameters, a.residual, a.details)
+                == (b.check_name, b.parameters, b.residual, b.details))
+    assert seen == [int] * (5 * len(tables.values))
+
+
 def theorem1_pairs(tables):
     """The (left, right) id pairs of each reader pair: direct, weighted,
     swapped."""
@@ -237,28 +259,34 @@ def test_theorem1_suite_sums_the_seeded_pairs_of_check_theorem1(
     assert random_pairs.passed
 
 
+def count_listings(monkeypatch):
+    """Calls of the plain-int divisor_listing, and of divisors, which lists
+    Factorizations, wherever a module binds them."""
+    calls = {"divisor_listing": [], "divisors": []}
+    for name, seen in calls.items():
+        original = getattr(numtheory, name)
+        for module in (numtheory, contraction, verify):
+            if hasattr(module, name):
+                monkeypatch.setattr(
+                    module, name,
+                    lambda *a, _o=original, _s=seen: _s.append(a) or _o(*a))
+    return calls
+
+
 def test_theorem1_suite_lists_divisors_once(monkeypatch):
-    calls = []
-    original = numtheory.divisors
-    for module in (numtheory, verify):
-        monkeypatch.setattr(
-            module, "divisors",
-            lambda *a, **k: calls.append(a) or original(*a, **k))
+    calls = count_listings(monkeypatch)
     reports = verify._suite_theorem1(x=60)
     assert all(r.passed for r in reports)
-    assert len(calls) == 60
+    assert len(calls["divisor_listing"]) == 60   # one listing per F(k)
+    assert calls["divisors"] == []
 
 
 def test_phi_identity_suite_lists_divisors_once(monkeypatch):
-    calls = []
-    original = numtheory.divisors
-    for module in (numtheory, contraction, verify):
-        monkeypatch.setattr(
-            module, "divisors",
-            lambda *a, **k: calls.append(a) or original(*a, **k))
+    calls = count_listings(monkeypatch)
     reports = verify._suite_phi_identity(x=30)
     assert all(r.passed for r in reports)
-    assert len(calls) == 30
+    assert len(calls["divisor_listing"]) == 30   # one listing per F(k)
+    assert calls["divisors"] == []
 
 
 def test_phi_rank_sums_match_the_literal_sum():
@@ -272,9 +300,9 @@ def test_phi_rank_sums_match_the_literal_sum():
 
 def test_theorem1_rejects_a_divisor_missing_from_a_multiple(monkeypatch):
     from fibdirichlet.numtheory import Factorization
-    original = verify.fib_factorization
+    original = contraction.fib_factorization
     monkeypatch.setattr(  # a forged F(5) = 7, which F(10) = 55 lacks
-        verify, "fib_factorization",
+        contraction, "fib_factorization",
         lambda k: (Factorization(7, ((7, 1),)) if k == 5 else original(k)))
     with pytest.raises(RuntimeError, match="7 has rank 5"):
         check_theorem1(MU, ONE, 10)
