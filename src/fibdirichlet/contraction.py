@@ -1,9 +1,10 @@
 """The rank-of-apparition contraction operator and its summatory functions.
 
 The contraction of an arithmetic function f sends n to the sum of f over all
-m whose rank of apparition is exactly n.  By duality those m are precisely
-the divisors of F(n) that divide no earlier Fibonacci number, which makes the
-sum finite and exactly computable.
+m whose rank of apparition is exactly n.  By duality those m are the products
+a·b of F(n)'s two coprime divisor halves whose tags share no bit, so the sum
+is finite and exact, and _tag_sum takes it per tag for a multiplicative f
+and for each term of a finite form.
 
 A finite form is held one way, as a Dilation {j: c_j} with
 f(n) = Σ_{j|n} c_j·μ(n/j), on which contraction is the pull-back c ↦ c∘F:
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from itertools import compress, repeat
 
 from .fib import fib_factorization, require_factorable
@@ -26,6 +27,7 @@ from .numtheory import (
     LISTED,
     LIOUVILLE,
     MU,
+    MULTIPLICATIVE,
     ONE,
     _prime_factors,
     dirichlet_convolve,
@@ -88,16 +90,30 @@ def contributors(n: int) -> list[int]:
     return sorted(_rank_stream(n))
 
 
+def _tag_sum(halves: list, on_low: Callable, on_high: Callable) -> int:
+    """Σ U[s]·V[t] over the tags s, t that share no bit, with U[s] the sum
+    of on_low(a) over the low half's a tagged s, V[t] that of on_high(b)."""
+    low, high = [defaultdict(int) for _ in halves]
+    for half, on, sums in zip(halves, (on_low, on_high), (low, high)):
+        for tag, d in half:
+            sums[tag] += on(d)
+    return sum(u * v for s, u in low.items()
+               for t, v in high.items() if not s & t)
+
+
 def alpha_contract(f: ArithFn, n: int) -> object:
     """Contraction of f at n: Σ f(m) over m with rank(m) = n.
 
-    The m are streamed, never held in a list.  Empty sums are 0 — in
+    A MULTIPLICATIVE f, as f(a·b) = f(a)·f(b), is summed per tag on the
+    halves; any other f on the m streamed, never held.  Empty sums are 0 — in
     particular at n = 2, where F(2) = 1 has no divisor of rank 2.  Λ is
     refused, as a sum of its bases e^Λ is no log.
     """
     if n < 1:
         raise ValueError("alpha_contract expects n >= 1")
     refuse_mangoldt(f)
+    if f in MULTIPLICATIVE:   # by identity: ArithFn has no __eq__
+        return _tag_sum(_rank_halves(n), f.fn, f.fn)
     return sum(map(f.fn, _rank_stream(n)))
 
 
@@ -154,23 +170,17 @@ class Dilation:
                    for m, dilate, c in self._terms)
 
     def contract(self, n: int) -> int:
-        """f_α(n), summed per tag on F(n)'s two divisor halves, with no
-        rank-n divisor made: for j | F(n) with parts j_A, j_B on the halves,
-        [j | a·b]·μ(a·b/j) = [j_A | a]·μ(a/j_A)·[j_B | b]·μ(b/j_B), so c_j
-        adds c_j·Σ U[s]·V[t] over the tags s, t that share no bit, with U[s]
-        the sum of [j_A | a]·μ(a/j_A) over the a tagged s, V[t] likewise.
+        """f_α(n) with no rank-n divisor made: for j | F(n) with parts j_A,
+        j_B on F(n)'s halves, [j | a·b]·μ(a·b/j) = [j_A | a]·μ(a/j_A)·
+        [j_B | b]·μ(b/j_B), so c_j adds c_j times their _tag_sum.
         """
         total, halves = 0, _rank_halves(n)
         for m, dilate, c in self._terms:
             parts = [math.gcd(m, half[-1][1]) for half in halves]
-            if parts[0] * parts[1] != m:
-                continue   # m ∤ F(n)
-            low, high = defaultdict(int), defaultdict(int)
-            for part, half, sums in zip(parts, halves, (low, high)):
-                for tag, d in half:
-                    sums[tag] += _mu_over(d, d.factors, part, dilate)
-            total += c * sum(u * v for s, u in low.items()
-                             for t, v in high.items() if not s & t)
+            if parts[0] * parts[1] == m:   # else m ∤ F(n)
+                total += c * _tag_sum(halves, *(
+                    lambda d, j=j: _mu_over(d, d.factors, j, dilate)
+                    for j in parts))
         return total
 
     def values(self, mu: memoryview) -> memoryview:
@@ -218,16 +228,13 @@ def _tower(form: Dilation) -> tuple[Dilation, ...]:
     return tuple(forms)
 
 
-# f ↦ its own form, where f has one: μ's is c = [n = 1], as 1*μ is.  λ has
-# none, as 1*λ, the indicator of the squares, has infinite support.
-BASE_FORMS = {MU: Dilation({1: 1})}
 # f ↦ its forms f_α, f_α², … up to the fixed point, looked up by identity.
-#   μ_α  (c = 1_{1,2}) is [n = 1] pulled back, and multiplicative.
+#   μ_α  (c = 1_{1,2}) is 1*μ = [n = 1] pulled back, and multiplicative.
 #   λ_α  (c = 1_{1,2,12}): 1*λ is the indicator of the squares, and the
 #        only square Fibonacci numbers are F(1) = F(2) = 1 and F(12) = 144
 #        (Cohn, 1964).
 # Both reach c = 1_{1,2,3,4}, μ_α³, at depth 3.
-TOWERS = {MU: _tower(BASE_FORMS[MU].pull_back()),
+TOWERS = {MU: _tower(Dilation({1: 1}).pull_back()),
           LIOUVILLE: _tower(Dilation({1: 1, 2: 1, 12: 1}))}
 MU_ALPHA, MU_ALPHA2, MU_ALPHA3 = TOWERS[MU]
 LAMBDA_ALPHA = TOWERS[LIOUVILLE][0]
@@ -252,22 +259,20 @@ closed_delta23 = DELTA23.at
 def alpha_contract_iter(f: ArithFn, depth: int, n: int) -> object:
     """depth-fold contraction of f at n.
 
-    An f with a (depth − 1)-form, found by identity (μ's own form at depth
-    1; a tower's form, past the fixed point its last, deeper), has that
-    form contracted once on the tagged halves of F(n)'s divisors
-    (Dilation.contract), so no contributor is made.  For other f, and λ at
-    depth 1, the contributors are expanded level by level, each level one
-    list, and f is contracted at each m of the last.  Each m has one rank,
-    so no m is listed twice in a level, and a loop, not a recursion, walks
-    the 1 → 1 and 5 → 5 chains to any depth.  Λ is refused before any
-    work; an unfactorable F(m) raises the budget error.
+    An f with a tower, found by identity, has its (depth − 1)-form, past
+    the fixed point its last, contracted once on F(n)'s tagged halves
+    (Dilation.contract), so no contributor is made.  Otherwise, and at depth
+    1, the contributors are expanded level by level, one list per level,
+    and f is contracted at each m of the last.  Each m has one rank, so no
+    m is listed twice in a level, and a loop, not a recursion, walks the
+    1 → 1 and 5 → 5 chains to any depth.  Λ is refused before any work; an
+    unfactorable F(m) raises the budget error.
     """
     if depth < 1:
         raise ValueError("alpha_contract_iter expects depth >= 1")
     refuse_mangoldt(f)
-    form = (BASE_FORMS.get(f), *TOWERS.get(f, ()))[:depth][-1]
-    if form is not None:
-        return form.contract(n)
+    if forms := TOWERS.get(f, ())[:depth - 1]:
+        return forms[-1].contract(n)
     level = [n]
     for _ in range(depth - 1):
         level = [d for m in level for d in contributors(m)]

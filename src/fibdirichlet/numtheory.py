@@ -378,10 +378,9 @@ IDENTITY = ArithFn("id", lambda n: n)
 # values are multiplied, never added
 MANGOLDT = ArithFn("mangoldt", mangoldt_base)
 LISTED = (MU, PHI, LIOUVILLE, MANGOLDT)   # divisor_listing's value columns
-
-NAMED_FUNCTIONS: dict[str, ArithFn] = {
-    f.name: f for f in (MU, LIOUVILLE, PHI, ONE, DIVISOR_COUNT, IDENTITY)
-}
+# f(a·b) = f(a)·f(b) for coprime a, b: these objects, not look-alikes
+MULTIPLICATIVE = (MU, LIOUVILLE, PHI, ONE, DIVISOR_COUNT, IDENTITY)
+NAMED_FUNCTIONS: dict[str, ArithFn] = {f.name: f for f in MULTIPLICATIVE}
 
 
 def refuse_mangoldt(*fns: ArithFn) -> None:

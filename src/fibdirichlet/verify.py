@@ -351,17 +351,15 @@ def pi_alpha_bound_report(x_values: Sequence[int]) -> list[dict]:
 
 
 def _phi_rank_sums(x: float) -> list[int]:
-    """[Σ_{rank(n)≤k} φ(n)·⌊k/rank(n)⌋ for k = 0..⌊x⌋] from divisor_union.
+    """[Σ_{rank(n)≤k} φ(n)·⌊k/rank(n)⌋ for k = 0..⌊x⌋] from φ_α.
 
-    φ is summed per rank once; each k then weights those ⌊x⌋ totals.
-    x < 1 is refused, and an F(⌊x⌋) past the index cap before it is listed.
+    φ summed per rank m is φ_α(m); each k then weights those ⌊x⌋ totals.
+    x < 1 is refused, and an F(⌊x⌋) past the index cap before any factoring.
     """
     if x < 1:
         raise ValueError(f"phi-identity expects x >= 1, got {x}")
-    _, ranks, _, listed = divisor_union(x)
-    by_rank = [0] * (math.floor(x) + 1)
-    for m, phi in zip(ranks, listed[PHI]):
-        by_rank[m] += phi
+    require_factorable(n := math.floor(x))
+    by_rank = [0, *(alpha_contract(PHI, m) for m in range(1, n + 1))]
     return [sum(by_rank[m] * (k // m) for m in range(1, k + 1))
             for k in range(len(by_rank))]
 
@@ -500,6 +498,7 @@ RATIO_WINDOW_EP = (0.8, 1.2)
 
 def _suite_theorem1(*, x: float = 25.0) -> list[VerificationReport]:
     tables = divisor_tables(x)
+    tables.listed[ONE] = list(map(ONE.fn, tables.values))   # once for all f
     reports = [check_theorem1(f, ONE, x, tables)
                for f in (MU, PHI, LIOUVILLE, MANGOLDT)]
     # each seeded function is its table read at n mod its period, so n's
@@ -595,7 +594,7 @@ def _suite_phi_identity(*, x: float = 30.0) -> list[VerificationReport]:
     """Σ_{rank(n)≤k} φ(n)·⌊k/rank(n)⌋ = Σ_{n≤k} F(n) = F(k+2) − 1, k ≤ x."""
     worst = fib_sum = 0   # Σ F(n) is kept running
     details = []
-    rank_sums = _phi_rank_sums(x)  # lists F(1..⌊x⌋)'s divisors once
+    rank_sums = _phi_rank_sums(x)  # φ_α(1..⌊x⌋), no divisor listed
     for n in range(1, math.floor(x) + 1):
         fib_sum += fib(n)
         residual = max(abs(rank_sums[n] - fib_sum),

@@ -9,7 +9,6 @@ from fibdirichlet import contraction
 from fibdirichlet import fib as fib_module
 from fibdirichlet.cli import CONTRACTIBLE
 from fibdirichlet.contraction import (
-    BASE_FORMS,
     CLOSED_FORMS,
     DELTA23,
     LAMBDA_ALPHA,
@@ -38,6 +37,7 @@ from fibdirichlet.numtheory import (
     LIOUVILLE,
     MANGOLDT,
     MU,
+    MULTIPLICATIVE,
     NAMED_FUNCTIONS,
     ONE,
     PHI,
@@ -409,26 +409,44 @@ def test_halves_contraction_of_every_tower_form_to_120():
                 pulled_form.at(n), (form.weights, n)
 
 
-def test_mu_depth_one_contracts_its_own_form(monkeypatch):
-    # μ is its own form c = [n = 1], so `contract mu 1` reads it off the
-    # halves and makes no rank-n divisor; λ has no such form, as 1*λ is the
-    # indicator of the squares, and an impostor named mu is not looked up
-    assert list(BASE_FORMS) == [MU]
-    assert BASE_FORMS[MU].weights == {1: 1}
-    assert BASE_FORMS[MU].pull_back().weights == MU_ALPHA.weights
-    assert all(BASE_FORMS[MU].at(n) == mobius(n) for n in range(1, 1001))
-    literal = {n: sum(map(mobius, literal_rank_divisors(n)))
-               for n in range(1, 121)}
-    impostor = ArithFn("mu", mobius)
-    generic = []
-    monkeypatch.setattr(contraction, "alpha_contract",
-                        lambda f, n: generic.append(f) or alpha_contract(f, n))
-    assert [alpha_contract_iter(MU, 1, n) for n in literal] == \
-        list(literal.values())
-    assert generic == []
-    assert alpha_contract_iter(impostor, 1, 30) == literal[30]
-    alpha_contract_iter(LIOUVILLE, 1, 12)
-    assert generic == [impostor, LIOUVILLE]
+def test_multiplicative_depth_one_sums_on_the_halves(monkeypatch):
+    # each CONTRACTIBLE f is MULTIPLICATIVE, f(a·b) = f(a)·f(b) on F(n)'s
+    # coprime halves, so `contract f 1` is summed per tag and makes no
+    # rank-n divisor; a look-alike named mu and a μ iterate are not looked
+    # up, and take the stream
+    literal = {n: literal_rank_divisors(n) for n in range(1, 121)}
+    streamed = []
+    original = contraction._rank_stream
+    monkeypatch.setattr(contraction, "_rank_stream",
+                        lambda n: streamed.append(n) or original(n))
+    for name in CONTRACTIBLE:
+        f = NAMED_FUNCTIONS[name]
+        assert f in MULTIPLICATIVE
+        assert [alpha_contract_iter(f, 1, n) for n in literal] == \
+            [sum(map(f.fn, ds)) for ds in literal.values()], name
+    assert streamed == []
+    impostor, iterate = ArithFn("mu", mobius), MU_ITERATES[1]
+    assert alpha_contract_iter(impostor, 1, 30) == \
+        sum(map(mobius, literal[30]))
+    assert alpha_contract_iter(iterate, 1, 12) == \
+        sum(map(iterate.fn, literal[12]))
+    assert streamed == [30, 12]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60), st.data())
+def test_tag_sum_of_a_random_multiplicative_function(literal_to_60, n, data):
+    # f is drawn on the prime powers it reads, in -3..3, and f(1) = 1
+    values = {}
+
+    def f(d):
+        for power in d.factors:
+            if power not in values:
+                values[power] = data.draw(st.integers(-3, 3), label=f"f{power}")
+        return math.prod(values[power] for power in d.factors)
+
+    assert contraction._tag_sum(contraction._rank_halves(n), f, f) == \
+        sum(map(f, literal_to_60[n]))
 
 
 def test_tower_contraction_past_the_index_cap_factors_nothing(monkeypatch):

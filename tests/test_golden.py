@@ -69,6 +69,18 @@ STDOUT_DIGESTS = {
     # before μ, φ, λ and Λ's base were read off a plain-int listing
     ("verify", "theorem1", "--x", "120"):
         "e7834422fb5211bda8503783eca510799c4e949d36060a3841afe306969c55fd",
+    # taken while λ, one and d still summed f over every rank-n divisor,
+    # before each multiplicative f was summed per tag on F(n)'s halves; the
+    # last expands the contributors level by level and sums `one` on the
+    # halves of each m
+    ("contract", "lambda", "1", "120"):
+        "eb05e8363ad6e7caa85c2ad03b3eb601f039c3330e37464b16891cd67293c4a7",
+    ("contract", "one", "1", "120"):
+        "af87b079ea49e4571d6ebb56c055094b439787319f854f0838c0f282b9f0fa92",
+    ("contract", "divisor_count", "1", "120"):
+        "d152aa9f10b445db9cddb772647dbbc03889c806194232a511e7c6dcb9d7034d",
+    ("contract", "one", "2", "11"):
+        "8f48a448389b0e3afa9714f6c498cb4cecea17de0273ee8cca65ed0d74bd99c3",
 }
 
 # The report file of the theorem1 suite, whose rows include the Λ residual.

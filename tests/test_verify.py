@@ -226,6 +226,23 @@ def test_small_integer_fn_on_the_theorem1_values(theorem1_values_to_100,
 
 
 @pytest.mark.parametrize("x", [1, 1.9, 40])
+def test_theorem1_suite_maps_one_once_for_its_listed_checks(x):
+    # the suite lists ONE's values once for its four checks against ONE;
+    # each report must be the one check_theorem1 gives on tables of its own
+    calls = []
+    original = ONE.fn
+    object.__setattr__(ONE, "fn", lambda n: calls.append(n) or original(n))
+    try:
+        named = verify._suite_theorem1(x=x)[:4]
+    finally:
+        object.__setattr__(ONE, "fn", original)
+    tables = verify.divisor_tables(x)
+    assert calls == tables.values
+    for f, report in zip((MU, PHI, LIOUVILLE, MANGOLDT), named):
+        assert vars(report) == vars(check_theorem1(f, ONE, x)), f.name
+
+
+@pytest.mark.parametrize("x", [1, 1.9, 40])
 def test_theorem1_suite_sums_the_seeded_pairs_of_check_theorem1(
         x, monkeypatch):
     # the suite reads each seeded pair's values from its table through one
@@ -281,12 +298,12 @@ def test_theorem1_suite_lists_divisors_once(monkeypatch):
     assert calls["divisors"] == []
 
 
-def test_phi_identity_suite_lists_divisors_once(monkeypatch):
+def test_phi_identity_suite_lists_no_divisors(monkeypatch):
+    # φ summed per rank m is φ_α(m), read off F(m)'s two halves
     calls = count_listings(monkeypatch)
     reports = verify._suite_phi_identity(x=30)
     assert all(r.passed for r in reports)
-    assert len(calls["divisor_listing"]) == 30   # one listing per F(k)
-    assert calls["divisors"] == []
+    assert calls == {"divisor_listing": [], "divisors": []}
 
 
 def test_phi_rank_sums_match_the_literal_sum():
