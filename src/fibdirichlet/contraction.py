@@ -264,9 +264,9 @@ def alpha_contract_iter(f: ArithFn, depth: int, n: int) -> object:
     (Dilation.contract), so no contributor is made.  Otherwise, and at depth
     1, the contributors are expanded level by level, one list per level,
     and f is contracted at each m of the last.  Each m has one rank, so no
-    m is listed twice in a level, and a loop, not a recursion, walks the
-    1 → 1 and 5 → 5 chains to any depth.  Λ is refused before any work; an
-    unfactorable F(m) raises the budget error.
+    m is listed twice in a level, and the expansion stops at a level equal
+    to the one before it, as [1], [5] and [] are.  Λ is refused before any
+    work; an unfactorable F(m) raises the budget error.
     """
     if depth < 1:
         raise ValueError("alpha_contract_iter expects depth >= 1")
@@ -274,8 +274,9 @@ def alpha_contract_iter(f: ArithFn, depth: int, n: int) -> object:
     if forms := TOWERS.get(f, ())[:depth - 1]:
         return forms[-1].contract(n)
     level = [n]
-    for _ in range(depth - 1):
-        level = [d for m in level for d in contributors(m)]
+    for _ in range(depth - 1):   # a level that repeats is the fixed point
+        if level == (level := [d for m in level for d in contributors(m)]):
+            break
     return sum(alpha_contract(f, m) for m in level)
 
 

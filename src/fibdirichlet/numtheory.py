@@ -13,7 +13,7 @@ from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
 from itertools import compress, repeat
-from operator import itemgetter
+from operator import itemgetter, mul
 
 
 class BudgetExceededError(Exception):
@@ -398,7 +398,7 @@ def dirichlet_convolve(f: ArithFn, g: ArithFn, n: int) -> object:
     """
     refuse_mangoldt(f, g)
     divs = divisors(n if isinstance(n, Factorization) else factorize(n))
-    return sum(f(d) * g(c) for d, c in zip(divs, reversed(divs)))
+    return sum(map(mul, map(f.fn, divs), map(g.fn, reversed(divs))))
 
 
 def zeta_partial(s: float, n_terms: int) -> tuple[float, float]:

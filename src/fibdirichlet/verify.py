@@ -14,6 +14,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import suppress
+from functools import partial
 from itertools import repeat
 from operator import itemgetter, mul, truediv
 
@@ -24,6 +25,8 @@ from .contraction import (
     MU_ALPHA3,
     MU_ITERATES,
     Dilation,
+    _rank_halves,
+    _tag_sum,
     alpha_contract,
     divisor_union,
     summatory_T,
@@ -43,6 +46,7 @@ from .numtheory import (
     LIOUVILLE,
     MANGOLDT,
     MU,
+    MULTIPLICATIVE,
     ONE,
     PHI,
     IDENTITY,
@@ -201,40 +205,37 @@ def check_corollary_completely_mult(f: ArithFn, g: ArithFn, n_max: int
                                     ) -> VerificationReport:
     """Verify (f*g)(F(n)) = g(F(n)) · Σ_{k|n} (f/g)-contraction(k) for n ≤ N.
 
-    g must be completely multiplicative and nonzero up to F(N); the quotient
-    contraction is alpha_contract of f/g, in exact rationals, once per k ≤ N.
-    With g = 1 this is precisely the specialization (1*f)(F(n)) = (1*f_α)(n).
-    N < 1 and Λ are refused, and an F(N) past the budget's scale fails at once.
+    f must be MULTIPLICATIVE and g completely multiplicative, nonzero up to
+    F(N), so g(x)/g(y) = g(x/y) for y | x: C(k) = g(F(k))·(f/g)_α(k) is the int
+    _tag_sum of a ↦ f(a)·g(T)/g(a) on F(k)'s halves, T a half's top, and the
+    right side Σ_{k|n} g(F(n))/g(F(k))·C(k).  With g = 1 this is precisely
+    (1*f)(F(n)) = (1*f_α)(n).  N < 1, Λ and any other f are refused, and an
+    F(N) past the budget's scale fails at once.
     """
     if n_max < 1:
         raise ValueError(f"corollary-mult expects N >= 1, got {n_max}")
     refuse_mangoldt(f, g)
+    if f not in MULTIPLICATIVE:   # by identity: ArithFn has no __eq__
+        raise ValueError(f"corollary-mult expects a MULTIPLICATIVE f, got {f.name}")
     require_factorable(n_max)
-    # imported here, so that commands which never run this check do not load
-    # fractions with its decimal and numbers modules
-    from fractions import Fraction
 
-    def quotient(m: int) -> Fraction:
-        if (gm := g(m)) == 0:
+    def over_g(top: int, a: int) -> int:
+        if (ga := g(a)) == 0:
             raise ZeroDivisionError(
-                f"{g.name}({m}) = 0; the quotient contraction is undefined")
-        return Fraction(f(m), gm)
+                f"{g.name}({a}) = 0; the quotient contraction is undefined")
+        return f(a) * (top // ga)
 
-    f_over_g = ArithFn(f"{f.name}/{g.name}", quotient)
-    contracted = [alpha_contract(f_over_g, k) for k in range(1, n_max + 1)]
-    params = f"f={f.name}, g={g.name}, N={n_max}"
-    details = []
-    worst = Fraction(0)
-    for n in range(1, n_max + 1):
-        an = fib_factorization(n)
-        lhs = Fraction(dirichlet_convolve(f, g, an))
-        rhs = Fraction(g(an)) * sum(
-            contracted[k - 1] for k in range(1, n + 1) if n % k == 0)
-        diff = abs(lhs - rhs)
-        worst = max(worst, diff)
+    contracted = [_tag_sum(h, *(partial(over_g, g(half[-1][1])) for half in h))
+                  for h in map(_rank_halves, range(1, n_max + 1))]
+    details, worst = [], 0
+    for n, an in enumerate(map(fib_factorization, range(1, n_max + 1)), 1):
+        lhs = dirichlet_convolve(f, g, an)
+        rhs = sum(g(an) // g(fib_factorization(k)) * contracted[k - 1]
+                  for k in range(1, n + 1) if n % k == 0)
+        worst = max(worst, abs(lhs - rhs))
         details.append({"n": n, "lhs": str(lhs), "rhs": str(rhs),
                         "equal": lhs == rhs})
-    return VerificationReport("corollary-mult", params,
+    return VerificationReport("corollary-mult", f"f={f.name}, g={g.name}, N={n_max}",
                               worst == 0, float(worst), details)
 
 
@@ -523,10 +524,8 @@ def _suite_theorem1(*, x: float = 25.0) -> list[VerificationReport]:
 
 
 def _suite_corollary(*, n: int = 20) -> list[VerificationReport]:
-    pairs = [(MU, ONE), (PHI, ONE), (LIOUVILLE, ONE), (MU, LIOUVILLE),
-             (PHI, IDENTITY)]
-    return [check_corollary_completely_mult(f, g, n)
-            for f, g in pairs]
+    return [check_corollary_completely_mult(f, g, n) for f, g in (
+        (MU, ONE), (PHI, ONE), (LIOUVILLE, ONE), (MU, LIOUVILLE), (PHI, IDENTITY))]
 
 
 def _suite_logprod(*, x: float = 40.0) -> list[VerificationReport]:

@@ -224,6 +224,16 @@ def test_contract_lambda_past_its_fixed_point_is_mu_alpha3(tmp_path):
             == [r["direct"] for r in read_csv(mu)])
 
 
+def test_contract_past_the_repeated_level_is_depth_3(tmp_path):
+    deep, shallow = tmp_path / "deep.csv", tmp_path / "shallow.csv"
+    start = time.perf_counter()
+    assert run_cli(["contract", "phi", "1000000000", "5",
+                    "--out", str(deep)]) == 0
+    assert time.perf_counter() - start < 1
+    assert run_cli(["contract", "phi", "3", "5", "--out", str(shallow)]) == 0
+    assert read_csv(deep) == read_csv(shallow)
+
+
 def test_contract_empty_sum_row(capsys):
     assert run_cli(["contract", "mu", "1", "2"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

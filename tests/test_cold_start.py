@@ -28,14 +28,28 @@ print("\\n".join(sorted(set(sys.modules) - before)))
 """
 
 
-def _loaded_by_cli_import(*flags):
+# runs a corollary check to its end, then lists every module loaded so far
+COROLLARY_PROBE = """
+import sys
+from fibdirichlet import cli
+assert cli.main(["verify", "corollary-mult", "--n", "12"]) == 0
+print("\\n".join(sorted(sys.modules)), file=sys.stderr)
+"""
+
+
+def _run(probe, *flags):
+    """probe run in a fresh interpreter, with no cache file, its output held."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, *flags, "-c", PROBE],
-                         capture_output=True, text=True, env=env, check=True,
-                         timeout=60).stdout
-    loaded = set(out.split())
+    env.pop("FIBDIRICHLET_CACHE", None)
+    return subprocess.run([sys.executable, *flags, "-c", probe],
+                          capture_output=True, text=True, env=env, check=True,
+                          timeout=60)
+
+
+def _loaded_by_cli_import(*flags):
+    loaded = set(_run(PROBE, *flags).stdout.split())
     assert "fibdirichlet.cli" in loaded
     return loaded
 
@@ -52,3 +66,10 @@ def test_cli_import_without_site_loads_no_pathlib():
     loaded = _loaded_by_cli_import("-S")
     assert "pathlib" not in loaded
     assert "typing" not in loaded
+
+
+def test_corollary_mult_loads_no_fractions():
+    # the corollary is summed in exact ints, so no Fraction is made
+    loaded = set(_run(COROLLARY_PROBE).stderr.split())
+    assert "fibdirichlet.verify" in loaded
+    assert not loaded & {"fractions", "decimal", "numbers"}

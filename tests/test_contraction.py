@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from itertools import product
 
@@ -115,6 +116,17 @@ def test_alpha_contract_iter_examples():
     assert alpha_contract_iter(MU, 2, 6) == -1
     assert alpha_contract_iter(MU, 3, 6) == -1
     assert alpha_contract_iter(MU, 1, 1) == 1
+
+
+def test_alpha_contract_iter_stops_at_a_repeated_level():
+    # n ≤ 5 reach [1], [5] or [] by depth 3, and each expands to itself, so
+    # depth 10⁹ costs what depth 3 does
+    start = time.perf_counter()
+    for f in (PHI, ONE):
+        for n in range(1, 6):
+            assert (alpha_contract_iter(f, 10**9, n)
+                    == alpha_contract_iter(f, 3, n)), (f.name, n)
+    assert time.perf_counter() - start < 1
 
 
 def test_contraction_table():

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from fibdirichlet import cli
+from fibdirichlet import cli, verify
 from fibdirichlet import fib as fib_module
 from fibdirichlet.cache import load_cache_file
 
@@ -106,6 +106,11 @@ EULER_PRODUCT_REPORT_DIGEST = (
 CACHE_FILE_DIGEST = (
     "7721961bc714d72151cc12f8b5b6a974a1a11b6baf826d4d294e001d7a110c7e")
 
+# The details of the five corollary-mult pairs at N = 120, as sorted-key
+# JSON, taken while the quotient f/g was still summed in exact fractions.
+COROLLARY_DETAILS_DIGEST = (
+    "2e0b62ded090ebd8c68b59149f319df2ec56f85351c186360244426961aa8c78")
+
 # The benchmark's own digests, among them those of the cache files it writes.
 BENCH_GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "bench"
                            / "golden.json").read_text())
@@ -169,6 +174,12 @@ def test_euler_product_report_file_is_golden(tmp_path, capsys):
     assert cli.main(["verify", "euler-product", "--n", "20000",
                      "--out", str(out)]) == 0
     assert _sha256(out.read_bytes()) == EULER_PRODUCT_REPORT_DIGEST
+
+
+def test_corollary_details_are_golden():
+    reports = verify.SUITE["corollary-mult"](n=120)
+    blob = json.dumps([report.details for report in reports], sort_keys=True)
+    assert _sha256(blob.encode()) == COROLLARY_DETAILS_DIGEST
 
 
 def test_cache_file_is_golden(tmp_path, capsys, monkeypatch):

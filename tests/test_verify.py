@@ -1,5 +1,6 @@
 import inspect
 import math
+from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
 
@@ -10,9 +11,16 @@ from fibdirichlet import contraction
 from fibdirichlet import fib as fib_module
 from fibdirichlet import numtheory
 from fibdirichlet import verify
-from fibdirichlet.contraction import divisor_union_ranks
-from fibdirichlet.fib import GOLDEN_RATIO, LCM_GROWTH_CONSTANT, fib, lcm_fib
+from fibdirichlet.contraction import contributors, divisor_union_ranks
+from fibdirichlet.fib import (
+    GOLDEN_RATIO,
+    LCM_GROWTH_CONSTANT,
+    fib,
+    fib_factorization,
+    lcm_fib,
+)
 from fibdirichlet.numtheory import (
+    ArithFn,
     BudgetExceededError,
     IDENTITY,
     LIOUVILLE,
@@ -22,6 +30,7 @@ from fibdirichlet.numtheory import (
     PHI,
     dirichlet_convolve,
     factor_budget,
+    mobius,
     zeta_partial,
 )
 from fibdirichlet.verify import (
@@ -349,6 +358,34 @@ def test_corollary_refuses_mangoldt(monkeypatch):
         with pytest.raises(ValueError, match="base e\\^Λ"):
             check_corollary_completely_mult(f, g, n_max)
     assert fib_module.FIB_FACTORS == {}
+
+
+def test_corollary_refuses_a_function_not_multiplicative(monkeypatch):
+    # f is summed per tag on F(k)'s halves, which only a MULTIPLICATIVE f,
+    # found by identity, allows; the refusal comes before anything is factored
+    monkeypatch.setattr(fib_module, "FIB_FACTORS", {})
+    for f in (ArithFn("mu", mobius), small_integer_fn(0)):
+        with pytest.raises(ValueError, match="expects a MULTIPLICATIVE f"):
+            check_corollary_completely_mult(f, ONE, 6)
+    assert fib_module.FIB_FACTORS == {}
+
+
+def test_corollary_rows_match_the_fraction_definition():
+    # the corollary's right side as written, g(F(n))·Σ_{k|n} (f/g)_α(k), with
+    # f/g summed as exact fractions over the contributors of each k
+    pairs = [(MU, ONE), (PHI, ONE), (LIOUVILLE, ONE), (MU, LIOUVILLE),
+             (PHI, IDENTITY)]
+    reports = verify.SUITE["corollary-mult"](n=40)
+    assert len(reports) == len(pairs)
+    for (f, g), report in zip(pairs, reports):
+        assert report.parameters == f"f={f.name}, g={g.name}, N=40"
+        quotient = [sum(Fraction(f(m), g(m)) for m in contributors(k))
+                    for k in range(1, 41)]
+        for row in report.details:
+            n = row["n"]
+            rhs = g(fib_factorization(n)) * sum(
+                quotient[k - 1] for k in range(1, n + 1) if n % k == 0)
+            assert row["rhs"] == str(rhs), (report.parameters, n)
 
 
 def test_logprod_closed_form():
