@@ -18,13 +18,11 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from collections.abc import Callable, Iterator
-from itertools import compress, repeat
 
 from .fib import fib_factorization, require_factorable
 from .numtheory import (
     ArithFn,
     Factorization,
-    LISTED,
     LIOUVILLE,
     MU,
     MULTIPLICATIVE,
@@ -32,34 +30,9 @@ from .numtheory import (
     _prime_factors,
     dirichlet_convolve,
     divisor_halves,
-    divisor_listing,
     factorize,
     refuse_mangoldt,
 )
-
-
-def divisor_union(x: float) -> tuple[dict[int, int], list[int], list, dict]:
-    """The n with rank(n) ≤ ⌊x⌋, from one divisor_listing of each F(k ≤ x):
-    each n mapped to its id, its place in the order the listings first hold
-    them; their ranks (that k) by id; each F(k)'s listing with its ids;
-    and the LISTED functions' values by id, keyed by function.
-    An F(⌊x⌋) past the index cap fails before anything is factored."""
-    require_factorable(math.floor(x))
-    ids: dict[int, int] = {}
-    runs, columns = [], [[] for _ in range(len(LISTED) + 1)]   # rank, LISTED
-    for k in range(1, math.floor(x) + 1):
-        listing, *values = divisor_listing(fib_factorization(k).factors)
-        first = len(ids)
-        runs.append((listing, [ids.setdefault(d, len(ids)) for d in listing]))
-        fresh = [i >= first for i in runs[-1][1]]   # the n of rank k
-        for column, listed in zip(columns, (repeat(k), *values)):
-            column += compress(listed, fresh)
-    return ids, columns[0], runs, dict(zip(LISTED, columns[1:]))
-
-
-def divisor_union_ranks(x: float) -> dict[int, int]:
-    """All n with rank(n) ≤ ⌊x⌋, mapped to rank(n), read off divisor_union."""
-    return dict(zip(*divisor_union(x)[:2]))
 
 
 def _rank_halves(n: int) -> list[list[tuple[int, Factorization]]]:
@@ -88,6 +61,14 @@ def contributors(n: int) -> list[int]:
     """Divisors of F(n) whose rank of apparition is exactly n, ascending,
     held in one list; alpha_contract sums the same divisors without one."""
     return sorted(_rank_stream(n))
+
+
+def divisor_union_ranks(x: float) -> dict[int, int]:
+    """All n with rank(n) ≤ ⌊x⌋, mapped to rank(n), each read off the
+    rank-k stream of its k.  An F(⌊x⌋) past the index cap fails before
+    anything is factored."""
+    require_factorable(n_max := math.floor(x))
+    return {int(m): k for k in range(1, n_max + 1) for m in _rank_stream(k)}
 
 
 def _tag_sum(halves: list, on_low: Callable, on_high: Callable) -> int:

@@ -10,12 +10,10 @@ as limits.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import suppress
-from functools import partial
-from itertools import repeat
+from itertools import compress, repeat
 from operator import itemgetter, mul, truediv
 
 from .contraction import (
@@ -28,7 +26,6 @@ from .contraction import (
     _rank_halves,
     _tag_sum,
     alpha_contract,
-    divisor_union,
     summatory_T,
 )
 from .fib import (
@@ -50,6 +47,7 @@ from .numtheory import (
     ONE,
     PHI,
     IDENTITY,
+    LISTED,
     dirichlet_convolve,
     divisor_listing,
     factorize,
@@ -102,13 +100,13 @@ def small_integer_fn(seed: int) -> ArithFn:
 
 # The divisors of F(1..n_max), each held once, with readers over them.
 # ``values`` holds each n with rank(n) ≤ n_max once, a plain int placed at
-# its id in divisor_union, and ``listed`` the LISTED functions' values on
-# them.  ``readers`` holds three (left, right) pairs of itemgetters over ids,
-# each pair picking one side's terms, slot for slot, from a list of f's
-# values and one of g's on ``values``: the direct pairs (d, F(k)/d) for each
-# d | F(k), k ≤ n_max; the rank-weighted pairs (n, F(k)/n) for each n and
-# each multiple k of rank(n) up to n_max; and these swapped.  So each pair
-# (k, d | F(k)) is one slot of every side.
+# its id, and ``listed`` the LISTED functions' values on them.  ``readers``
+# holds three (left, right) pairs of itemgetters over ids, each pair picking
+# one side's terms, slot for slot, from a list of f's values and one of g's
+# on ``values``: the direct pairs (d, F(k)/d) for each d | F(k), k ≤ n_max;
+# the rank-weighted pairs (n, F(k)/n) for each n and each multiple k of
+# rank(n) up to n_max; and these swapped.  So each pair (k, d | F(k)) is one
+# slot of every side.
 DivisorTables = namedtuple("DivisorTables", "n_max values listed readers")
 
 
@@ -123,30 +121,40 @@ def divisor_tables(x: float) -> DivisorTables:
 
     x < 1 is refused, and an F(⌊x⌋) beyond the budget's scale fails, before
     anything is factored.  The rank of n is the first index whose Fibonacci
-    number n divides; F(k)/n is found by bisection in F(k)'s ascending
-    divisors, and a listed n missing from F(k) for a multiple k of that rank
-    raises RuntimeError.  Each id is one int object wherever it is held.
+    number n divides, and no listing is held past its own F(k).  F(k)/n is
+    found by exact division, and a listed n that leaves a remainder in F(k)
+    for a multiple k of its rank raises RuntimeError.  Each id is one int
+    object wherever it is held.
     """
     if x < 1:
         raise ValueError(f"theorem1 expects x >= 1, got {x}")
-    n_max = math.floor(x)
-    ids, ranks, runs, listed = divisor_union(n_max)
-    values = list(ids)
-    direct = _gather([i for _, run in runs for i in run])
-    mirror = _gather([i for _, run in runs for i in reversed(run)])
+    require_factorable(n_max := math.floor(x))
+    tops = list(map(fib_factorization, range(1, n_max + 1)))
+    ids: dict[int, int] = {}
+    ordered, mirrored = [], []   # F(1..n_max)'s ids, each run reversed
+    columns = [[] for _ in range(len(LISTED) + 1)]   # rank, LISTED
+    for k, top in enumerate(tops, 1):
+        listing, *values = divisor_listing(top.factors)
+        fresh = [d not in ids for d in listing]   # the n of rank k
+        ordered += [ids.setdefault(d, len(ids)) for d in listing]
+        mirrored += reversed(ordered[len(mirrored):])
+        for column, listed in zip(columns, (repeat(k), *values)):
+            column += compress(listed, fresh)
+        del listing, values, fresh   # so no two listings are held at once
+    direct = _gather(ordered), _gather(mirrored)
+    del ordered, mirrored   # held as the readers' tuples from here
     owners, slots = [], []
-    for (n, n_id), m in zip(ids.items(), ranks):
+    for (n, n_id), m in zip(ids.items(), columns[0]):
         for k in range(m, n_max + 1, m):
-            listing, row = runs[k - 1]
-            i = bisect_left(listing, n)
-            if i == len(row) or row[i] != n_id:
+            q, r = divmod(tops[k - 1], n)
+            if r:
                 raise RuntimeError(f"{n} has rank {m} but does not "
                                    f"divide F({k})")
             owners.append(n_id)
-            slots.append(row[~i])
+            slots.append(ids[q])
     weighted = _gather(owners), _gather(slots)
-    return DivisorTables(n_max, values, listed,
-                         ((direct, mirror), weighted, weighted[::-1]))
+    return DivisorTables(n_max, list(ids), dict(zip(LISTED, columns[1:])),
+                         (direct, weighted, weighted[::-1]))
 
 
 def check_theorem1(f: ArithFn, g: ArithFn, x: float,
@@ -210,7 +218,8 @@ def check_corollary_completely_mult(f: ArithFn, g: ArithFn, n_max: int
     _tag_sum of a ↦ f(a)·g(T)/g(a) on F(k)'s halves, T a half's top, and the
     right side Σ_{k|n} g(F(n))/g(F(k))·C(k).  With g = 1 this is precisely
     (1*f)(F(n)) = (1*f_α)(n).  N < 1, Λ and any other f are refused, and an
-    F(N) past the budget's scale fails at once.
+    F(N) past the budget's scale fails at once; a g(x)/g(y) that is not an
+    int shows g is not completely multiplicative, and raises ValueError.
     """
     if n_max < 1:
         raise ValueError(f"corollary-mult expects N >= 1, got {n_max}")
@@ -219,18 +228,23 @@ def check_corollary_completely_mult(f: ArithFn, g: ArithFn, n_max: int
         raise ValueError(f"corollary-mult expects a MULTIPLICATIVE f, got {f.name}")
     require_factorable(n_max)
 
-    def over_g(top: int, a: int) -> int:
+    def over_g(top: int, a: int) -> int:   # g(t)/g(a) for a | t, top = g(t)
         if (ga := g(a)) == 0:
             raise ZeroDivisionError(
                 f"{g.name}({a}) = 0; the quotient contraction is undefined")
-        return f(a) * (top // ga)
+        quotient, remainder = divmod(top, ga)
+        if remainder:
+            raise ValueError(f"{g.name}({a}) = {ga} does not divide {top}; "
+                             f"{g.name} is not completely multiplicative")
+        return quotient
 
-    contracted = [_tag_sum(h, *(partial(over_g, g(half[-1][1])) for half in h))
-                  for h in map(_rank_halves, range(1, n_max + 1))]
+    contracted = [_tag_sum(h, *(
+        lambda a, top=g(half[-1][1]): f(a) * over_g(top, a) for half in h))
+        for h in map(_rank_halves, range(1, n_max + 1))]
     details, worst = [], 0
     for n, an in enumerate(map(fib_factorization, range(1, n_max + 1)), 1):
         lhs = dirichlet_convolve(f, g, an)
-        rhs = sum(g(an) // g(fib_factorization(k)) * contracted[k - 1]
+        rhs = sum(over_g(g(an), fib_factorization(k)) * contracted[k - 1]
                   for k in range(1, n + 1) if n % k == 0)
         worst = max(worst, abs(lhs - rhs))
         details.append({"n": n, "lhs": str(lhs), "rhs": str(rhs),

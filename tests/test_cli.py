@@ -379,7 +379,7 @@ def test_verify_theorem1_refuses_x_below_1_before_any_table(x, monkeypatch,
                                                             capsys):
     listed = []
     for name in ("divisor_listing", "fib_factorization"):
-        monkeypatch.setattr(contraction, name, lambda *a: listed.append(a))
+        monkeypatch.setattr(verify, name, lambda *a: listed.append(a))
     assert run_cli(["verify", "theorem1", "--x", x]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and listed == []

@@ -107,9 +107,12 @@ def test_contributors():
 def test_divisor_union_ranks():
     ranks = divisor_union_ranks(4)
     assert ranks == {1: 1, 2: 3, 3: 4}
-    bigger = divisor_union_ranks(15)
+    # every divisor of F(1..40), each with the rank fib.rank scans for
+    bigger = divisor_union_ranks(40)
+    assert set(bigger) == {int(d) for k in range(1, 41)
+                           for d in divisors(fib_factorization(k))}
     for n, m in bigger.items():
-        assert rank(n) == m
+        assert rank(n) == m, n
 
 
 def test_alpha_contract_iter_examples():

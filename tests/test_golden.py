@@ -111,6 +111,12 @@ CACHE_FILE_DIGEST = (
 COROLLARY_DETAILS_DIGEST = (
     "2e0b62ded090ebd8c68b59149f319df2ec56f85351c186360244426961aa8c78")
 
+# The side values of theorem 1's 24 pairs at the index cap, as sorted-key
+# JSON: the suite's reports, then each seeded pair checked as its own
+# report, taken while F(k)/n was still found by bisection in F(k)'s listing.
+THEOREM1_X120_DETAILS_DIGEST = (
+    "19c484b8546c2f5369916e373377f78e8dc9c0ce1d8f070bff2e54273e89545b")
+
 # The benchmark's own digests, among them those of the cache files it writes.
 BENCH_GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "bench"
                            / "golden.json").read_text())
@@ -180,6 +186,17 @@ def test_corollary_details_are_golden():
     reports = verify.SUITE["corollary-mult"](n=120)
     blob = json.dumps([report.details for report in reports], sort_keys=True)
     assert _sha256(blob.encode()) == COROLLARY_DETAILS_DIGEST
+
+
+def test_theorem1_details_at_the_index_cap_are_golden():
+    reports = verify.SUITE["theorem1"](x=120)
+    tables = verify.divisor_tables(120)
+    reports += [verify.check_theorem1(verify.small_integer_fn(seed),
+                                      verify.small_integer_fn(1000 + seed),
+                                      120, tables)
+                for seed in range(verify.THEOREM1_RANDOM_PAIRS)]
+    blob = json.dumps([report.details for report in reports], sort_keys=True)
+    assert _sha256(blob.encode()) == THEOREM1_X120_DETAILS_DIGEST
 
 
 def test_cache_file_is_golden(tmp_path, capsys, monkeypatch):

@@ -22,6 +22,7 @@ from fibdirichlet.fib import (
 from fibdirichlet.numtheory import (
     ArithFn,
     BudgetExceededError,
+    DIVISOR_COUNT,
     IDENTITY,
     LIOUVILLE,
     MANGOLDT,
@@ -150,16 +151,21 @@ def theorem1_pairs(tables):
 
 
 def test_theorem1_suite_rank_map_matches_rank():
+    # the tables' ranks, each n's first listing, read off its first weighted
+    # slot F(rank)/n, against the ranks the duality tags give
     n_max = 80
     tables = verify.divisor_tables(n_max)
     values = tables.values
-    ranks = divisor_union_ranks(n_max)
-    assert values == list(ranks) and len(set(values)) == len(values)
-    assert all(ranks[a] <= ranks[b] for a, b in zip(values, values[1:]))
+    assert len(set(values)) == len(values)
+    index = {fib(k): k for k in range(n_max, 0, -1)}   # F(1) = F(2) at 1
     _, weighted, _ = theorem1_pairs(tables)
     runs = [(n_id, [s for _, s in run]) for n_id, run
             in groupby(weighted, itemgetter(0))]
     assert len(runs) == 4243
+    ranks = {values[n_id]: index[values[n_id] * values[row[0]]]
+             for n_id, row in runs}
+    assert ranks == divisor_union_ranks(n_max)
+    assert all(ranks[a] <= ranks[b] for a, b in zip(values, values[1:]))
     for n_id, row in runs:
         n = values[n_id]
         m = fib_module.rank(n)
@@ -326,9 +332,9 @@ def test_phi_rank_sums_match_the_literal_sum():
 
 def test_theorem1_rejects_a_divisor_missing_from_a_multiple(monkeypatch):
     from fibdirichlet.numtheory import Factorization
-    original = contraction.fib_factorization
+    original = verify.fib_factorization
     monkeypatch.setattr(  # a forged F(5) = 7, which F(10) = 55 lacks
-        contraction, "fib_factorization",
+        verify, "fib_factorization",
         lambda k: (Factorization(7, ((7, 1),)) if k == 5 else original(k)))
     with pytest.raises(RuntimeError, match="7 has rank 5"):
         check_theorem1(MU, ONE, 10)
@@ -368,6 +374,12 @@ def test_corollary_refuses_a_function_not_multiplicative(monkeypatch):
         with pytest.raises(ValueError, match="expects a MULTIPLICATIVE f"):
             check_corollary_completely_mult(f, ONE, 6)
     assert fib_module.FIB_FACTORS == {}
+
+
+def test_corollary_refuses_a_g_not_completely_multiplicative():
+    # d(4) = 3 does not divide d(F(6)) = d(8) = 4; no quotient is floored
+    with pytest.raises(ValueError, match="divisor_count is not completely"):
+        check_corollary_completely_mult(MU, DIVISOR_COUNT, 12)
 
 
 def test_corollary_rows_match_the_fraction_definition():
