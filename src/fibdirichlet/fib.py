@@ -16,6 +16,7 @@ from .numtheory import (
     BudgetExceededError,
     FACTOR_BUDGET,
     Factorization,
+    _prime_factors,
     factorize,
     valuation,
 )
@@ -89,7 +90,7 @@ def rank(n: int) -> Factorization:
     if n < 1:
         raise ValueError("rank expects n >= 1")
     exponents: dict[int, int] = {}
-    for p, k in (n if isinstance(n, Factorization) else factorize(n)).factors:
+    for p, k in _prime_factors(n):
         local = dict(factorize(p - 1 if p % 5 in (1, 4) else
                                p + 1 if p % 5 else p).factors)
         if k > 1:
@@ -193,9 +194,7 @@ def divisor_has_rank(d: int, n: int) -> bool:
     """
     if d == 1:
         return n == 1
-    if not isinstance(n, Factorization):
-        n = factorize(n)
-    return all(fib_mod(n // q, d) for q, _ in n.factors)
+    return all(fib_mod(n // q, d) for q, _ in _prime_factors(n))
 
 
 def primitive_primes(n: int) -> list[tuple[int, int]]:

@@ -13,7 +13,7 @@ from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
 from itertools import compress, repeat
-from operator import itemgetter, mul
+from operator import mul
 
 
 class BudgetExceededError(Exception):
@@ -226,42 +226,28 @@ def valuation(v: int, n: int) -> int:
 
 
 def _divisor_list(factors: tuple[tuple[int, int], ...]) -> list[Factorization]:
-    """The divisors of ∏ p**e over factors, unordered, each with its factors."""
+    """The divisors of ∏ p**e over factors, ascending, each with its factors."""
     out = [Factorization(1, ())]
     for p, e in factors:   # primes ascending, so each d.factors is too
         powers = [(p**k, ((p, k),)) for k in range(1, e + 1)]
         out += [Factorization(d * q, d.factors + pk)
                 for d in out for q, pk in powers]
-    return out
-
-
-def divisor_listing(factors: tuple) -> tuple[tuple[int, ...], ...]:
-    """The divisors d of ∏ p**e over factors as plain ints, ascending, then
-    the LISTED μ(d), φ(d), λ(d) and e^Λ(d), built by f(d·p^k) = f(d)·f(p^k),
-    but e^Λ(d·p^k) = 1 at d > 1, as d and p^k are coprime."""
-    rows = [(1, 1, 1, 1, 1)]
-    for p, e in factors:
-        powers = [(p**k, -(k == 1), p**k - p**(k - 1), (-1)**k, p)
-                  for k in range(1, e + 1)]
-        rows += [(d * q, m * mq, t * tq, s * sq, b if d == 1 else 1)
-                 for d, m, t, s, _ in rows for q, mq, tq, sq, b in powers]
-    rows.sort(key=itemgetter(0))
-    return tuple(zip(*rows))
+    return sorted(out)
 
 
 def divisors(f: Factorization) -> list[Factorization]:
     """All divisors of f in increasing order, ∏(eᵢ+1) of them, each carrying
     its factors, held in one list.  Listed this way, the i-th from the end
     is f over the i-th."""
-    return sorted(_divisor_list(f.factors))
+    return _divisor_list(f.factors)
 
 
 def divisor_halves(f: Factorization) -> tuple[list[Factorization], ...]:
     """The divisors of f's smaller primes, taken until their count reaches
     the square root of d(f), and those of the rest, each with its factors.
 
-    The two are coprime, and each divisor of f is one product a·b of them;
-    each list starts at 1 and ends at its half's whole part of f.
+    The two are coprime, each divisor of f is one product a·b of them, and
+    each list ascends from 1 to its half's whole part of f.
     """
     factors, total = f.factors, divisor_count(f)
     count, split = 1, 0
@@ -377,7 +363,6 @@ IDENTITY = ArithFn("id", lambda n: n)
 # Λ as its base e^Λ(n): a sum Σ Λ(a)·k is the log of ∏ base(a)^k, so its
 # values are multiplied, never added
 MANGOLDT = ArithFn("mangoldt", mangoldt_base)
-LISTED = (MU, PHI, LIOUVILLE, MANGOLDT)   # divisor_listing's value columns
 # f(a·b) = f(a)·f(b) for coprime a, b: these objects, not look-alikes
 MULTIPLICATIVE = (MU, LIOUVILLE, PHI, ONE, DIVISOR_COUNT, IDENTITY)
 NAMED_FUNCTIONS: dict[str, ArithFn] = {f.name: f for f in MULTIPLICATIVE}

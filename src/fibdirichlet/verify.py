@@ -13,7 +13,7 @@ import math
 from collections import namedtuple
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import suppress
-from itertools import compress, repeat
+from itertools import chain, compress, product, repeat, starmap
 from operator import itemgetter, mul, truediv
 
 from .contraction import (
@@ -47,9 +47,9 @@ from .numtheory import (
     ONE,
     PHI,
     IDENTITY,
-    LISTED,
     dirichlet_convolve,
-    divisor_listing,
+    divisor_halves,
+    euler_phi,
     factorize,
     mu_sieve,
     refuse_mangoldt,
@@ -100,14 +100,16 @@ def small_integer_fn(seed: int) -> ArithFn:
 
 # The divisors of F(1..n_max), each held once, with readers over them.
 # ``values`` holds each n with rank(n) ≤ n_max once, a plain int placed at
-# its id, and ``listed`` the LISTED functions' values on them.  ``readers``
-# holds three (left, right) pairs of itemgetters over ids, each pair picking
-# one side's terms, slot for slot, from a list of f's values and one of g's
-# on ``values``: the direct pairs (d, F(k)/d) for each d | F(k), k ≤ n_max;
-# the rank-weighted pairs (n, F(k)/n) for each n and each multiple k of
-# rank(n) up to n_max; and these swapped.  So each pair (k, d | F(k)) is one
-# slot of every side.
-DivisorTables = namedtuple("DivisorTables", "n_max values listed readers")
+# its id.  F(k)'s listing is the products a·b, low by high, of its pair of
+# ascending ``halves``, so read backwards it is F(k)/d for each d read
+# forwards; ``fresh`` has one byte per slot of the listings, end to end, 1
+# where a value is listed first.  ``readers`` holds three (left, right)
+# pairs of itemgetters over ids, each pair picking one side's terms, slot
+# for slot, from a list of f's values and one of g's on ``values``: the
+# direct pairs (d, F(k)/d) for each d | F(k), k ≤ n_max; the rank-weighted
+# pairs (n, F(k)/n) for each n and each multiple k of rank(n) up to n_max;
+# and these swapped.  So each pair (k, d | F(k)) is one slot of every side.
+DivisorTables = namedtuple("DivisorTables", "n_max values halves fresh readers")
 
 
 def _gather(ids: list[int]) -> Callable:
@@ -121,7 +123,7 @@ def divisor_tables(x: float) -> DivisorTables:
 
     x < 1 is refused, and an F(⌊x⌋) beyond the budget's scale fails, before
     anything is factored.  The rank of n is the first index whose Fibonacci
-    number n divides, and no listing is held past its own F(k).  F(k)/n is
+    number n divides, and no listing is held, only its ids.  F(k)/n is
     found by exact division, and a listed n that leaves a remainder in F(k)
     for a multiple k of its rank raises RuntimeError.  Each id is one int
     object wherever it is held.
@@ -130,21 +132,20 @@ def divisor_tables(x: float) -> DivisorTables:
         raise ValueError(f"theorem1 expects x >= 1, got {x}")
     require_factorable(n_max := math.floor(x))
     tops = list(map(fib_factorization, range(1, n_max + 1)))
+    halves = list(map(divisor_halves, tops))
     ids: dict[int, int] = {}
-    ordered, mirrored = [], []   # F(1..n_max)'s ids, each run reversed
-    columns = [[] for _ in range(len(LISTED) + 1)]   # rank, LISTED
-    for k, top in enumerate(tops, 1):
-        listing, *values = divisor_listing(top.factors)
-        fresh = [d not in ids for d in listing]   # the n of rank k
-        ordered += [ids.setdefault(d, len(ids)) for d in listing]
-        mirrored += reversed(ordered[len(mirrored):])
-        for column, listed in zip(columns, (repeat(k), *values)):
-            column += compress(listed, fresh)
-        del listing, values, fresh   # so no two listings are held at once
+    ordered, mirrored, ranks, fresh = [], [], [], bytearray()
+    for k, (low, high) in enumerate(halves, 1):
+        run = [ids.setdefault(d, len(ids))   # F(k)'s listing, streamed
+               for d in starmap(mul, product(low, high))]
+        fresh += bytes(i >= len(ranks) for i in run)   # the n of rank k
+        ordered += run
+        mirrored += reversed(run)   # the id of F(k)/d at d's slot
+        ranks += repeat(k, len(ids) - len(ranks))   # by id
     direct = _gather(ordered), _gather(mirrored)
-    del ordered, mirrored   # held as the readers' tuples from here
+    del ordered, mirrored, run   # held as the readers' tuples from here
     owners, slots = [], []
-    for (n, n_id), m in zip(ids.items(), columns[0]):
+    for (n, n_id), m in zip(ids.items(), ranks):
         for k in range(m, n_max + 1, m):
             q, r = divmod(tops[k - 1], n)
             if r:
@@ -153,8 +154,22 @@ def divisor_tables(x: float) -> DivisorTables:
             owners.append(n_id)
             slots.append(ids[q])
     weighted = _gather(owners), _gather(slots)
-    return DivisorTables(n_max, list(ids), dict(zip(LISTED, columns[1:])),
+    return DivisorTables(n_max, list(ids), halves, fresh,
                          (direct, weighted, weighted[::-1]))
+
+
+def _values_on(f: ArithFn, tables: DivisorTables) -> list:
+    """f on the tables' values: a MULTIPLICATIVE f as f(a)·f(b) over the
+    halves, Λ's base off their tops' prime powers, else f on the ints."""
+    if f in MULTIPLICATIVE:   # by identity: ArithFn has no __eq__
+        products = (starmap(mul, product(map(f.fn, low), map(f.fn, high)))
+                    for low, high in tables.halves)
+        return list(compress(chain.from_iterable(products), tables.fresh))
+    if f is MANGOLDT:
+        bases = {p**j: p for pair in tables.halves for half in pair
+                 for p, e in half[-1].factors for j in range(1, e + 1)}
+        return [bases.get(n, 1) for n in tables.values]
+    return list(map(f.fn, tables.values))
 
 
 def check_theorem1(f: ArithFn, g: ArithFn, x: float,
@@ -166,13 +181,12 @@ def check_theorem1(f: ArithFn, g: ArithFn, x: float,
     ⌊x⌋ Fibonacci numbers) and sum f(n)·g(F(k)/n), then f(F(k)/n)·g(n),
     over the multiples k of rank(n) up to x.  Each side is one pass over
     the slots its readers gather from the divisor tables of F(1..⌊x⌋),
-    built here unless a suite passes its own, which hold the LISTED μ, φ, λ
-    and Λ's base; any other f or g, a look-alike too, is mapped over their
-    plain ints and factors them again.  Exact equality is required; residual
-    is an exact integer difference.  For f = Λ, carried as its base e^Λ, each
-    side is held as the integer ∏ base(a)^g(b), whose log is Σ Λ(a)·g(b),
-    and g must then be nonnegative and not Λ.  Building the tables refuses
-    x < 1 and fails at once when F(⌊x⌋) is beyond the budget's scale.
+    built here unless a suite passes its own, with f and g read on them by
+    _values_on.  Exact equality is required; residual is an exact integer
+    difference.  For f = Λ, carried as its base e^Λ, each side is held as
+    the integer ∏ base(a)^g(b), whose log is Σ Λ(a)·g(b), and g must then
+    be nonnegative and not Λ.  Building the tables refuses x < 1 and an x
+    past the index cap.
     """
     params = f"f={f.name}, g={g.name}, x={x}"
     if g is MANGOLDT:
@@ -182,8 +196,7 @@ def check_theorem1(f: ArithFn, g: ArithFn, x: float,
     elif tables.n_max != math.floor(x):
         raise ValueError(f"the tables list F(1..{tables.n_max}), "
                          f"not F(1..{math.floor(x)})")
-    fv, gv = [tables.listed.get(h) or list(map(h.fn, tables.values))
-              for h in (f, g)]
+    fv, gv = (_values_on(h, tables) for h in (f, g))
     if f is MANGOLDT and min(gv) < 0:
         raise ValueError(f"Λ's sides are logs of integers; {g.name} "
                          f"takes a negative value")
@@ -385,7 +398,7 @@ def phi_recursive_fib(x_max: int) -> list[int]:
     Seeds F(1) = 1; each step x ≥ 0 produces the (x+2)-nd term as one plus
     the floor-weighted totient sum over ranks computed from the terms
     generated so far (x = 0 is the empty-sum base case giving F(2) = 1).
-    Nothing here calls fib() or rank().
+    Nothing here calls fib() or rank(); φ is read off each term's halves.
     """
     if x_max < 0:
         raise ValueError("phi_recursive_fib expects x_max >= 0")
@@ -393,9 +406,13 @@ def phi_recursive_fib(x_max: int) -> list[int]:
     firsts: dict[int, tuple[int, int]] = {}   # n ↦ (rank(n), φ(n))
     for x in range(0, x_max + 1):
         if x >= 1:
-            ds, _, phis, *_ = divisor_listing(factorize(seq[x - 1]).factors)
-            for n, phi in zip(ds, phis):
-                firsts.setdefault(n, (x, phi))
+            try:
+                low, high = ([(d, euler_phi(d)) for d in half]
+                             for half in divisor_halves(factorize(seq[x - 1])))
+            except BudgetExceededError as exc:
+                raise BudgetExceededError(f"F({x}): {exc}") from exc
+            for (a, s), (b, t) in product(low, high):
+                firsts.setdefault(a * b, (x, s * t))
         seq.append(1 + sum(phi * (x // m) for m, phi in firsts.values()))
     return seq
 
@@ -513,7 +530,6 @@ RATIO_WINDOW_EP = (0.8, 1.2)
 
 def _suite_theorem1(*, x: float = 25.0) -> list[VerificationReport]:
     tables = divisor_tables(x)
-    tables.listed[ONE] = list(map(ONE.fn, tables.values))   # once for all f
     reports = [check_theorem1(f, ONE, x, tables)
                for f in (MU, PHI, LIOUVILLE, MANGOLDT)]
     # each seeded function is its table read at n mod its period, so n's

@@ -378,12 +378,24 @@ def test_verify_refuses_an_empty_range(argv, capsys):
 def test_verify_theorem1_refuses_x_below_1_before_any_table(x, monkeypatch,
                                                             capsys):
     listed = []
-    for name in ("divisor_listing", "fib_factorization"):
+    for name in ("divisor_halves", "fib_factorization"):
         monkeypatch.setattr(verify, name, lambda *a: listed.append(a))
     assert run_cli(["verify", "theorem1", "--x", x]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and listed == []
     assert captured.err == f"error: theorem1 expects x >= 1, got {float(x)}\n"
+
+
+def test_verify_phi_recursion_budget_error_names_the_fibonacci_index(capsys):
+    # the recursion factors each term it generates; F(127) = 27941 · a
+    # 22-digit prime has no factor below trial division's bound, and rho
+    # refuses it up front, as its fourth root is above the default budget
+    assert run_cli(["verify", "phi-recursion", "--x", "130"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: F(127): factoring "
+                            "155576970220531065681649693 exceeded the work "
+                            "budget\n")
 
 
 @pytest.mark.parametrize("argv, line", [

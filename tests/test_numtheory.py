@@ -135,32 +135,34 @@ def test_divisor_lists_of_fibonacci_and_high_exponent_values():
         assert products == [(d, d.factors) for d in divs]
 
 
-def assert_listing_is_the_oracle(fac):
-    """divisor_listing of fac's factors is divisors(fac) as plain ints, and
-    its value columns are the LISTED functions on those Factorizations."""
-    listing, *columns = numtheory.divisor_listing(fac.factors)
-    divs = divisors(fac)
-    assert listing == tuple(divs)
-    assert all(type(d) is int for d in listing)
-    oracles = (mobius, euler_phi, liouville, mangoldt_base)
-    assert [f.fn for f in numtheory.LISTED] == list(oracles)
-    for column, oracle in zip(columns, oracles):
-        assert column == tuple(map(oracle, divs)), oracle.__name__
+def assert_halves_are_complement_symmetric(fac):
+    """Each half ascends from 1 to its top h, and its i-th from the end is
+    h over its i-th; so the products a·b, low by high, read backwards are
+    fac over the same products read forwards."""
+    low, high = divisor_halves(fac)
+    assert low[-1] * high[-1] == fac
+    for half in (low, high):
+        assert half[0] == 1
+        assert all(a < b for a, b in zip(half, half[1:]))
+        assert [a * b for a, b in zip(half, reversed(half))] == \
+            [half[-1]] * len(half)
+    listing = [a * b for a in low for b in high]
+    assert listing[::-1] == [fac // d for d in listing]
 
 
-def test_divisor_listing_of_fibonacci_numbers_is_the_oracle():
+def test_halves_of_fibonacci_numbers_are_complement_symmetric():
     from fibdirichlet.fib import fib_factorization
 
-    for k in range(1, 121):
-        assert_listing_is_the_oracle(fib_factorization(k))
+    for k in range(3, 121):
+        assert_halves_are_complement_symmetric(fib_factorization(k))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.dictionaries(st.sampled_from([2, 3, 5, 7, 11, 13, 97, 2**61 - 1]),
                        st.integers(1, 5), max_size=5))
-def test_divisor_listing_of_random_factors_is_the_oracle(exponents):
+def test_halves_of_random_factors_are_complement_symmetric(exponents):
     factors = tuple(sorted(exponents.items()))
-    assert_listing_is_the_oracle(
+    assert_halves_are_complement_symmetric(
         numtheory.Factorization(math.prod(p**e for p, e in factors), factors))
 
 

@@ -122,10 +122,9 @@ def test_theorem1_sides_match_literal_oracle():
 
 
 def test_theorem1_look_alikes_of_listed_functions_give_the_same_reports():
-    # MU and PHI are read off the tables' listing; a look-alike with the same
-    # name and function is mapped over the tables' plain ints instead
+    # MU and PHI are read off F(k)'s halves; a look-alike with the same name
+    # and function is mapped over the tables' plain ints instead
     tables = verify.divisor_tables(40)
-    assert list(tables.listed) == list(numtheory.LISTED)
     seen = []
 
     def counted(fn):
@@ -179,8 +178,10 @@ def test_theorem1_slots_list_every_divisor_pair_once(n_max):
     tables = verify.divisor_tables(n_max)
     values = tables.values
     direct, weighted, swapped = theorem1_pairs(tables)
-    listed = [(k, d) for k in range(1, n_max + 1)
-              for d in numtheory.divisors(fib_module.fib_factorization(k))]
+    # each F(k)'s slots are the products a·b of its halves, low by high
+    listed = [(k, a * b) for k in range(1, n_max + 1)
+              for low, high in [numtheory.divisor_halves(fib_factorization(k))]
+              for a in low for b in high]
     assert [(k, values[a], values[b]) for (k, _), (a, b)
             in zip(listed, direct)] == \
         [(k, d, fib(k) // d) for k, d in listed]
@@ -241,9 +242,10 @@ def test_small_integer_fn_on_the_theorem1_values(theorem1_values_to_100,
 
 
 @pytest.mark.parametrize("x", [1, 1.9, 40])
-def test_theorem1_suite_maps_one_once_for_its_listed_checks(x):
-    # the suite lists ONE's values once for its four checks against ONE;
-    # each report must be the one check_theorem1 gives on tables of its own
+def test_theorem1_suite_reads_one_off_the_halves(x):
+    # each of the suite's four checks against ONE reads ONE once per
+    # half-divisor of each F(k), never on a plain int; each report must be
+    # the one check_theorem1 gives on tables of its own
     calls = []
     original = ONE.fn
     object.__setattr__(ONE, "fn", lambda n: calls.append(n) or original(n))
@@ -252,7 +254,9 @@ def test_theorem1_suite_maps_one_once_for_its_listed_checks(x):
     finally:
         object.__setattr__(ONE, "fn", original)
     tables = verify.divisor_tables(x)
-    assert calls == tables.values
+    halves = [d for pair in tables.halves for half in pair for d in half]
+    assert calls == halves * 4
+    assert all(type(d) is numtheory.Factorization for d in calls)
     for f, report in zip((MU, PHI, LIOUVILLE, MANGOLDT), named):
         assert vars(report) == vars(check_theorem1(f, ONE, x)), f.name
 
@@ -292,9 +296,9 @@ def test_theorem1_suite_sums_the_seeded_pairs_of_check_theorem1(
 
 
 def count_listings(monkeypatch):
-    """Calls of the plain-int divisor_listing, and of divisors, which lists
+    """Calls of divisor_halves and of divisors, each of which lists
     Factorizations, wherever a module binds them."""
-    calls = {"divisor_listing": [], "divisors": []}
+    calls = {"divisor_halves": [], "divisors": []}
     for name, seen in calls.items():
         original = getattr(numtheory, name)
         for module in (numtheory, contraction, verify):
@@ -309,7 +313,9 @@ def test_theorem1_suite_lists_divisors_once(monkeypatch):
     calls = count_listings(monkeypatch)
     reports = verify._suite_theorem1(x=60)
     assert all(r.passed for r in reports)
-    assert len(calls["divisor_listing"]) == 60   # one listing per F(k)
+    # one pair of halves per F(k), shared by all 24 pairs (f, g)
+    assert calls["divisor_halves"] == [(fib_factorization(k),)
+                                       for k in range(1, 61)]
     assert calls["divisors"] == []
 
 
@@ -318,7 +324,24 @@ def test_phi_identity_suite_lists_no_divisors(monkeypatch):
     calls = count_listings(monkeypatch)
     reports = verify._suite_phi_identity(x=30)
     assert all(r.passed for r in reports)
-    assert calls == {"divisor_listing": [], "divisors": []}
+    assert calls["divisor_halves"] == [(fib_factorization(m),)
+                                       for m in range(1, 31)]
+    assert calls["divisors"] == []
+
+
+def test_theorem1_values_are_each_function_on_the_factored_values():
+    # a MULTIPLICATIVE f is read off F(k)'s halves and Λ's base off the
+    # prime powers of their tops; each must be f on the factored values
+    tables = verify.divisor_tables(60)
+    factored = list(map(numtheory.factorize, tables.values))
+    for f in (*numtheory.MULTIPLICATIVE, MANGOLDT):
+        assert verify._values_on(f, tables) == list(map(f.fn, factored)), \
+            f.name
+    # a look-alike of MU is no MULTIPLICATIVE object: mapped over plain ints
+    seen = []
+    mu_like = ArithFn("mu", lambda n: seen.append(type(n)) or mobius(n))
+    assert verify._values_on(mu_like, tables) == list(map(mobius, factored))
+    assert seen == [int] * len(tables.values)
 
 
 def test_phi_rank_sums_match_the_literal_sum():
