@@ -166,6 +166,42 @@ def test_halves_of_random_factors_are_complement_symmetric(exponents):
         numtheory.Factorization(math.prod(p**e for p, e in factors), factors))
 
 
+def assert_listing_is_the_oracle(fac):
+    """fac's listing, the products a·b of its halves low by high, is
+    divisors(fac) as plain ints, and a multiplicative f read as f(a)·f(b)
+    on it, and Λ's base read off the halves' tops, are the functions on
+    those Factorizations."""
+    low, high = divisor_halves(fac)
+    listing = [a * b for a in low for b in high]
+    assert all(type(d) is int for d in listing)
+    by_value = {d: d for d in divisors(fac)}
+    assert sorted(listing) == list(by_value)
+    factored = [by_value[d] for d in listing]
+    for f in (MU, PHI, LIOUVILLE, DIVISOR_COUNT):
+        column = [f.fn(a) * f.fn(b) for a in low for b in high]
+        assert column == list(map(f.fn, factored)), f.name
+    bases = {p**j: p for half in (low, high)
+             for p, e in half[-1].factors for j in range(1, e + 1)}
+    assert [bases.get(d, 1) for d in listing] == \
+        list(map(mangoldt_base, factored))
+
+
+def test_divisor_listing_of_fibonacci_numbers_is_the_oracle():
+    from fibdirichlet.fib import fib_factorization
+
+    for k in range(1, 121):
+        assert_listing_is_the_oracle(fib_factorization(k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from([2, 3, 5, 7, 11, 13, 97, 2**61 - 1]),
+                       st.integers(1, 5), max_size=5))
+def test_divisor_listing_of_random_factors_is_the_oracle(exponents):
+    factors = tuple(sorted(exponents.items()))
+    assert_listing_is_the_oracle(
+        numtheory.Factorization(math.prod(p**e for p, e in factors), factors))
+
+
 def test_factors_strictly_increasing():
     for n in (360, 5040, 96577):
         primes = [p for p, _ in factorize(n).factors]

@@ -242,10 +242,10 @@ def test_small_integer_fn_on_the_theorem1_values(theorem1_values_to_100,
 
 
 @pytest.mark.parametrize("x", [1, 1.9, 40])
-def test_theorem1_suite_reads_one_off_the_halves(x):
-    # each of the suite's four checks against ONE reads ONE once per
-    # half-divisor of each F(k), never on a plain int; each report must be
-    # the one check_theorem1 gives on tables of its own
+def test_theorem1_suite_maps_one_once_for_its_listed_checks(x):
+    # each of the suite's four checks against ONE maps ONE once over the
+    # half-divisors of each F(k), never over a plain int; each report must
+    # be the one check_theorem1 gives on tables of its own
     calls = []
     original = ONE.fn
     object.__setattr__(ONE, "fn", lambda n: calls.append(n) or original(n))
