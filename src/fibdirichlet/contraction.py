@@ -35,18 +35,21 @@ from .numtheory import (
 )
 
 
-def _rank_halves(n: int) -> list[list[tuple[int, Factorization]]]:
-    """F(n)'s two coprime divisor halves, each divisor tagged with bit i
-    set when it divides F(n/q) for the i-th prime q | n.  By duality a·b
-    has rank n iff it divides no F(n/q), that is iff the tags of a and b
-    share no bit.  F(n) is factored first, so an n past the index cap
-    raises before any F(n/q) enters the memo, and each F(n/q) before any
-    divisor is made.
-    """
-    whole = fib_factorization(n)
-    below = [fib_factorization(n // q) for q, _ in factorize(n).factors]
+def _tag_halves(whole: Factorization, below: list[int]) -> list:
+    """whole's two coprime divisor halves, each divisor d tagged with bit i
+    set when d | below[i].  By duality a·b | F(n) has rank n iff it divides
+    no F(n/q), q | n prime, so iff the tags against those share no bit."""
     return [[(sum(1 << i for i, v in enumerate(below) if v % d == 0), d)
              for d in half] for half in divisor_halves(whole)]
+
+
+def _rank_halves(n: int) -> list[list[tuple[int, Factorization]]]:
+    """F(n)'s halves tagged against each F(n/q), all read from the memo,
+    F(n) first, so an n past the index cap raises before any F(n/q)
+    enters the memo, and each F(n/q) before any divisor is made."""
+    whole = fib_factorization(n)
+    return _tag_halves(whole, [fib_factorization(n // q)
+                               for q, _ in factorize(n).factors])
 
 
 def _rank_stream(n: int) -> Iterator[Factorization]:

@@ -11,6 +11,7 @@ and the growth constant of log lcm F(1..x).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 from .numtheory import (
     BudgetExceededError,
@@ -151,28 +152,18 @@ def require_factorable(n: int) -> None:
         )
 
 
-def fib_factorization(n: int) -> Factorization:
-    """Factorization of F(n), memoized; fails fast when F(n) is beyond scale.
+def factor_fib(n: int, value: int, factored: Callable) -> Factorization:
+    """Factorization of value = F(n), factored(m) giving that of F(m), m < n.
 
-    A prime of F(n) that is not primitive divides F(n/q) for some prime
-    q | n (strong divisibility), so the primes of those F(n/q), factored
-    through the memo, are divided out of F(n) with their exponents, and
-    only the rest, the primitive part of F(n) without its intrinsic primes,
-    is given to factorize.  F(1) = F(2) = 1 are skipped on the way, so
-    besides F(n) the memo gains only F(d) for the divisors 3 ≤ d < n of n.
-
-    The scale check comes first, so a budget refuses the same n whether or
-    not F(n) is in the memo.  A budget spent while factoring F(n) raises
-    BudgetExceededError naming F(n).
+    A prime of F(n) that is not primitive divides F(n/q) for a prime q | n
+    (strong divisibility), so the primes of each factored(n/q), n/q > 2,
+    are divided out with their exponents, and only the rest, the primitive
+    part of F(n) without its intrinsic primes, goes to factorize.  A spent
+    budget raises BudgetExceededError naming F(n).
     """
-    require_factorable(n)
-    cached = FIB_FACTORS.get(n)
-    if cached is not None:
-        return cached
-    value = fib(n)
     try:
         old = {p for q, _ in factorize(n).factors if n // q > 2
-               for p, _ in fib_factorization(n // q).factors}
+               for p, _ in factored(n // q).factors}
         rest, exponents = value, {}
         for p in old:
             exponents[p] = valuation(rest, p)
@@ -180,9 +171,17 @@ def fib_factorization(n: int) -> Factorization:
         exponents.update(factorize(rest).factors)
     except BudgetExceededError as exc:
         raise BudgetExceededError(f"F({n}): {exc}") from exc
-    f = Factorization(value, tuple(sorted(exponents.items())))
-    FIB_FACTORS[n] = f
-    return f
+    return Factorization(value, tuple(sorted(exponents.items())))
+
+
+def fib_factorization(n: int) -> Factorization:
+    """Factorization of F(n), memoized, by factor_fib through the memo; fails
+    fast, memo or not, when F(n) is beyond scale.  Besides F(n) the memo
+    gains only F(d) for the divisors 3 ≤ d < n of n."""
+    require_factorable(n)
+    if (cached := FIB_FACTORS.get(n)) is None:
+        cached = FIB_FACTORS[n] = factor_fib(n, fib(n), fib_factorization)
+    return cached
 
 
 def divisor_has_rank(d: int, n: int) -> bool:

@@ -24,6 +24,7 @@ from .contraction import (
     MU_ITERATES,
     Dilation,
     _rank_halves,
+    _tag_halves,
     _tag_sum,
     alpha_contract,
     summatory_T,
@@ -31,6 +32,7 @@ from .contraction import (
 from .fib import (
     GOLDEN_RATIO,
     LCM_GROWTH_CONSTANT,
+    factor_fib,
     fib,
     fib_factorization,
     lcm_fib,
@@ -395,25 +397,20 @@ def _phi_rank_sums(x: float) -> list[int]:
 def phi_recursive_fib(x_max: int) -> list[int]:
     """Regenerate F(1)..F(x_max+2) from the totient recursion alone.
 
-    Seeds F(1) = 1; each step x ≥ 0 produces the (x+2)-nd term as one plus
-    the floor-weighted totient sum over ranks computed from the terms
-    generated so far (x = 0 is the empty-sum base case giving F(2) = 1).
-    Nothing here calls fib() or rank(); φ is read off each term's halves.
+    F(1) = F(2) = 1 (x = 0's empty sum); each x ≥ 1 factors F(x) by
+    factor_fib through the recursion's own earlier factorizations, takes
+    φ_α(x) as the _tag_sum of φ on its halves tagged against its own F(x/q),
+    and appends 1 + Σ_{m≤x} φ_α(m)·⌊x/m⌋.  fib, the memo and rank are unread.
     """
     if x_max < 0:
         raise ValueError("phi_recursive_fib expects x_max >= 0")
-    seq = [1]
-    firsts: dict[int, tuple[int, int]] = {}   # n ↦ (rank(n), φ(n))
-    for x in range(0, x_max + 1):
-        if x >= 1:
-            try:
-                low, high = ([(d, euler_phi(d)) for d in half]
-                             for half in divisor_halves(factorize(seq[x - 1])))
-            except BudgetExceededError as exc:
-                raise BudgetExceededError(f"F({x}): {exc}") from exc
-            for (a, s), (b, t) in product(low, high):
-                firsts.setdefault(a * b, (x, s * t))
-        seq.append(1 + sum(phi * (x // m) for m, phi in firsts.values()))
+    seq, factored, phi_alpha = [1, 1], [None], []
+    for x in range(1, x_max + 1):
+        factored.append(factor_fib(x, seq[x - 1], factored.__getitem__))
+        halves = _tag_halves(factored[x], [
+            seq[x // q - 1] for q, _ in factorize(x).factors])
+        phi_alpha.append(_tag_sum(halves, euler_phi, euler_phi))
+        seq.append(1 + sum(p * (x // m) for m, p in enumerate(phi_alpha, 1)))
     return seq
 
 

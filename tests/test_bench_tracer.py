@@ -51,3 +51,12 @@ def test_tracer_counts_calls_through_a_swapped_arith_fn(tmp_path):
     calls, stdout = _traced_calls(tmp_path, "series", "--s", "3", "--n", "2000")
     assert calls[("verify.euler_product_check", "cli.main")] == 4
     assert stdout.count("\n") == 5   # header and four rows
+
+
+def test_tracer_counts_the_contract_paths_memo_reads(tmp_path):
+    # _rank_halves and fib_factorization read fib_factorization from their
+    # module at call time, so the tracer's swap sees every memo read; a
+    # default argument bound at import would hide them from it
+    calls, _ = _traced_calls(tmp_path, "contract", "mu", "3", "40")
+    assert calls[("fib.fib_factorization", "cli.main")] > 0
+    assert calls[("fib.fib_factorization", "fib.fib_factorization")] > 0

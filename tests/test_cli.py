@@ -387,9 +387,11 @@ def test_verify_theorem1_refuses_x_below_1_before_any_table(x, monkeypatch,
 
 
 def test_verify_phi_recursion_budget_error_names_the_fibonacci_index(capsys):
-    # the recursion factors each term it generates; F(127) = 27941 · a
-    # 22-digit prime has no factor below trial division's bound, and rho
-    # refuses it up front, as its fourth root is above the default budget
+    # the recursion factors each term it generates with fib_factorization's
+    # strong-divisibility step; 127 is prime, so the step divides nothing
+    # out and hands rho the whole F(127) = 27941 · a 22-digit prime, which
+    # has no factor below trial division's bound, and rho refuses it up
+    # front, as its fourth root is above the default budget
     assert run_cli(["verify", "phi-recursion", "--x", "130"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

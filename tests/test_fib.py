@@ -11,6 +11,7 @@ from fibdirichlet.fib import (
     LCM_GROWTH_CONSTANT,
     divisor_has_rank,
     entry_exponent,
+    factor_fib,
     fib,
     fib_factorization,
     fib_mod,
@@ -325,6 +326,29 @@ def test_fib_factorization_matches_direct_factoring(monkeypatch):
     for n in (94, 96, 120):
         monkeypatch.setattr(fib_module, "FIB_FACTORS", {})
         assert fib_factorization(n).factors == factorize(fib(n)).factors, n
+
+
+def test_factor_fib_is_fib_factorizations_step(monkeypatch):
+    # a plain list, filled only from earlier steps, stands in for the memo
+    monkeypatch.setattr(fib_module, "FIB_FACTORS", {})
+    factored = [None]
+    for n in range(1, 121):
+        factored.append(factor_fib(n, fib(n), factored.__getitem__))
+    assert fib_module.FIB_FACTORS == {}
+    raised = []
+    with factor_budget(1):
+        for n in range(1, 121):
+            try:
+                f = factor_fib(n, fib(n), factored.__getitem__)
+            except BudgetExceededError as exc:
+                assert str(exc).startswith(f"F({n}): "), n
+                raised.append(n)
+            else:
+                assert f.factors == factored[n].factors, n
+    assert fib_module.FIB_FACTORS == {} and 120 in raised
+    for n in range(1, 121):
+        assert factored[n] == fib(n), n
+        assert factored[n].factors == fib_factorization(n).factors, n
 
 
 def test_fib_factorization_matches_sympy(monkeypatch):

@@ -532,6 +532,22 @@ def test_phi_recursive_fib():
     assert phi_recursive_fib(4) == [1, 1, 2, 3, 5, 8]
     assert phi_recursive_fib(0) == [1, 1]
     assert phi_recursive_fib(10) == [fib(i) for i in range(1, 13)]
+    assert phi_recursive_fib(120) == [fib(i) for i in range(1, 123)]
+
+
+def test_phi_recursive_fib_calls_neither_fib_nor_the_memo(monkeypatch):
+    expected = [fib(i) for i in range(1, 63)]
+
+    def refuse(*args):
+        raise AssertionError("the recursion reached the library's F(n)")
+
+    for module in (fib_module, verify, contraction):
+        for name in ("fib", "fib_factorization", "rank"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(fib_module, "FIB_FACTORS", {})
+    assert phi_recursive_fib(60) == expected
+    assert fib_module.FIB_FACTORS == {}
 
 
 def test_euler_product_examples():
