@@ -200,12 +200,12 @@ def factorize(n: int) -> Factorization:
             m //= p
     p = 5
     while p <= _TRIAL_BOUND and p * p <= m:
-        b.spend(1)
         for q in (p, p + 2):
             while m % q == 0:
                 fac[q] = fac.get(q, 0) + 1
                 m //= q
         p += 6
+    b.spend((p - 5) // 6)   # a unit per trial step, charged at once
     if m > 1:
         if p * p > m:
             fac[m] = fac.get(m, 0) + 1
@@ -375,15 +375,15 @@ def refuse_mangoldt(*fns: ArithFn) -> None:
 
 
 def dirichlet_convolve(f: ArithFn, g: ArithFn, n: int) -> object:
-    """(f*g)(n) = Σ_{d|n} f(d)·g(n/d), exactly.
-
-    A Factorization is not factored again: its divisors carry factors taken
-    from its own, and n/d is read from the other end of their list.  Λ is
-    refused, as a sum of its bases e^Λ is no log.
-    """
+    """(f*g)(n) = Σ_{d|n} f(d)·g(n/d), exactly: for f and g MULTIPLICATIVE,
+    by identity, the product of that sum over the p^e ‖ n.  A Factorization
+    is not factored again, and n/d is read from the other end of the list of
+    divisors.  Λ is refused, as a sum of its bases e^Λ is no log."""
     refuse_mangoldt(f, g)
-    divs = divisors(n if isinstance(n, Factorization) else factorize(n))
-    return sum(map(mul, map(f.fn, divs), map(g.fn, reversed(divs))))
+    fac = _prime_factors(n)   # zip(fac) gives each ((p, e),) on its own
+    parts = zip(fac) if f in MULTIPLICATIVE and g in MULTIPLICATIVE else [fac]
+    return math.prod(sum(map(mul, map(f.fn, d), map(g.fn, reversed(d))))
+                     for d in map(_divisor_list, parts))
 
 
 def zeta_partial(s: float, n_terms: int) -> tuple[float, float]:

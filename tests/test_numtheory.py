@@ -2,6 +2,7 @@ import copy
 import importlib
 import inspect
 import math
+import operator
 import pkgutil
 import random
 import types
@@ -299,6 +300,55 @@ def test_dirichlet_convolve_refuses_mangoldt():
             dirichlet_convolve(f, g, 12)
 
 
+def assert_euler_product_is_the_divisor_sum(fac):
+    """For every ordered pair of MULTIPLICATIVE, dirichlet_convolve on fac,
+    a product over its prime powers, is the literal Σ_{d|fac} f(d)·g(fac/d)
+    over one listing of its divisors."""
+    divs = divisors(fac)
+    values = [list(map(f.fn, divs)) for f in numtheory.MULTIPLICATIVE]
+    for f, fv in zip(numtheory.MULTIPLICATIVE, values):
+        for g, gv in zip(numtheory.MULTIPLICATIVE, values):
+            literal = sum(map(operator.mul, fv, reversed(gv)))
+            assert dirichlet_convolve(f, g, fac) == literal, (f.name, g.name)
+
+
+def test_dirichlet_convolve_of_multiplicative_pairs_at_fibonacci_numbers():
+    from fibdirichlet.fib import fib_factorization
+
+    for n in range(1, 121):
+        assert_euler_product_is_the_divisor_sum(fib_factorization(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.sampled_from([2, 3, 5, 7, 11, 13, 97, 2**61 - 1]),
+                       st.integers(1, 5), max_size=5))
+def test_dirichlet_convolve_of_multiplicative_pairs_on_random_factors(
+        exponents):
+    factors = tuple(sorted(exponents.items()))
+    assert_euler_product_is_the_divisor_sum(
+        numtheory.Factorization(math.prod(p**e for p, e in factors), factors))
+
+
+def test_dirichlet_convolve_lists_prime_powers_only_for_multiplicative_pairs(
+        monkeypatch):
+    # a look-alike of MU is no MULTIPLICATIVE object: it sums over all 64
+    # divisors of F(30) = 2^3·5·11·31·61, MU with ONE over each p^e's own
+    from fibdirichlet.fib import fib_factorization
+
+    f30 = fib_factorization(30)
+    listed = []
+    original = numtheory._divisor_list
+    monkeypatch.setattr(numtheory, "_divisor_list",
+                        lambda factors: listed.append(factors)
+                        or original(factors))
+    assert dirichlet_convolve(MU, ONE, f30) == 0
+    assert listed == [((p, e),) for p, e in f30.factors]
+    assert [p**e for (p, e), in listed] == [2**3, 5, 11, 31, 61]
+    listed.clear()
+    assert dirichlet_convolve(ArithFn("mu", mobius), ONE, f30) == 0
+    assert listed == [f30.factors]
+
+
 def test_dirichlet_convolve_commutative():
     rng = random.Random(90210)
     for _ in range(1000):
@@ -326,6 +376,27 @@ def test_zeta_partial():
 def test_factor_budget_error():
     with factor_budget(10), pytest.raises(BudgetExceededError):
         factorize(1000003 * 1000033)
+
+
+def test_trial_division_is_charged_once_per_call(monkeypatch):
+    # the prime F(29) = 514229 takes 119 trial steps, 5, 11, ..., 713, and
+    # nothing more: they are charged in one spend, so a budget of 118 runs
+    # out inside the trial pass and raises, and 119 does not
+    with factor_budget(119):
+        assert factorize(514229).factors == ((514229, 1),)
+    with factor_budget(118), pytest.raises(
+            BudgetExceededError,
+            match="^factoring 514229 exceeded the work budget$"):
+        factorize(514229)
+    spent = []
+    original = numtheory._Budget.spend
+    monkeypatch.setattr(numtheory._Budget, "spend",
+                        lambda self, units: spent.append(units)
+                        or original(self, units))
+    factorize(514229)
+    assert spent == [119]
+    factorize(2**20 * 3**5 * 7)   # 7 < 5² is left: no trial step to charge
+    assert spent == [119, 0]
 
 
 def test_factor_budget_ignores_a_warm_call():

@@ -1,5 +1,6 @@
 import inspect
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
@@ -264,35 +265,80 @@ def test_theorem1_suite_maps_one_once_for_its_listed_checks(x):
 @pytest.mark.parametrize("x", [1, 1.9, 40])
 def test_theorem1_suite_sums_the_seeded_pairs_of_check_theorem1(
         x, monkeypatch):
-    # the suite reads each seeded pair's values from its table through one
-    # list of residues; every side must be the one that check_theorem1 and
-    # the literal Σ_{n≤x} (f*g)(F(n)) give, at x < 2 on one-item slices too
+    # the suite sums every seeded pair in one walk of each side's slots, with
+    # the seeds as lanes of one int per residue; every side must be the one
+    # that check_theorem1 and the literal Σ_{n≤x} (f*g)(F(n)) give, at x < 2
+    # on one-item slices too
     seen = []
-    original = verify._theorem1_report
+    original = verify._seeded_sides
 
-    def recording(*args, **kwargs):
-        seen.append(original(*args, **kwargs))
+    def recording(*args):
+        seen.append(original(*args))
         return seen[-1]
 
-    monkeypatch.setattr(verify, "_theorem1_report", recording)
+    monkeypatch.setattr(verify, "_seeded_sides", recording)
     *named, random_pairs = verify._suite_theorem1(x=x)
     monkeypatch.undo()
-    seeded = seen[len(named):]
+    [seeded] = seen
     assert len(seeded) == verify.THEOREM1_RANDOM_PAIRS
     tables = verify.divisor_tables(x)
-    for seed, report in enumerate(seeded):
+    public = []
+    for seed, sides in enumerate(seeded):
         f, g = small_integer_fn(seed), small_integer_fn(1000 + seed)
-        public = check_theorem1(f, g, x, tables)
-        assert vars(report) == vars(public), seed
+        public.append(check_theorem1(f, g, x, tables))
+        assert list(sides) == [d["value"] for d in public[-1].details], seed
         f, g = _literal_small_integer(seed), _literal_small_integer(1000 + seed)
         literal = sum(dirichlet_convolve(
             numtheory.ArithFn("f", f), numtheory.ArithFn("g", g), fib(n))
             for n in range(1, math.floor(x) + 1))
-        assert [d["value"] for d in report.details] == [literal] * 3, seed
+        assert list(sides) == [literal] * 3, seed
     assert random_pairs.details == [{"seed": seed, "passed": r.passed}
-                                    for seed, r in enumerate(seeded)]
-    assert random_pairs.residual == max(r.residual for r in seeded)
+                                    for seed, r in enumerate(public)]
+    assert random_pairs.residual == max(r.residual for r in public)
     assert random_pairs.passed
+
+
+def test_theorem1_random_fails_on_a_forged_weighted_slot(monkeypatch):
+    # the lanes must not hide a mismatch: with one slot of the rank-weighted
+    # reader pointed at another id, theorem1-random fails by the worst
+    # residual that the per-seed check_theorem1 gives on the same tables
+    tables = verify.divisor_tables(40)
+    ids = list(range(len(tables.values)))
+    direct, (owners, slots), swapped = tables.readers
+    forged_slots = list(slots(ids))
+    forged_slots[100] = (forged_slots[100] + 1) % len(ids)
+    forged = tables._replace(readers=(
+        direct, (owners, verify._gather(forged_slots)), swapped))
+    monkeypatch.setattr(verify, "divisor_tables", lambda x: forged)
+    *_, random_pairs = verify._suite_theorem1(x=40)
+    oracle = [check_theorem1(small_integer_fn(seed),
+                             small_integer_fn(1000 + seed), 40, forged)
+              for seed in range(verify.THEOREM1_RANDOM_PAIRS)]
+    assert not random_pairs.passed
+    assert random_pairs.residual == max(r.residual for r in oracle) > 0
+    assert random_pairs.details == [{"seed": seed, "passed": r.passed}
+                                    for seed, r in enumerate(oracle)]
+
+
+def test_theorem1_random_lanes_hold_the_largest_residue_class_at_x_120():
+    # a seed's lane sums g + 3 ≤ 6 over the slots of one residue of a, and
+    # the top lane counts them; W = (6·slots).bit_length(), slots read off
+    # ``fresh``, must hold 6 times the largest residue class of x = 120's
+    # three sides, each of which has that many slots
+    tables = verify.divisor_tables(120)
+    slots = len(tables.fresh)
+    width = (6 * slots).bit_length()
+    residues = [n % verify.SMALL_INTEGER_PERIOD for n in tables.values]
+    for left, _ in tables.readers:
+        assert len(left(residues)) == slots
+        largest = max(Counter(left(residues)).values())
+        assert 6 * largest < 2**width
+    assert 2**width <= 12 * slots
+    seeds = range(verify.THEOREM1_RANDOM_PAIRS)
+    assert verify._seeded_sides(tables, seeds) == [
+        tuple(d["value"] for d in check_theorem1(
+            small_integer_fn(seed), small_integer_fn(1000 + seed), 120,
+            tables).details) for seed in seeds]
 
 
 def count_listings(monkeypatch):
