@@ -10,11 +10,11 @@ as limits.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import suppress
 from itertools import chain, compress, product, repeat, starmap
-from operator import and_, itemgetter, mul, rshift, sub, truediv
+from operator import add, and_, ge, itemgetter, mod, mul, rshift, sub, truediv
 
 from .contraction import (
     LAMBDA_ALPHA,
@@ -79,9 +79,10 @@ SMALL_INTEGER_PERIOD = 7 << 7
 
 def small_integer_table(seed: int) -> tuple[int, ...]:
     """small_integer_fn(seed) at n = 0..SMALL_INTEGER_PERIOD − 1."""
-    offset = seed * 40503
-    return tuple(((n * 2654435761 + offset) >> 7) % 7 - 3
-                 for n in range(SMALL_INTEGER_PERIOD))
+    offset, step = seed * 40503, 2654435761
+    seeded = range(offset, offset + SMALL_INTEGER_PERIOD * step, step)
+    return tuple(map(sub, map(mod, map(rshift, seeded, repeat(7)), repeat(7)),
+                     repeat(3)))
 
 
 def small_integer_fn(seed: int) -> ArithFn:
@@ -140,7 +141,7 @@ def divisor_tables(x: float) -> DivisorTables:
     for k, (low, high) in enumerate(halves, 1):
         run = [ids.setdefault(d, len(ids))   # F(k)'s listing, streamed
                for d in starmap(mul, product(low, high))]
-        fresh += bytes(i >= len(ranks) for i in run)   # the n of rank k
+        fresh += bytes(map(ge, run, repeat(len(ranks))))   # the n of rank k
         ordered += run
         mirrored += reversed(run)   # the id of F(k)/d at d's slot
         ranks += repeat(k, len(ids) - len(ranks))   # by id
@@ -170,7 +171,7 @@ def _values_on(f: ArithFn, tables: DivisorTables) -> list:
     if f is MANGOLDT:
         bases = {p**j: p for pair in tables.halves for half in pair
                  for p, e in half[-1].factors for j in range(1, e + 1)}
-        return [bases.get(n, 1) for n in tables.values]
+        return list(map(bases.get, tables.values, repeat(1)))
     return list(map(f.fn, tables.values))
 
 
@@ -190,7 +191,6 @@ def check_theorem1(f: ArithFn, g: ArithFn, x: float,
     be nonnegative and not Λ.  Building the tables refuses x < 1 and an x
     past the index cap.
     """
-    params = f"f={f.name}, g={g.name}, x={x}"
     if g is MANGOLDT:
         raise ValueError("Λ is carried as its base e^Λ; check it as f")
     if tables is None:
@@ -202,26 +202,29 @@ def check_theorem1(f: ArithFn, g: ArithFn, x: float,
     if f is MANGOLDT and min(gv) < 0:
         raise ValueError(f"Λ's sides are logs of integers; {g.name} "
                          f"takes a negative value")
-    return _theorem1_report(params, tables.readers, fv, gv,
-                            as_product=f is MANGOLDT)
+    return _theorem1_report(f, g, x, [_side(f, a(fv), b(gv))
+                                      for a, b in tables.readers])
 
 
-def _theorem1_report(params: str, readers: tuple, fv: list, gv: list,
-                     as_product: bool) -> VerificationReport:
-    """Theorem 1's report from f's values fv and g's values gv on the
-    tables' values: each side one gather by its readers and one sum of
-    f(a)·g(b), or, for f = Λ carried as its base, one product of
-    base(a)^g(b)."""
-    if as_product:
-        sides = [math.prod(map(pow, a(fv), b(gv))) for a, b in readers]
-    else:
-        sides = [sum(map(mul, a(fv), b(gv))) for a, b in readers]
-    direct, weighted, swapped = sides
-    residual = max(abs(direct - weighted), abs(direct - swapped))
-    details = [{"side": "direct", "value": direct},
-               {"side": "rank-weighted", "value": weighted},
-               {"side": "swapped", "value": swapped}]
-    return VerificationReport("theorem1", params, residual == 0, residual, details)
+def _side(f: ArithFn, fs: Sequence, gs: Sequence) -> int:
+    """Σ f(a)·g(b) over terms fs, gs; for Λ, as its base, ∏ base(a)^g(b)."""
+    return (math.prod(map(pow, fs, gs)) if f is MANGOLDT
+            else sum(map(mul, fs, gs)))
+
+
+def _residual(sides: Sequence[int]) -> int:
+    """The largest gap between the direct side, first, and another side."""
+    return max(abs(sides[0] - side) for side in sides)
+
+
+def _theorem1_report(f: ArithFn, g: ArithFn, x: float, sides: list[int]
+                     ) -> VerificationReport:
+    """Theorem 1's report on its sides (direct, rank-weighted, swapped)."""
+    residual = _residual(sides)
+    details = [{"side": side, "value": value} for side, value
+               in zip(("direct", "rank-weighted", "swapped"), sides)]
+    return VerificationReport("theorem1", f"f={f.name}, g={g.name}, x={x}",
+                              residual == 0, residual, details)
 
 
 def check_corollary_completely_mult(f: ArithFn, g: ArithFn, n_max: int
@@ -536,37 +539,59 @@ def _seeded_sides(tables: DivisorTables, seeds: Sequence[int]
     lane.  Summed over the slots whose a has residue r, the top lane counts
     them, and a seed's side is Σ_r f(r)·(its lane − 3·count_r).  A lane
     gains at most 6 a slot, so W = (6·slots).bit_length() leaves no carry.
+    Only the direct side's lanes are read; each other side is direct's less
+    the lane differences at the residues where its sum differs from direct's.
     """
     period = SMALL_INTEGER_PERIOD
-    residues = [n % period for n in tables.values]
+    residues = list(map(mod, tables.values, repeat(period)))
     width = (6 * len(tables.fresh)).bit_length()   # fresh: a byte per slot
     shifts = range(0, width * len(seeds), width)
     mask, top = (1 << width) - 1, shifts.stop
-    lanes = [1 << top] * period
-    for seed, shift in zip(seeds, shifts):
-        lanes = [lane + (g + 3 << shift) for lane, g
-                 in zip(lanes, small_integer_table(1000 + seed))]
-    fs, sides = list(map(small_integer_table, seeds)), []
-    for a, b in tables.readers:
-        packed = [0] * period
-        for r, s in zip(a(residues), b(residues)):
-            packed[r] += lanes[s]
+    lanes = [sum(3 << shift for shift in shifts) + (1 << top)] * period
+    for seed, shift in zip(seeds, shifts):   # each lane's 3 added up front
+        lanes = list(map(add, lanes, map(
+            mul, small_integer_table(1000 + seed), repeat(1 << shift))))
+    lanes = list(map(lanes.__getitem__, residues))   # by id
+    packs = [[0] * period for _ in tables.readers]
+    for packed, (a, b) in zip(packs, tables.readers):
+        for r, lane in zip(a(residues), b(lanes)):
+            packed[r] += lane
+
+    def read(packed: list, fs: list) -> list[int]:   # f at packed's residues
         thrice = [3 * (p >> top) for p in packed]
-        side = []
-        for f, shift in zip(fs, shifts):
-            lane = map(and_, map(rshift, packed, repeat(shift)), repeat(mask))
-            side.append(sum(map(mul, f, map(sub, lane, thrice))))
-        sides.append(side)
+        return [sum(map(mul, f, map(sub, map(and_, map(
+            rshift, packed, repeat(shift)), repeat(mask)), thrice)))
+            for f, shift in zip(fs, shifts)]
+
+    (direct, *others), fs = packs, list(map(small_integer_table, seeds))
+    sides = [read(direct, fs)]
+    for packed in others:
+        at = list(compress(range(period), map(sub, packed, direct)))
+        fa = [[f[r] for r in at] for f in fs]
+        lost = map(sub, read([direct[r] for r in at], fa),
+                   read([packed[r] for r in at], fa))
+        sides.append(list(map(sub, sides[0], lost)))
     return list(zip(*sides))
 
 
 def _suite_theorem1(*, x: float = 25.0) -> list[VerificationReport]:
     tables = divisor_tables(x)
-    reports = [check_theorem1(f, ONE, x, tables)
-               for f in (MU, PHI, LIOUVILLE, MANGOLDT)]
+    # g = 1: a side is Σ f(a)·m(a), m(a) how often a stands left on its
+    # slots (for Λ ∏ base(a)^m(a) over prime powers a), direct's at equal m
+    ids = list(range(len(tables.values)))
+    counts = [list(map(Counter(a(ids)).__getitem__, ids))
+              for a, _ in tables.readers]
+    reports = []
+    for f in (MU, PHI, LIOUVILLE, MANGOLDT):
+        fv, ms = _values_on(f, tables), counts
+        if f is MANGOLDT:
+            at = list(compress(ids, map(sub, fv, repeat(1))))
+            fv, ms = [fv[i] for i in at], [[m[i] for i in at] for m in ms]
+        sides = [_side(f, fv, ms[0])]
+        sides += [sides[0] if m == ms[0] else _side(f, fv, m) for m in ms[1:]]
+        reports.append(_theorem1_report(f, ONE, x, sides))
     seeds = range(THEOREM1_RANDOM_PAIRS)
-    residuals = [max(abs(direct - weighted), abs(direct - swapped))
-                 for direct, weighted, swapped in _seeded_sides(tables, seeds)]
+    residuals = list(map(_residual, _seeded_sides(tables, seeds)))
     details = [{"seed": seed, "passed": residual == 0}
                for seed, residual in zip(seeds, residuals)]
     worst = max(residuals)

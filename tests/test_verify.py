@@ -244,9 +244,9 @@ def test_small_integer_fn_on_the_theorem1_values(theorem1_values_to_100,
 
 @pytest.mark.parametrize("x", [1, 1.9, 40])
 def test_theorem1_suite_maps_one_once_for_its_listed_checks(x):
-    # each of the suite's four checks against ONE maps ONE once over the
-    # half-divisors of each F(k), never over a plain int; each report must
-    # be the one check_theorem1 gives on tables of its own
+    # the suite's four checks against ONE read each side off how often each
+    # value stands left on its slots, so ONE is never evaluated; each report
+    # must be the one check_theorem1 gives on tables of its own
     calls = []
     original = ONE.fn
     object.__setattr__(ONE, "fn", lambda n: calls.append(n) or original(n))
@@ -254,10 +254,7 @@ def test_theorem1_suite_maps_one_once_for_its_listed_checks(x):
         named = verify._suite_theorem1(x=x)[:4]
     finally:
         object.__setattr__(ONE, "fn", original)
-    tables = verify.divisor_tables(x)
-    halves = [d for pair in tables.halves for half in pair for d in half]
-    assert calls == halves * 4
-    assert all(type(d) is numtheory.Factorization for d in calls)
+    assert calls == []
     for f, report in zip((MU, PHI, LIOUVILLE, MANGOLDT), named):
         assert vars(report) == vars(check_theorem1(f, ONE, x)), f.name
 
@@ -298,22 +295,52 @@ def test_theorem1_suite_sums_the_seeded_pairs_of_check_theorem1(
     assert random_pairs.passed
 
 
-def test_theorem1_random_fails_on_a_forged_weighted_slot(monkeypatch):
-    # the lanes must not hide a mismatch: with one slot of the rank-weighted
-    # reader pointed at another id, theorem1-random fails by the worst
-    # residual that the per-seed check_theorem1 gives on the same tables
-    tables = verify.divisor_tables(40)
+THEOREM1_SIDES = ["direct", "rank-weighted", "swapped"]
+
+
+def forge_slot(tables, side, hand):
+    """The tables with slot 100 of one side's left (hand 0) or right (hand
+    1) reader pointed at the next id."""
     ids = list(range(len(tables.values)))
-    direct, (owners, slots), swapped = tables.readers
-    forged_slots = list(slots(ids))
-    forged_slots[100] = (forged_slots[100] + 1) % len(ids)
-    forged = tables._replace(readers=(
-        direct, (owners, verify._gather(forged_slots)), swapped))
+    readers = [list(pair) for pair in tables.readers]
+    forged = list(readers[side][hand](ids))
+    forged[100] = (forged[100] + 1) % len(ids)
+    readers[side][hand] = verify._gather(forged)
+    return tables._replace(readers=tuple(map(tuple, readers)))
+
+
+@pytest.mark.parametrize("side", range(3), ids=THEOREM1_SIDES)
+def test_theorem1_named_checks_fail_on_a_forged_slot(side, monkeypatch):
+    # with g = 1 each side reads only how often a value stands left on its
+    # slots: with one left slot of one side pointed at another id, each named
+    # check must report what check_theorem1 gives on the same tables
+    forged = forge_slot(verify.divisor_tables(40), side, 0)
+    monkeypatch.setattr(verify, "divisor_tables", lambda x: forged)
+    named = verify._suite_theorem1(x=40)[:4]
+    oracle = [check_theorem1(f, ONE, 40, forged)
+              for f in (MU, PHI, LIOUVILLE, MANGOLDT)]
+    for report, expected in zip(named, oracle):
+        assert ((report.passed, report.residual, report.details)
+                == (expected.passed, expected.residual, expected.details))
+    assert not all(report.passed for report in named)
+
+
+@pytest.mark.parametrize("side", range(3), ids=THEOREM1_SIDES)
+def test_theorem1_random_fails_on_a_forged_slot(side, monkeypatch):
+    # the lanes must not hide a mismatch: with one right slot of one side
+    # pointed at another id, theorem1-random fails by the worst residual
+    # that the per-seed check_theorem1 gives on the same tables, whichever
+    # side differs from the others, and each seed's three sides, read by
+    # difference from the direct one, are the oracle's
+    forged = forge_slot(verify.divisor_tables(40), side, 1)
     monkeypatch.setattr(verify, "divisor_tables", lambda x: forged)
     *_, random_pairs = verify._suite_theorem1(x=40)
+    seeds = range(verify.THEOREM1_RANDOM_PAIRS)
     oracle = [check_theorem1(small_integer_fn(seed),
                              small_integer_fn(1000 + seed), 40, forged)
-              for seed in range(verify.THEOREM1_RANDOM_PAIRS)]
+              for seed in seeds]
+    assert verify._seeded_sides(forged, seeds) == [
+        tuple(detail["value"] for detail in r.details) for r in oracle]
     assert not random_pairs.passed
     assert random_pairs.residual == max(r.residual for r in oracle) > 0
     assert random_pairs.details == [{"seed": seed, "passed": r.passed}
