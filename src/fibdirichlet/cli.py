@@ -4,8 +4,8 @@ Commands: fib, alpha, entry-exponent, contract, verify, report-asymptotics,
 series.  Exit codes: 0 success, 1 check failure, 2 usage error, corrupt
 cache or a cache or --out file that cannot be opened (one `error:` line
 naming the path), 3 factorization budget exhausted or an input past a
-check's scale (logprod's x, the series' N), 141 stdout closed by its
-reader.
+command's scale (logprod's x, the series' N, fib's n), 141 stdout closed by
+its reader.
 
 Cache path precedence: --cache flag, then the FIBDIRICHLET_CACHE environment
 variable, then no cache.  All emissions are byte-deterministic for a given
@@ -179,7 +179,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# F(n)'s digits, about 0.209·n of them, take time quadratic in n to write:
+# n = 10⁶ took 0.95 s and n = 3·10⁶, the largest n measured, 8.2 s on a
+# 2-vCPU VM (10⁷ took 87.6 s), so past it a run is refused
+FIB_N_MAX = 3 * 10**6
+
+
 def _fib_digits(n: int):
+    if n > FIB_N_MAX:   # before F(n) is computed
+        raise BudgetExceededError(f"fib stops at n={FIB_N_MAX}")
     # str() refuses an int of over 4300 digits (Python 3.10.7 and 3.11 on);
     # Decimal reads the int's digits, not its string
     from decimal import Decimal

@@ -14,7 +14,7 @@ from collections import Counter, namedtuple
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import suppress
 from itertools import chain, compress, product, repeat, starmap
-from operator import add, and_, ge, itemgetter, mod, mul, rshift, sub, truediv
+from operator import add, ge, itemgetter, mod, mul, rshift, sub, truediv
 
 from .contraction import (
     LAMBDA_ALPHA,
@@ -108,10 +108,11 @@ def small_integer_fn(seed: int) -> ArithFn:
 # forwards; ``fresh`` has one byte per slot of the listings, end to end, 1
 # where a value is listed first.  ``readers`` holds three (left, right)
 # pairs of itemgetters over ids, each pair picking one side's terms, slot
-# for slot, from a list of f's values and one of g's on ``values``: the
+# for slot, from a list on ``values`` (of ids, of f's values, of g's): the
 # direct pairs (d, F(k)/d) for each d | F(k), k ≤ n_max; the rank-weighted
 # pairs (n, F(k)/n) for each n and each multiple k of rank(n) up to n_max;
-# and these swapped.  So each pair (k, d | F(k)) is one slot of every side.
+# and these swapped.  So each pair (k, d | F(k)) is one slot of every side,
+# and the sides' left counts and seeded packs, which the suite reads, agree.
 DivisorTables = namedtuple("DivisorTables", "n_max values halves fresh readers")
 
 
@@ -179,7 +180,8 @@ def check_theorem1(f: ArithFn, g: ArithFn, x: float,
                    tables: DivisorTables | None = None) -> VerificationReport:
     """Verify the three-way double-counting identity at real x ≥ 1.
 
-    Direct side: Σ_{n≤x} (f*g)(F(n)) by literal divisor sums.  The other two
+    Direct side: Σ_{n≤x} (f*g)(F(n)), summed as f(d)·g(F(n)/d) over the
+    slots of F(n)'s listing, the products of its two halves.  The other two
     sides enumerate all n with rank(n) ≤ x (the divisor union of the first
     ⌊x⌋ Fibonacci numbers) and sum f(n)·g(F(k)/n), then f(F(k)/n)·g(n),
     over the multiples k of rank(n) up to x.  Each side is one pass over
@@ -212,15 +214,10 @@ def _side(f: ArithFn, fs: Sequence, gs: Sequence) -> int:
             else sum(map(mul, fs, gs)))
 
 
-def _residual(sides: Sequence[int]) -> int:
-    """The largest gap between the direct side, first, and another side."""
-    return max(abs(sides[0] - side) for side in sides)
-
-
 def _theorem1_report(f: ArithFn, g: ArithFn, x: float, sides: list[int]
                      ) -> VerificationReport:
     """Theorem 1's report on its sides (direct, rank-weighted, swapped)."""
-    residual = _residual(sides)
+    residual = max(abs(sides[0] - side) for side in sides)
     details = [{"side": side, "value": value} for side, value
                in zip(("direct", "rank-weighted", "swapped"), sides)]
     return VerificationReport("theorem1", f"f={f.name}, g={g.name}, x={x}",
@@ -528,26 +525,25 @@ RATIO_WINDOW_LCM = (0.9, 1.1)
 RATIO_WINDOW_EP = (0.8, 1.2)
 
 
-def _seeded_sides(tables: DivisorTables, seeds: Sequence[int]
-                  ) -> list[tuple[int, int, int]]:
-    """Theorem 1's sides (direct, rank-weighted, swapped) for each seed's
-    f = small_integer_fn(seed) and g = small_integer_fn(1000 + seed), from
-    one walk of each side's slots.
+def _seeded_packs(tables: DivisorTables, seeds: Sequence[int]
+                  ) -> list[list[int]]:
+    """Each side's (direct, rank-weighted, swapped) per-residue sums of
+    every seed's g = small_integer_fn(1000 + seed), from one walk of its
+    slots.
 
-    Both read n mod SMALL_INTEGER_PERIOD and lie in −3..3, so the int for a
+    g reads n mod SMALL_INTEGER_PERIOD and lies in −3..3, so the int for a
     residue s holds each seed's g(s) + 3 as a W-bit lane, and 1 in a top
-    lane.  Summed over the slots whose a has residue r, the top lane counts
-    them, and a seed's side is Σ_r f(r)·(its lane − 3·count_r).  A lane
-    gains at most 6 a slot, so W = (6·slots).bit_length() leaves no carry.
-    Only the direct side's lanes are read; each other side is direct's less
-    the lane differences at the residues where its sum differs from direct's.
+    lane; the pack at residue r sums them over the slots whose a has
+    residue r, so its top lane counts those slots.  A lane gains at most 6
+    a slot, so W = (6·slots).bit_length() leaves no carry.  A seed's side
+    is Σ_r f(r)·(its lane at r − 3·count_r), f = small_integer_fn(seed), so
+    sides with equal packs are equal for every seed.
     """
     period = SMALL_INTEGER_PERIOD
     residues = list(map(mod, tables.values, repeat(period)))
     width = (6 * len(tables.fresh)).bit_length()   # fresh: a byte per slot
     shifts = range(0, width * len(seeds), width)
-    mask, top = (1 << width) - 1, shifts.stop
-    lanes = [sum(3 << shift for shift in shifts) + (1 << top)] * period
+    lanes = [sum(3 << shift for shift in shifts) + (1 << shifts.stop)] * period
     for seed, shift in zip(seeds, shifts):   # each lane's 3 added up front
         lanes = list(map(add, lanes, map(
             mul, small_integer_table(1000 + seed), repeat(1 << shift))))
@@ -556,42 +552,32 @@ def _seeded_sides(tables: DivisorTables, seeds: Sequence[int]
     for packed, (a, b) in zip(packs, tables.readers):
         for r, lane in zip(a(residues), b(lanes)):
             packed[r] += lane
-
-    def read(packed: list, fs: list) -> list[int]:   # f at packed's residues
-        thrice = [3 * (p >> top) for p in packed]
-        return [sum(map(mul, f, map(sub, map(and_, map(
-            rshift, packed, repeat(shift)), repeat(mask)), thrice)))
-            for f, shift in zip(fs, shifts)]
-
-    (direct, *others), fs = packs, list(map(small_integer_table, seeds))
-    sides = [read(direct, fs)]
-    for packed in others:
-        at = list(compress(range(period), map(sub, packed, direct)))
-        fa = [[f[r] for r in at] for f in fs]
-        lost = map(sub, read([direct[r] for r in at], fa),
-                   read([packed[r] for r in at], fa))
-        sides.append(list(map(sub, sides[0], lost)))
-    return list(zip(*sides))
+    return packs
 
 
 def _suite_theorem1(*, x: float = 25.0) -> list[VerificationReport]:
     tables = divisor_tables(x)
-    # g = 1: a side is Σ f(a)·m(a), m(a) how often a stands left on its
-    # slots (for Λ ∏ base(a)^m(a) over prime powers a), direct's at equal m
+    named, seeds = (MU, PHI, LIOUVILLE, MANGOLDT), range(THEOREM1_RANDOM_PAIRS)
+    # each pair (k, d | F(k)) is one slot of every side, so every side has
+    # direct's left counts m(a) (with g = 1 a side is Σ f(a)·m(a)) and its
+    # seeded packs; where both agree the sides are equal, else
+    # check_theorem1 reads all 24 pairs on the same tables
     ids = list(range(len(tables.values)))
     counts = [list(map(Counter(a(ids)).__getitem__, ids))
               for a, _ in tables.readers]
-    reports = []
-    for f in (MU, PHI, LIOUVILLE, MANGOLDT):
-        fv, ms = _values_on(f, tables), counts
-        if f is MANGOLDT:
-            at = list(compress(ids, map(sub, fv, repeat(1))))
-            fv, ms = [fv[i] for i in at], [[m[i] for i in at] for m in ms]
-        sides = [_side(f, fv, ms[0])]
-        sides += [sides[0] if m == ms[0] else _side(f, fv, m) for m in ms[1:]]
-        reports.append(_theorem1_report(f, ONE, x, sides))
-    seeds = range(THEOREM1_RANDOM_PAIRS)
-    residuals = list(map(_residual, _seeded_sides(tables, seeds)))
+    sides = list(zip(counts, _seeded_packs(tables, seeds)))
+    if any(side != sides[0] for side in sides):
+        reports = [check_theorem1(f, ONE, x, tables) for f in named]
+        residuals = [check_theorem1(*map(small_integer_fn, (s, 1000 + s)), x,
+                                    tables).residual for s in seeds]
+    else:
+        reports, residuals = [], [0] * len(seeds)
+        for f in named:
+            fv, m = _values_on(f, tables), counts[0]
+            if f is MANGOLDT:   # ∏ base(a)^m(a) over the prime powers a
+                powers = list(map(sub, fv, repeat(1)))
+                fv, m = list(compress(fv, powers)), list(compress(m, powers))
+            reports.append(_theorem1_report(f, ONE, x, [_side(f, fv, m)] * 3))
     details = [{"seed": seed, "passed": residual == 0}
                for seed, residual in zip(seeds, residuals)]
     worst = max(residuals)

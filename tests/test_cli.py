@@ -119,6 +119,16 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_fib_refuses_n_past_its_scale_at_once():
+    # F(10⁷)'s digits took 87.6 s to write; a cold run past the bound
+    # exits 3 before F(n) is computed
+    start = time.perf_counter()
+    result = _run_script(["fib", str(cli.FIB_N_MAX + 1)])
+    assert time.perf_counter() - start < 1.0
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr == f"error: fib stops at n={cli.FIB_N_MAX}\n"
+
+
 def test_invalid_argument_exits_2(capsys):
     assert run_cli(["entry-exponent", "1"]) == 2
     assert "error" in capsys.readouterr().err

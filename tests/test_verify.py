@@ -259,52 +259,103 @@ def test_theorem1_suite_maps_one_once_for_its_listed_checks(x):
         assert vars(report) == vars(check_theorem1(f, ONE, x)), f.name
 
 
+NAMED = (MU, PHI, LIOUVILLE, MANGOLDT)
+SEEDS = range(verify.THEOREM1_RANDOM_PAIRS)
+
+
+def seeded_pair(seed):
+    return small_integer_fn(seed), small_integer_fn(1000 + seed)
+
+
+def read_packs(tables, packs):
+    """Each seed's sides (direct, rank-weighted, swapped) read off the three
+    packs of _seeded_packs(tables, SEEDS): Σ_r f(r)·(its lane − 3·count_r),
+    with count_r the top lane."""
+    width = (6 * len(tables.fresh)).bit_length()
+    top, mask = width * len(SEEDS), (1 << width) - 1
+    return [tuple(sum(f * ((pack >> width * seed & mask) - 3 * (pack >> top))
+                      for f, pack in zip(verify.small_integer_table(seed),
+                                         packed))
+                  for packed in packs) for seed in SEEDS]
+
+
+def reference_suite(x, tables):
+    """The theorem-1 suite's five reports, each read by check_theorem1 on
+    the tables: the four named checks against ONE, then the seeded pairs'
+    report, each seed passing with its own check."""
+    named = [check_theorem1(f, ONE, x, tables) for f in NAMED]
+    seeded = [check_theorem1(*seeded_pair(seed), x, tables) for seed in SEEDS]
+    worst = max(report.residual for report in seeded)
+    return [*named, verify.VerificationReport(
+        "theorem1-random", f"pairs={len(SEEDS)}, x={x}", worst == 0, worst,
+        [{"seed": seed, "passed": r.passed} for seed, r in zip(SEEDS, seeded)]
+    )], seeded
+
+
+def assert_suite_is_the_reference(reports, x, tables):
+    """Every suite report, in passed, residual and details, is the one that
+    check_theorem1 gives on the tables; the seeds' reports are returned."""
+    expected, seeded = reference_suite(x, tables)
+    assert list(map(vars, reports)) == list(map(vars, expected))
+    return seeded
+
+
 @pytest.mark.parametrize("x", [1, 1.9, 40])
 def test_theorem1_suite_sums_the_seeded_pairs_of_check_theorem1(
         x, monkeypatch):
-    # the suite sums every seeded pair in one walk of each side's slots, with
-    # the seeds as lanes of one int per residue; every side must be the one
-    # that check_theorem1 and the literal Σ_{n≤x} (f*g)(F(n)) give, at x < 2
-    # on one-item slices too
+    # the suite packs every seeded pair's sums in one walk of each side's
+    # slots, with the seeds as lanes of one int per residue; each side read
+    # off the packs must be the one that check_theorem1 and the literal
+    # Σ_{n≤x} (f*g)(F(n)) give, at x < 2 on one-item slices too
     seen = []
-    original = verify._seeded_sides
+    original = verify._seeded_packs
 
     def recording(*args):
         seen.append(original(*args))
         return seen[-1]
 
-    monkeypatch.setattr(verify, "_seeded_sides", recording)
-    *named, random_pairs = verify._suite_theorem1(x=x)
+    monkeypatch.setattr(verify, "_seeded_packs", recording)
+    reports = verify._suite_theorem1(x=x)
     monkeypatch.undo()
-    [seeded] = seen
-    assert len(seeded) == verify.THEOREM1_RANDOM_PAIRS
+    [packs] = seen
     tables = verify.divisor_tables(x)
-    public = []
-    for seed, sides in enumerate(seeded):
-        f, g = small_integer_fn(seed), small_integer_fn(1000 + seed)
-        public.append(check_theorem1(f, g, x, tables))
-        assert list(sides) == [d["value"] for d in public[-1].details], seed
+    public = assert_suite_is_the_reference(reports, x, tables)
+    for seed, sides in enumerate(read_packs(tables, packs)):
+        assert list(sides) == [d["value"] for d in public[seed].details], seed
         f, g = _literal_small_integer(seed), _literal_small_integer(1000 + seed)
         literal = sum(dirichlet_convolve(
             numtheory.ArithFn("f", f), numtheory.ArithFn("g", g), fib(n))
             for n in range(1, math.floor(x) + 1))
         assert list(sides) == [literal] * 3, seed
-    assert random_pairs.details == [{"seed": seed, "passed": r.passed}
-                                    for seed, r in enumerate(public)]
-    assert random_pairs.residual == max(r.residual for r in public)
-    assert random_pairs.passed
+    assert reports[-1].passed
+
+
+@pytest.mark.parametrize("x", [1, 1.9, 40])
+def test_theorem1_suite_agrees_without_the_reference(x, monkeypatch):
+    # where every side's left counts and seeded packs are the direct side's,
+    # the suite reports from them alone: no check_theorem1, no seeded f
+    expected, _ = reference_suite(x, verify.divisor_tables(x))
+
+    def refuse(*args):
+        raise AssertionError("the agreeing suite read a pair")
+
+    monkeypatch.setattr(verify, "check_theorem1", refuse)
+    monkeypatch.setattr(verify, "small_integer_fn", refuse)
+    reports = verify._suite_theorem1(x=x)
+    assert all(report.passed for report in reports)
+    assert list(map(vars, reports)) == list(map(vars, expected))
 
 
 THEOREM1_SIDES = ["direct", "rank-weighted", "swapped"]
 
 
-def forge_slot(tables, side, hand):
-    """The tables with slot 100 of one side's left (hand 0) or right (hand
-    1) reader pointed at the next id."""
+def forge_slot(tables, side, hand, slot=100, to=None):
+    """The tables with one slot of one side's left (hand 0) or right (hand
+    1) reader pointed at the id to, or else at the next id."""
     ids = list(range(len(tables.values)))
     readers = [list(pair) for pair in tables.readers]
     forged = list(readers[side][hand](ids))
-    forged[100] = (forged[100] + 1) % len(ids)
+    forged[slot] = (forged[slot] + 1) % len(ids) if to is None else to
     readers[side][hand] = verify._gather(forged)
     return tables._replace(readers=tuple(map(tuple, readers)))
 
@@ -312,17 +363,13 @@ def forge_slot(tables, side, hand):
 @pytest.mark.parametrize("side", range(3), ids=THEOREM1_SIDES)
 def test_theorem1_named_checks_fail_on_a_forged_slot(side, monkeypatch):
     # with g = 1 each side reads only how often a value stands left on its
-    # slots: with one left slot of one side pointed at another id, each named
-    # check must report what check_theorem1 gives on the same tables
+    # slots: with one left slot of one side pointed at another id, each
+    # report must be what check_theorem1 gives on the same tables
     forged = forge_slot(verify.divisor_tables(40), side, 0)
     monkeypatch.setattr(verify, "divisor_tables", lambda x: forged)
-    named = verify._suite_theorem1(x=40)[:4]
-    oracle = [check_theorem1(f, ONE, 40, forged)
-              for f in (MU, PHI, LIOUVILLE, MANGOLDT)]
-    for report, expected in zip(named, oracle):
-        assert ((report.passed, report.residual, report.details)
-                == (expected.passed, expected.residual, expected.details))
-    assert not all(report.passed for report in named)
+    reports = verify._suite_theorem1(x=40)
+    assert_suite_is_the_reference(reports, 40, forged)
+    assert not all(report.passed for report in reports[:4])
 
 
 @pytest.mark.parametrize("side", range(3), ids=THEOREM1_SIDES)
@@ -330,21 +377,52 @@ def test_theorem1_random_fails_on_a_forged_slot(side, monkeypatch):
     # the lanes must not hide a mismatch: with one right slot of one side
     # pointed at another id, theorem1-random fails by the worst residual
     # that the per-seed check_theorem1 gives on the same tables, whichever
-    # side differs from the others, and each seed's three sides, read by
-    # difference from the direct one, are the oracle's
+    # side differs from the others, and each seed's three sides, read off
+    # the packs, are the oracle's
     forged = forge_slot(verify.divisor_tables(40), side, 1)
     monkeypatch.setattr(verify, "divisor_tables", lambda x: forged)
-    *_, random_pairs = verify._suite_theorem1(x=40)
-    seeds = range(verify.THEOREM1_RANDOM_PAIRS)
-    oracle = [check_theorem1(small_integer_fn(seed),
-                             small_integer_fn(1000 + seed), 40, forged)
-              for seed in seeds]
-    assert verify._seeded_sides(forged, seeds) == [
+    reports = verify._suite_theorem1(x=40)
+    oracle = assert_suite_is_the_reference(reports, 40, forged)
+    assert read_packs(forged, verify._seeded_packs(forged, SEEDS)) == [
         tuple(detail["value"] for detail in r.details) for r in oracle]
-    assert not random_pairs.passed
-    assert random_pairs.residual == max(r.residual for r in oracle) > 0
-    assert random_pairs.details == [{"seed": seed, "passed": r.passed}
-                                    for seed, r in enumerate(oracle)]
+    assert not reports[-1].passed
+
+
+@pytest.mark.parametrize("hand", [0, 1], ids=["left", "right"])
+@pytest.mark.parametrize("side", range(3), ids=THEOREM1_SIDES)
+def test_theorem1_suite_reports_a_slot_forged_within_its_residue(
+        side, hand, monkeypatch):
+    # a slot pointed at another id of the same residue mod 896 leaves every
+    # side's seeded packs as they were, though the forged side no longer
+    # holds the same pairs.  Forged on the right, the left counts hold too
+    # and every pair's sides are still equal; forged on the left, the
+    # counts differ and a named check fails.  Each report must be
+    # check_theorem1's on the forged tables
+    tables = verify.divisor_tables(40)
+    ids = list(range(len(tables.values)))
+    period = verify.SMALL_INTEGER_PERIOD
+    classes = {}
+    for i, value in enumerate(tables.values):
+        classes.setdefault(value % period, []).append(i)
+    forged_hand = tables.readers[side][hand](ids)
+    slot, twin = next((slot, twin) for slot, b in enumerate(forged_hand)
+                      for twin in classes[tables.values[b] % period]
+                      if twin != b)
+    forged = forge_slot(tables, side, hand, slot, twin)
+
+    def pairs(tables, side):
+        left, right = tables.readers[side]
+        return Counter(zip(left(ids), right(ids)))
+
+    assert pairs(forged, side) != pairs(tables, side)
+    assert pairs(forged, side) != pairs(forged, (side + 1) % 3)
+    packs = verify._seeded_packs(forged, SEEDS)
+    assert packs == [packs[0]] * 3 == verify._seeded_packs(tables, SEEDS)
+    monkeypatch.setattr(verify, "divisor_tables", lambda x: forged)
+    reports = verify._suite_theorem1(x=40)
+    assert_suite_is_the_reference(reports, 40, forged)
+    assert reports[-1].passed
+    assert all(report.passed for report in reports[:4]) == (hand == 1)
 
 
 def test_theorem1_random_lanes_hold_the_largest_residue_class_at_x_120():
@@ -356,16 +434,20 @@ def test_theorem1_random_lanes_hold_the_largest_residue_class_at_x_120():
     slots = len(tables.fresh)
     width = (6 * slots).bit_length()
     residues = [n % verify.SMALL_INTEGER_PERIOD for n in tables.values]
+    classes = Counter(tables.readers[0][0](residues))
     for left, _ in tables.readers:
         assert len(left(residues)) == slots
-        largest = max(Counter(left(residues)).values())
-        assert 6 * largest < 2**width
+        assert Counter(left(residues)) == classes
+    assert 6 * max(classes.values()) < 2**width
     assert 2**width <= 12 * slots
-    seeds = range(verify.THEOREM1_RANDOM_PAIRS)
-    assert verify._seeded_sides(tables, seeds) == [
+    packs = verify._seeded_packs(tables, SEEDS)
+    assert packs == [packs[0]] * 3
+    top = width * len(SEEDS)
+    assert [pack >> top for pack in packs[0]] == [
+        classes[r] for r in range(verify.SMALL_INTEGER_PERIOD)]
+    assert read_packs(tables, packs) == [
         tuple(d["value"] for d in check_theorem1(
-            small_integer_fn(seed), small_integer_fn(1000 + seed), 120,
-            tables).details) for seed in seeds]
+            *seeded_pair(seed), 120, tables).details) for seed in SEEDS]
 
 
 def count_listings(monkeypatch):
