@@ -4,8 +4,8 @@ Commands: fib, alpha, entry-exponent, contract, verify, report-asymptotics,
 series.  Exit codes: 0 success, 1 check failure, 2 usage error, corrupt
 cache or a cache or --out file that cannot be opened (one `error:` line
 naming the path), 3 factorization budget exhausted or an input past a
-command's scale (logprod's x, the series' N, fib's n), 141 stdout closed by
-its reader.
+command's scale (logprod's x, the series' N, fib's n, contract's n_max),
+141 stdout closed by its reader.
 
 Cache path precedence: --cache flag, then the FIBDIRICHLET_CACHE environment
 variable, then no cache.  All emissions are byte-deterministic for a given
@@ -14,13 +14,13 @@ configuration.
 
 from __future__ import annotations
 
-import argparse
 import io
 import math
 import os
 import sys
-from collections.abc import Callable
+from collections import namedtuple
 from contextlib import suppress
+from types import SimpleNamespace
 
 from . import cache as cache_io
 from . import fib as fib_module
@@ -69,7 +69,7 @@ def _normalize(value, precision: int, for_json: bool):
     return value
 
 
-def emit_rows(rows: list[dict], name: str, args: argparse.Namespace) -> None:
+def emit_rows(rows: list[dict], name: str, args: SimpleNamespace) -> None:
     """Write rows as CSV (header + RFC quoting) or a JSON samples object, in
     the --format, --precision and --out of args."""
     # each format's module is imported only where rows are written in it, so
@@ -100,85 +100,6 @@ def emit_rows(rows: list[dict], name: str, args: argparse.Namespace) -> None:
         sys.stdout.write(text)
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
-
-
-def _add_common(parser: argparse.ArgumentParser,
-                run: Callable[[argparse.Namespace], int],
-                rows: bool = True) -> None:
-    """Set run as the command's handler; add --cache and --budget, and the
-    emission flags where rows are written."""
-    parser.set_defaults(run=run)
-    parser.add_argument("--cache", help="cache file path (FIBDIRICHLET_CACHE "
-                                        "overrides the default, flag wins)")
-    parser.add_argument("--budget", type=int, default=DEFAULT_FACTOR_BUDGET,
-                        help=f"factorization work budget "
-                             f"(default {DEFAULT_FACTOR_BUDGET})")
-    if not rows:
-        return
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="emission format (default csv)")
-    parser.add_argument("--out", help="write emission to this file")
-    parser.add_argument("--precision", type=int, default=12,
-                        help="decimal digits for emitted reals (default 12)")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fibdirichlet",
-        description="Exact Dirichlet products at Fibonacci numbers: rank of "
-                    "apparition, contractions, and identity verification.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, help_text, value in SCALARS:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("n", type=int)
-        p.set_defaults(value=value)
-        _add_common(p, cmd_scalar, rows=False)
-
-    p = sub.add_parser("contract",
-                       help="tabulate an iterated contraction against its "
-                            "closed form")
-    p.add_argument("fn", choices=CONTRACTIBLE)
-    p.add_argument("depth", type=int, nargs="?", default=1,
-                   help="contraction depth (default 1)")
-    p.add_argument("n_max", type=int, nargs="?", default=DEFAULT_CONTRACT_N_MAX,
-                   help=f"largest index to tabulate "
-                        f"(default {DEFAULT_CONTRACT_N_MAX})")
-    _add_common(p, cmd_contract)
-
-    p = sub.add_parser("verify", help="run identity checks")
-    p.add_argument("check", choices=sorted(verify_mod.SUITE) + ["all"])
-    p.add_argument("--x", type=_finite_float,
-                   help="range or argument for the check")
-    p.add_argument("--s", type=float, help="Dirichlet series exponent")
-    p.add_argument("--n", type=int, help="truncation length / range bound")
-    p.add_argument("--which", choices=sorted(EULER_SERIES),
-                   help="series selector for euler-product")
-    _add_common(p, cmd_verify)
-
-    p = sub.add_parser("report-asymptotics",
-                       help="emit exact-vs-predicted growth samples")
-    p.add_argument("--x", default=DEFAULT_ASYMPTOTIC_XS,
-                   help="comma-separated sample points (default %(default)s)")
-    _add_common(p, cmd_report_asymptotics)
-
-    p = sub.add_parser("series",
-                       help="emit truncated Dirichlet series comparisons")
-    p.add_argument("--which", choices=sorted(EULER_SERIES) + ["all"],
-                   default="all")
-    p.add_argument("--s", type=float, default=2.0)
-    p.add_argument("--n", type=int, default=10_000)
-    _add_common(p, cmd_series)
-
-    return parser
-
-
 # F(n)'s digits, about 0.209·n of them, take time quadratic in n to write:
 # n = 10⁶ took 0.95 s and n = 3·10⁶, the largest n measured, 8.2 s on a
 # 2-vCPU VM (10⁷ took 87.6 s), so past it a run is refused
@@ -194,26 +115,27 @@ def _fib_digits(n: int):
     return Decimal(fib(n))
 
 
-# (command, help, the value it prints for its argument n)
-SCALARS = (
-    ("fib", "print the n-th Fibonacci number", _fib_digits),
-    ("alpha", "print the rank of apparition of n", rank),
-    ("entry-exponent", "print the largest m with n^m dividing F(rank(n))",
-     entry_exponent),
-)
-
-
-def cmd_scalar(args: argparse.Namespace) -> int:
+def cmd_scalar(args: SimpleNamespace) -> int:
     print(args.value(args.n))
     return EXIT_OK
 
 
-def cmd_contract(args: argparse.Namespace) -> int:
+# each row is held until the table is written: n_max = 10⁵, the largest
+# n_max measured, took 1.7 s at 48.6 MB in csv and 2.2 s at 151.7 MB in json
+# on a 2-vCPU VM (3·10⁵ took 4.8 s at 98.4 MB and 6.2 s at 423.8 MB), and
+# past a few hundred every row reads budget-exceeded, so past it a run is
+# refused
+CONTRACT_N_MAX = 10**5
+
+
+def cmd_contract(args: SimpleNamespace) -> int:
     depth, n_max = args.depth, args.n_max
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if n_max > CONTRACT_N_MAX:   # before any row is made
+        raise BudgetExceededError(f"contract stops at n_max={CONTRACT_N_MAX}")
     f = NAMED_FUNCTIONS[args.fn]
     closed = CLOSED_FORMS.get((args.fn, depth))
     rows = []
@@ -238,7 +160,7 @@ def cmd_contract(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     # a check takes the flags it has keyword defaults for; "all" takes none
     takes = {} if args.check == "all" else \
         verify_mod.SUITE[args.check].__kwdefaults__ or {}
@@ -284,7 +206,7 @@ def _sample_point(text: str) -> int:
                      f"got {text.strip()}")
 
 
-def cmd_report_asymptotics(args: argparse.Namespace) -> int:
+def cmd_report_asymptotics(args: SimpleNamespace) -> int:
     xs = [_sample_point(part) for part in args.x.split(",") if part.strip()]
     if not xs:
         raise ValueError(f"report-asymptotics expects at least one --x point, "
@@ -313,7 +235,7 @@ def cmd_report_asymptotics(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_series(args: argparse.Namespace) -> int:
+def cmd_series(args: SimpleNamespace) -> int:
     names = sorted(EULER_SERIES) if args.which == "all" else [args.which]
     rows = []
     for name, rep in zip(names, euler_product_checks(names, [args.s], args.n)):
@@ -330,13 +252,215 @@ def cmd_series(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+PROG = "fibdirichlet"
+DESCRIPTION = ("Exact Dirichlet products at Fibonacci numbers: rank of "
+               "apparition, contractions, and identity verification.")
+HELP_FLAGS = ("-h", "--help")
+REQUIRED = object()   # the default of a positional that must be given
+
+
+def _finite_number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+# what each reader of a value expects, as a usage error names it
+EXPECTED = {int: "an integer", float: "a number",
+            _finite_number: "a finite number"}
+
+
+class _Checks:   # verify's choices: verify.SUITE's checks when read, and all
+    def __iter__(self):
+        return iter((*sorted(verify_mod.SUITE), "all"))
+
+
+# Each positional and flag maps to (kind, default, help): its kind is the
+# reader of its value (str or a key of EXPECTED) or, not callable, its
+# choices.  `fixed` holds the attributes that a command always sets.
+Command = namedtuple("Command", "run help positionals flags fixed")
+COMMON_FLAGS = {
+    "--cache": (str, None, "cache file path (FIBDIRICHLET_CACHE overrides "
+                           "the default, flag wins)"),
+    "--budget": (int, DEFAULT_FACTOR_BUDGET, f"factorization work budget "
+                 f"(default {DEFAULT_FACTOR_BUDGET})"),
+}
+ROW_FLAGS = {   # where rows are written
+    **COMMON_FLAGS,
+    "--format": (("csv", "json"), "csv", "emission format (default csv)"),
+    "--out": (str, None, "write emission to this file"),
+    "--precision": (int, 12, "decimal digits for emitted reals (default 12)"),
+}
+SCALAR_N = {"n": (int, REQUIRED, "")}
+
+COMMANDS = {
+    "fib": Command(cmd_scalar, "print the n-th Fibonacci number", SCALAR_N,
+                   COMMON_FLAGS, {"value": _fib_digits}),
+    "alpha": Command(cmd_scalar, "print the rank of apparition of n",
+                     SCALAR_N, COMMON_FLAGS, {"value": rank}),
+    "entry-exponent": Command(
+        cmd_scalar, "print the largest m with n^m dividing F(rank(n))",
+        SCALAR_N, COMMON_FLAGS, {"value": entry_exponent}),
+    "contract": Command(
+        cmd_contract, "tabulate an iterated contraction against its closed "
+                      "form",
+        {"fn": (CONTRACTIBLE, REQUIRED, ""),
+         "depth": (int, 1, "contraction depth (default 1)"),
+         "n_max": (int, DEFAULT_CONTRACT_N_MAX, f"largest index to tabulate "
+                   f"(default {DEFAULT_CONTRACT_N_MAX})")},
+        ROW_FLAGS, {}),
+    "verify": Command(
+        cmd_verify, "run identity checks",
+        {"check": (_Checks(), REQUIRED, "")},
+        {"--x": (_finite_number, None, "range or argument for the check"),
+         "--s": (float, None, "Dirichlet series exponent"),
+         "--n": (int, None, "truncation length / range bound"),
+         "--which": (tuple(sorted(EULER_SERIES)), None,
+                     "series selector for euler-product"),
+         **ROW_FLAGS}, {}),
+    "report-asymptotics": Command(
+        cmd_report_asymptotics, "emit exact-vs-predicted growth samples", {},
+        {"--x": (str, DEFAULT_ASYMPTOTIC_XS, f"comma-separated sample points "
+                 f"(default {DEFAULT_ASYMPTOTIC_XS})"),
+         **ROW_FLAGS}, {}),
+    "series": Command(
+        cmd_series, "emit truncated Dirichlet series comparisons", {},
+        {"--which": ((*sorted(EULER_SERIES), "all"), "all", ""),
+         "--s": (float, 2.0, ""),
+         "--n": (int, 10_000, ""),
+         **ROW_FLAGS}, {}),
+}
+
+
+def _metavar(name: str, kind) -> str:
+    if not callable(kind):
+        return "{" + ",".join(kind) + "}"
+    return name[2:].upper() if name[0] == "-" else name
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: {PROG} [-h] {_metavar('command', COMMANDS)} ..."
+    spec = COMMANDS[command]
+    return " ".join([
+        f"usage: {PROG} {command} [-h]",
+        *(f"[{name} {_metavar(name, kind)}]"
+          for name, (kind, _, _) in spec.flags.items()),
+        *(_metavar(name, kind) if default is REQUIRED
+          else f"[{_metavar(name, kind)}]"
+          for name, (kind, default, _) in spec.positionals.items())])
+
+
+def _print_help(command: str | None):
+    """Write the usage and a line for each command, or for each of the
+    command's arguments, to stdout, and exit 0."""
+    if command is None:
+        text = DESCRIPTION
+        rows = [(name, spec.help) for name, spec in COMMANDS.items()]
+    else:
+        spec = COMMANDS[command]
+        text = spec.help
+        rows = [(_metavar(name, kind), help_text) for name, (kind, _, help_text)
+                in spec.positionals.items()]
+        rows += [(f"{name} {_metavar(name, kind)}", help_text)
+                 for name, (kind, _, help_text) in spec.flags.items()]
+    rows.append((", ".join(HELP_FLAGS), "show this help message and exit"))
+    print(_usage(command), "", text, "",
+          *(f"  {left:<22} {right}".rstrip() for left, right in rows),
+          sep="\n")
+    raise SystemExit(EXIT_OK)
+
+
+def _usage_error(command: str | None, message: str):
+    """Write the usage and an `error:` line to stderr, and exit 2."""
+    prog = PROG if command is None else f"{PROG} {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(EXIT_USAGE)
+
+
+def _is_flag(token: str, flags) -> bool:
+    """Whether token is read as a flag: it starts with '-' and names one of
+    flags before any '=', or it is not '-', a negative number or a text with
+    a space, which are read as values."""
+    if token[:1] != "-" or token == "-":
+        return False
+    whole, dot, fraction = token[1:].partition(".")
+    negative = (fraction.isdecimal() and (not whole or whole.isdecimal())
+                if dot else whole.isdecimal())
+    return token.partition("=")[0] in flags or not (negative or " " in token)
+
+
+def _read(command: str | None, name: str, kind, text: str):
+    """text as kind reads it, or a usage error that names the argument."""
+    if not callable(kind):
+        if text in kind:
+            return text
+        _usage_error(command, f"argument {name}: invalid choice: {text!r} "
+                              f"(choose from {', '.join(kind)})")
+    try:
+        return kind(text)
+    except ValueError:
+        _usage_error(command, f"argument {name}: expected {EXPECTED[kind]}, "
+                              f"got {text!r}")
+
+
+def parse_args(argv: list[str] | None = None) -> SimpleNamespace:
+    """The command's attributes read off argv against COMMANDS: its
+    positionals in order, and its flags before, between or after them, as
+    `--flag value` or `--flag=value`, the last of a repeated flag winning;
+    after `--` every token is a positional.  -h or --help prints the help
+    and exits 0; a usage error exits 2."""
+    tokens = iter(sys.argv[1:] if argv is None else argv)
+    command = args = None
+    flags, positionals, extras, ended = {}, iter(()), [], False
+    for token in tokens:
+        if ended or not _is_flag(token, flags):
+            if command is None:
+                command = _read(None, "command", COMMANDS, token)
+                spec = COMMANDS[command]
+                flags, positionals = spec.flags, iter(spec.positionals.items())
+                args = SimpleNamespace(
+                    command=command, run=spec.run, **spec.fixed,
+                    **{name.lstrip("-"): default for name, (_, default, _)
+                       in (*spec.positionals.items(), *flags.items())})
+            elif (positional := next(positionals, None)) is None:
+                extras.append(token)
+            else:
+                name, (kind, _, _) = positional
+                setattr(args, name, _read(command, name, kind, token))
+        elif token == "--":
+            ended = True
+        elif token in HELP_FLAGS:
+            _print_help(command)
+        elif (name := token.partition("=")[0]) not in flags:
+            extras.append(token)
+        else:
+            _, inline, value = token.partition("=")
+            if not inline:
+                value = next(tokens, None)
+                if value is None or _is_flag(value, flags):
+                    _usage_error(command,
+                                 f"argument {name}: expected one argument")
+            setattr(args, name[2:], _read(command, name, flags[name][0], value))
+    missing = [name for name, (_, default, _) in positionals
+               if default is REQUIRED]
+    if command is None or missing:
+        _usage_error(command, f"the following arguments are required: "
+                              f"{', '.join(missing or ['command'])}")
+    if extras:
+        _usage_error(command, f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     if args.budget < 1:
-        parser.error(f"--budget must be at least 1, got {args.budget}")
-    if "precision" in args and args.precision < 0:
-        parser.error(f"--precision must be at least 0, got {args.precision}")
+        _usage_error(args.command,
+                     f"--budget must be at least 1, got {args.budget}")
+    if getattr(args, "precision", 0) < 0:
+        _usage_error(args.command,
+                     f"--precision must be at least 0, got {args.precision}")
     cache_path = args.cache or os.environ.get(ENV_CACHE)
     # each call starts from an empty memo, so the cache file it writes holds
     # what this call loaded or factored, as a fresh process would write it

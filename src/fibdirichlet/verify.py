@@ -14,7 +14,7 @@ from collections import Counter, namedtuple
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import suppress
 from itertools import chain, compress, product, repeat, starmap
-from operator import add, ge, itemgetter, mod, mul, rshift, sub, truediv
+from operator import add, ge, itemgetter, mod, mul, sub, truediv
 
 from .contraction import (
     LAMBDA_ALPHA,
@@ -77,12 +77,18 @@ class VerificationReport:
 SMALL_INTEGER_PERIOD = 7 << 7
 
 
+# As n·K + o ≡ (n·K mod 896) + (o mod 896) (mod 896), with K = 2654435761
+# coprime to 896, each seed's table reads entries n·K mod 896 of the values
+# (b >> 7) − 3 for b < 896, listed twice, from offset o mod 896 on.
+_SEEDED_ORDER = itemgetter(*[n * 2654435761 % SMALL_INTEGER_PERIOD
+                             for n in range(SMALL_INTEGER_PERIOD)])
+_SEEDED_BASE = [(b >> 7) - 3 for b in range(SMALL_INTEGER_PERIOD)] * 2
+
+
 def small_integer_table(seed: int) -> tuple[int, ...]:
     """small_integer_fn(seed) at n = 0..SMALL_INTEGER_PERIOD − 1."""
-    offset, step = seed * 40503, 2654435761
-    seeded = range(offset, offset + SMALL_INTEGER_PERIOD * step, step)
-    return tuple(map(sub, map(mod, map(rshift, seeded, repeat(7)), repeat(7)),
-                     repeat(3)))
+    offset = seed * 40503 % SMALL_INTEGER_PERIOD
+    return _SEEDED_ORDER(_SEEDED_BASE[offset:offset + SMALL_INTEGER_PERIOD])
 
 
 def small_integer_fn(seed: int) -> ArithFn:

@@ -86,6 +86,140 @@ def test_readme_library_example_runs(capsys):
         "1000000008\nfactoring 1000000007 exceeded the work budget\n")
 
 
+# argvs that the reference parser accepts: each spelling of a flag, values
+# that start with '-', flags before and after the positionals, and repeats,
+# each read alike by argparse of Python 3.10 to 3.13
+ACCEPTED = [argv for argv, _ in readme_cli_examples()] + [shlex.split(line) for line in (
+    "fib 12", "fib --budget 5 12", "fib 12 --budget=5", "fib 12 --budget -5",
+    "fib 12 --budget=-5", "fib 12 --budget 5 --budget 7", "alpha -3",
+    "alpha 7 --cache c", "alpha 7 --cache=c", "alpha 7 --cache= --budget 9",
+    "alpha ' 7 '", "entry-exponent 12 --cache c --cache d",
+    "entry-exponent 1_000", "contract mu", "contract phi 3",
+    "contract one 2 40", "contract --budget 5 mu 3 120",
+    "contract --format json --out f mu 2", "contract mu 1 -3",
+    "contract mu -1", "contract mu 3 120 --precision=-1",
+    "contract mu 3 120 --format=json --format csv --precision 3",
+    "contract lambda 1 12 --out 'a b' --cache '-a b'", "fib -- 5",
+    "contract mu 1 -- 2",
+    "verify all", "verify theorem1 --x 1e300", "verify theorem1 --x .5",
+    "verify theorem1 --x -3", "verify theorem1 --x=-3", "verify logprod --x=-.5",
+    "verify euler-product --s -2.5 --n -4 --which mu2",
+    "verify --x 12 pi-alpha --format json", "verify all --s nan --s 3",
+    "report-asymptotics", "report-asymptotics --x 5,12",
+    "report-asymptotics --x=5,50,200 --format json", "report-asymptotics --x ''",
+    "report-asymptotics --x -5", "report-asymptotics --x=-5,3",
+    "series", "series --which mu --s 3 --n 2000", "series --s=-1 --n 1_000",
+    "series --which=all --s inf",
+)] + [["verify", check, *flag]
+      for check in (*sorted(verify.SUITE), "all")
+      for name, value in (("x", "5"), ("s", "3"), ("n", "12"), ("which", "mu"))
+      for flag in ([f"--{name}", value], [f"--{name}={value}"])]
+
+# argvs that the reference parser refuses
+REFUSED = [shlex.split(line) for line in (
+    "", "nope", "-x", "--budget 3 fib 5", "-5", "fib", "fib 1 2", "fib x",
+    "fib 1.5", "fib 5 --out f", "fib 5 --format json", "fib 5 --precision=3",
+    "fib 5 --budget", "fib 5 --budget x", "fib 5 --budget --cache c",
+    "fib 5 --budget -h", "fib 5 --help=x", "fib 5 --budget --",
+    "contract mu 1 --out -f", "contract mu -- -3 --budget", "alpha 7 --cache",
+    "alpha 7 --nope", "alpha --nope 7", "contract", "contract foo",
+    "contract mu x", "contract mu 1 2 3", "contract mu 1 2 --format xml",
+    "contract mu 1 2 --precision 1.5", "verify", "verify nope",
+    "verify theorem1 --x", "verify theorem1 --x inf", "verify theorem1 --x=nan",
+    "verify theorem1 --x -inf", "verify theorem1 --x=-inf",
+    "verify theorem1 --x 1e400",
+    "verify euler-product --which nope", "verify euler-product --n 1e3",
+    "series --which nope", "series --s x", "series --n 2.0",
+    "report-asymptotics 5", "report-asymptotics --x",
+)]
+
+
+@pytest.mark.parametrize("argv", ACCEPTED, ids=shlex.join)
+def test_parse_args_reads_what_argparse_reads(argv, reference_parser):
+    assert vars(cli.parse_args(argv)) == vars(reference_parser.parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", REFUSED, ids=shlex.join)
+def test_parse_args_refuses_what_argparse_refuses(argv, reference_parser,
+                                                  capsys):
+    with pytest.raises(SystemExit) as exc:
+        reference_parser.parse_args(argv)
+    assert exc.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: fibdirichlet")
+    assert error.startswith("fibdirichlet") and ": error: " in error
+
+
+def test_parse_args_refuses_an_abbreviated_flag(reference_parser, capsys):
+    # argparse reads a unique prefix as the flag; parse_args does not
+    assert reference_parser.parse_args(["fib", "5", "--bud", "3"]).budget == 3
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(["fib", "5", "--bud", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bud 3" in capsys.readouterr().err
+
+
+def test_contract_reads_its_positionals_around_flags():
+    # argparse 3.11 takes depth and n_max as absent at the first flag
+    args = cli.parse_args(["contract", "mu", "--budget", "5", "3", "--out",
+                           "f", "120"])
+    assert (args.fn, args.depth, args.n_max, args.budget, args.out) == (
+        "mu", 3, 120, 5, "f")
+
+
+@pytest.mark.parametrize("argv, read", [
+    (["fib", "5", "--"], {"n": 5}),
+    (["contract", "--", "mu", "1", "2"], {"fn": "mu", "depth": 1, "n_max": 2}),
+    (["contract", "mu", "--", "-3", "5"], {"depth": -3, "n_max": 5}),
+    (["alpha", "--", "--budget"], None)])
+def test_every_token_after_a_double_dash_is_a_positional(argv, read, capsys):
+    if read is None:
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_args(argv)
+        assert exc.value.code == 2
+        assert "argument n: expected an integer, got '--budget'" in (
+            capsys.readouterr().err)
+        return
+    args = vars(cli.parse_args(argv))
+    assert {name: args[name] for name in read} == read
+
+
+# the flags each command takes
+COMMON_FLAGS = ("--cache", "--budget")
+ROW_FLAGS = COMMON_FLAGS + ("--format", "--out", "--precision")
+COMMAND_FLAGS = {
+    "fib": COMMON_FLAGS, "alpha": COMMON_FLAGS, "entry-exponent": COMMON_FLAGS,
+    "contract": ROW_FLAGS,
+    "verify": ROW_FLAGS + ("--x", "--s", "--n", "--which"),
+    "report-asymptotics": ROW_FLAGS + ("--x",),
+    "series": ROW_FLAGS + ("--which", "--s", "--n")}
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", [None, *COMMAND_FLAGS])
+def test_help_exits_0_and_names_every_flag(command, flag, capsys):
+    argv = [flag] if command is None else [command, flag]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("usage: fibdirichlet ")
+    words = set(captured.out.replace(",", " ").split())
+    assert "-h" in words and "--help" in words
+    if command is None:
+        assert set(COMMAND_FLAGS) <= words
+        return
+    assert set(COMMAND_FLAGS[command]) <= words
+    assert not (set(ROW_FLAGS) - set(COMMAND_FLAGS[command])) & words
+
+
 def test_fib_prints_past_the_int_string_limit(capsys):
     # str() of an int refuses more than 4300 digits by default; the limit
     # is the same after the command as before it
@@ -127,6 +261,20 @@ def test_fib_refuses_n_past_its_scale_at_once():
     assert time.perf_counter() - start < 1.0
     assert (result.returncode, result.stdout) == (3, "")
     assert result.stderr == f"error: fib stops at n={cli.FIB_N_MAX}\n"
+
+
+def test_contract_refuses_n_max_past_its_scale_at_once(tmp_path):
+    # 10⁸ rows would take about half an hour; a cold run past the bound
+    # exits 3 before any row is made, and writes no --out file
+    out = tmp_path / "rows.csv"
+    start = time.perf_counter()
+    result = _run_script(["contract", "mu", "3", str(cli.CONTRACT_N_MAX + 1),
+                          "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr == (f"error: contract stops at "
+                             f"n_max={cli.CONTRACT_N_MAX}\n")
+    assert not out.exists()
 
 
 def test_invalid_argument_exits_2(capsys):

@@ -13,10 +13,11 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # dataclasses brings inspect, ast, dis, tokenize, linecache and copy;
-# fractions brings decimal and numbers
+# fractions brings decimal and numbers; argparse brings gettext, and
+# gettext brings locale where a help string is translated
 NOT_AT_START = ("dataclasses", "inspect", "ast", "dis", "tokenize",
                 "linecache", "copy", "fractions", "decimal", "numbers",
-                "json", "csv")
+                "json", "csv", "argparse", "gettext", "locale")
 
 # imports nothing of its own, so that every module it reports was loaded by
 # the import of the CLI
@@ -37,13 +38,23 @@ print("\\n".join(sorted(sys.modules)), file=sys.stderr)
 """
 
 
-def _run(probe, *flags):
+# runs the command that its arguments spell, then lists every module loaded
+# so far
+COMMAND_PROBE = """
+import sys
+from fibdirichlet import cli
+assert cli.main(sys.argv[1:]) == 0
+print("\\n".join(sorted(sys.modules)), file=sys.stderr)
+"""
+
+
+def _run(probe, *flags, args=()):
     """probe run in a fresh interpreter, with no cache file, its output held."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")]))
     env.pop("FIBDIRICHLET_CACHE", None)
-    return subprocess.run([sys.executable, *flags, "-c", probe],
+    return subprocess.run([sys.executable, *flags, "-c", probe, *args],
                           capture_output=True, text=True, env=env, check=True,
                           timeout=60)
 
@@ -73,3 +84,11 @@ def test_corollary_mult_loads_no_fractions():
     loaded = set(_run(COROLLARY_PROBE).stderr.split())
     assert "fibdirichlet.verify" in loaded
     assert not loaded & {"fractions", "decimal", "numbers"}
+
+
+def test_a_command_loads_no_argument_parser():
+    # argv is read off cli.COMMANDS, so neither argparse nor the gettext and
+    # locale it loads are compiled at the start of a process
+    loaded = set(_run(COMMAND_PROBE, "-S", args=["alpha", "7"]).stderr.split())
+    assert "fibdirichlet.cli" in loaded
+    assert not loaded & {"argparse", "gettext", "locale"}

@@ -222,6 +222,16 @@ def _literal_small_integer(seed):
     return lambda n: ((n * 2654435761 + seed * 40503) >> 7) % 7 - 3
 
 
+def test_small_integer_table_is_the_literal_formula():
+    # 40503·seed mod 896 takes every value for seed < 896, as 40503 is
+    # coprime to 896; the suite's seeds are 1000..1019
+    period = verify.SMALL_INTEGER_PERIOD
+    for seed in [*range(period), *range(1000, 1020)]:
+        literal = _literal_small_integer(seed)
+        assert verify.small_integer_table(seed) == tuple(
+            map(literal, range(period))), seed
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2000), st.integers(0, 2**256))
 def test_small_integer_fn_reads_its_period_table(seed, n):
